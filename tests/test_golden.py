@@ -1,0 +1,88 @@
+"""Golden stdout corpus: the CLI's machine-readable output, byte for byte.
+
+The README promises that stdout is byte-identical across runs with the same
+arguments, and refactors must keep it so. Each case records the exit code
+and the SHA-256 of stdout; a changed digest means a changed answer or a
+changed format. The digests were taken before any of the refactors they
+guard, and are only ever regenerated for an intended change of output.
+"""
+
+import hashlib
+
+import pytest
+
+from cyclift.cli import main
+
+CASES = {
+    ("facets", "--n", "7", "--d", "3"):
+        (0, "8621c057a3dbd57e9a7751b45f23a3a87de1a0f59ef7f37a59435af83e990e80"),
+    ("facets", "--t1", "-3", "--t2", "4", "--d", "4", "--format", "json"):
+        (0, "fd20520d8ce8b0495f78f528f1b5fb30adb169fe3b860ffe6d96fbdbd68234cf"),
+    ("slack", "--n", "6", "--d", "2"):
+        (0, "d47145883ab1784d451da39113513588ab0bbf33ff000b439afe41982d35fd8c"),
+    ("slack", "--t1", "-2", "--t2", "4", "--d", "3", "--format", "json"):
+        (0, "c849df24f2e8c086e61cebf18301341d3a9afa1ed0c372f1671d00e9adc3132f"),
+    ("factorize", "--n", "33", "--d", "2"):
+        (0, "39deaf953f0faefd80c2d70df99d554b87998fa5fceb1a09edaf9677c05f324b"),
+    ("factorize", "--n", "9", "--d", "2"):
+        (0, "54737af5a8cc0dd5052192d73bcf0c187c3ef1a471b994517454f4bbb6937ca5"),
+    ("factorize", "--n", "12", "--d", "3"):
+        (0, "a25f984933f4d09d09072e9d30bb5bc485ebd8312c8fc0b447d53e422bec1a5a"),
+    ("factorize", "--n", "10", "--d", "4"):
+        (0, "a1ee75813e861ff68074935acfd2bf48c70b0d9885566f6c7aea1516ce3cab92"),
+    ("factorize", "--n", "9", "--d", "5"):
+        (0, "7467074d62d93802b4b3fbb4b2289975c4b07601b937fa224cd517c136df328d"),
+    ("factorize", "--n", "10", "--d", "6"):
+        (0, "0ee90c842773df0e621daaa1cd315e18fb779c95f2da4bc96599b796dc26089f"),
+    ("factorize", "--n", "20", "--d", "6"):
+        (0, "5691e9a7cb569d1e466f25c801a47d043a7a3902b45740e3d780950eecd983f3"),
+    ("ef", "--n", "10", "--d", "2"):
+        (0, "016cad551044b383159138548bb275dab969cf91598b99de95e7065ce4e14cfc"),
+    ("ef", "--n", "10", "--d", "2", "--format", "json"):
+        (0, "6a674d44c03d16a434c7768d3924ec14dc53b2b55a5d7989a814ebd01306add0"),
+    ("ef", "--n", "33", "--d", "2"):
+        (0, "27c0b4d76a43ffe9be26dad890afb10ccf5fbb4922f9517821ccea28e8661a48"),
+    ("ef", "--n", "33", "--d", "2", "--format", "json"):
+        (0, "460e43e686c07a1634a38da9fb7834f5729c1306f8621d7855b85abe6be18d1c"),
+    ("ef", "--n", "8", "--d", "3"):
+        (0, "5fb5081affcd7a5af19cf3e28249dd4ada8aa2cad47ff44973fd897ce0262b2d"),
+    ("ef", "--n", "8", "--d", "3", "--format", "json"):
+        (0, "0d2d4778a8a8d1419ad7b2428d736a94f939632efcf54b12e4226d0b66ef3653"),
+    ("ef", "--n", "9", "--d", "4"):
+        (0, "2a5407bff4dc3bb1e55f6e6f6999520cfc432278b7a6f28ea0ea6a3bb4b46678"),
+    ("ef", "--n", "9", "--d", "4", "--format", "json"):
+        (0, "26fd6149c87a0f0ba5daeba847a08ab2270ec89a57d060dc93ad6c2302c131b7"),
+    ("ef", "--n", "17", "--d", "2", "--check", "5", "--seed", "3"):
+        (0, "e6966e4cf7aad58eb67e5d976d33df216dedafe17209ceb66f08b27af7839089"),
+    ("minimize-poly", "--coeffs", "9,-6,1", "--n", "6"):
+        (0, "bb10a68d17e319c0a9c9e078dd458d2b79d304073ffd5e050da0719c357af59f"),
+    ("minimize-poly", "--coeffs", "1/2,-3,1", "--n", "5"):
+        (0, "ec61b5bd2d6e9b5da310a12911fbaa8562fe0b16044dcf6830aafcaeaa5bff1e"),
+    ("minimize-poly", "--coeffs", "5,-7,0,1", "--n", "9"):
+        (0, "aa89b0da2d54a5b5b16d79fa32d75729a487d193e403f663254cc6967fc67e57"),
+    ("minimize-poly", "--coeffs", "196,-252,109,-18,1", "--n", "8"):
+        (0, "0537d01fcbba54a236e58e84aeb829e1818f8c4f02cd37e5f2de4496218fe1c1"),
+}
+
+# factorize --n 17 --d 2 --out FILE, then verify FILE
+FACTORIZE_17_FILE = "afdc9803a16fc97955b3fef0a2cf8b2bcd947bce73f8b17ab29dc46aaa57d04d"
+VERIFY_17_STDOUT = "eb04bf068bf4c76e11c4c69d1f64f6f40c8a06d16f1a229742f67d09721c370b"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(CASES), ids=" ".join)
+def test_stdout_digest(capsys, argv):
+    rc = main(list(argv))
+    assert (rc, _sha256(capsys.readouterr().out)) == CASES[argv]
+
+
+def test_verify_written_file(capsys, tmp_path):
+    path = tmp_path / "f17.json"
+    assert main(["factorize", "--n", "17", "--d", "2", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert _sha256(path.read_text()) == FACTORIZE_17_FILE
+    assert main(["verify", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out) == VERIFY_17_STDOUT
