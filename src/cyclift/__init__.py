@@ -37,7 +37,6 @@ from .factorization import (
     verify,
 )
 from .geometry import (
-    AffineMap,
     CyclicPolytope,
     FacetInequality,
     GaleSet,
@@ -48,7 +47,6 @@ from .geometry import (
     facet_inequality,
     format_linear,
     gale_pair_partition,
-    interval_shift_map,
     is_gale,
     slack_entry,
     slack_matrix,
@@ -65,14 +63,12 @@ from .lifting import (
     factorization_from_ef,
     independent_equations,
     lift_objective,
-    lift_vertex_2d,
 )
 from .rational import format_rational, parse_rational
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "CyclicPolytope",
     "DomainError",
     "EfOptimizer",
@@ -114,10 +110,8 @@ __all__ = [
     "gale_pair_partition",
     "hadamard_combine",
     "independent_equations",
-    "interval_shift_map",
     "is_gale",
     "lift_objective",
-    "lift_vertex_2d",
     "parse_rational",
     "rank_bound",
     "size_bound_2d",

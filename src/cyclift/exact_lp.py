@@ -47,7 +47,6 @@ class LinearProgram:
     objective: tuple
     equations: tuple = ()
     inequalities: tuple = ()
-    variables: tuple | None = None
 
     @property
     def nvars(self) -> int:

@@ -132,23 +132,28 @@ class NonnegFactorization:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NonnegFactorization":
+        """Inverse of to_json_dict; any malformed document is a DomainError."""
         try:
             rank = int(data["rank"])
             alpha = tuple(tuple(parse_rational(x) for x in vec) for vec in data["alpha"])
             beta = tuple(tuple(parse_rational(x) for x in vec) for vec in data["beta"])
             raw_target = data.get("target")
+            target = None
+            if raw_target is not None:
+                target = CyclicPolytope(
+                    int(raw_target["d"]),
+                    Interval(int(raw_target["t1"]), int(raw_target["t2"])),
+                )
             raw_columns = data.get("columns")
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed factorization JSON: {exc}") from exc
-        target = None
-        if raw_target is not None:
-            target = CyclicPolytope(
-                int(raw_target["d"]),
-                Interval(int(raw_target["t1"]), int(raw_target["t2"])),
-            )
-        columns = None
-        if raw_columns is not None:
-            columns = tuple(GaleSet(tuple(int(m) for m in mem)) for mem in raw_columns)
+            columns = None
+            if raw_columns is not None:
+                columns = tuple(
+                    GaleSet(tuple(int(m) for m in mem)) for mem in raw_columns
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(
+                f"malformed factorization JSON ({type(exc).__name__}: {exc})"
+            ) from exc
         for vec in alpha + beta:
             if len(vec) != rank:
                 raise DomainError(
@@ -370,19 +375,21 @@ def factorize(n: int, d: int, allow_trivial: bool = True) -> NonnegFactorization
 
     Dispatches on the parity of d. The constructed rank can exceed n at
     desk scale; with allow_trivial (the default) the trivial rank-n
-    factorization is returned whenever it is strictly smaller. Pass
+    factorization is returned whenever it is strictly smaller, decided from
+    construction_rank before anything structured is built. Pass
     allow_trivial=False to get the recursive construction unconditionally.
+
+    The result is not verified here: verify(slack_matrix(P), F) is the
+    check, and the command line and ef_from_factorization run it.
     """
     if d < 2:
         raise DomainError(f"dimension must be at least 2, got {d}")
     if n <= d:
         raise DomainError(f"need n > d, got n={n}, d={d}")
+    if allow_trivial and n < construction_rank(n, d):
+        return trivial_factorization(slack_matrix(CyclicPolytope.standard(d, n)))
     if d == 2:
-        out = factorize_2d(n)
-    elif d % 2 == 0:
-        out = factorize_even(n, d // 2)
-    else:
-        out = factorize_odd(n, (d - 1) // 2)
-    if allow_trivial and n < out.rank:
-        out = trivial_factorization(slack_matrix(CyclicPolytope.standard(d, n)))
-    return out
+        return factorize_2d(n)
+    if d % 2 == 0:
+        return factorize_even(n, d // 2)
+    return factorize_odd(n, (d - 1) // 2)

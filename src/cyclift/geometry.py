@@ -8,14 +8,12 @@ A cyclic polytope P^d_[t1,t2] is the convex hull of the moment-curve points
 - evaluate the slack matrix exactly: entry (i, S) is prod_{j in S} |j - i|,
 - turn a facet S into a valid inequality <a, x> <= b whose slacks at the
   vertices reproduce the slack-matrix column of S,
-- build the affine isomorphism between copies of the polytope on intervals
-  of equal length,
 - split an even-dimension facet into two-element facets of the degree-2
   polytope on the same interval (the pairing used by the tensor-product
   factorization).
 
-Everything is exact: vertices and slack entries are ints, inequality and
-map coefficients are ints or fractions.Fraction. No floating point.
+Everything is exact: vertices and slack entries are ints, inequality
+coefficients are ints or fractions.Fraction. No floating point.
 """
 
 from __future__ import annotations
@@ -116,34 +114,6 @@ class FacetInequality:
 
     def slack(self, point):
         return self.b - sum(c * x for c, x in zip(self.a, point))
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x |-> linear @ x + offset, with exact entries.
-
-    `linear` is a tuple of rows, one per output coordinate, so the map can
-    change dimension (projections are maps from the lifted space down).
-    """
-
-    linear: tuple
-    offset: tuple
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.offset)
-
-    @property
-    def input_dim(self) -> int:
-        return len(self.linear[0]) if self.linear else 0
-
-    def __call__(self, x):
-        if len(x) != self.input_dim:
-            raise DomainError(f"expected a point of length {self.input_dim}, got {len(x)}")
-        return tuple(
-            off + sum(c * xi for c, xi in zip(row, x) if c)
-            for row, off in zip(self.linear, self.offset)
-        )
 
 
 def vertex(P: CyclicPolytope, i: int) -> tuple[int, ...]:
@@ -344,27 +314,6 @@ def facet_inequality(P: CyclicPolytope, S) -> FacetInequality:
     a = tuple(-sigma * c for c in coeffs[1:])
     b = sigma * coeffs[0]
     return FacetInequality(a, b)
-
-
-def interval_shift_map(d: int, src: Interval, dst: Interval) -> AffineMap:
-    """Affine isomorphism P^d_src -> P^d_dst for intervals of equal length.
-
-    With s = dst.t1 - src.t1 the moment curve obeys
-    (t + s)^i = s^i + sum_j C(i, j) s^(i-j) t^j, so the map sends the vertex
-    of index t to the vertex of index t + s coordinate-wise. Its inverse is
-    the map for the opposite shift.
-    """
-    if src.n_points != dst.n_points:
-        raise DomainError(
-            f"intervals have different lengths: {src.n_points} vs {dst.n_points}"
-        )
-    s = dst.t1 - src.t1
-    linear = tuple(
-        tuple(comb(i, j) * s ** (i - j) if j <= i else 0 for j in range(1, d + 1))
-        for i in range(1, d + 1)
-    )
-    offset = tuple(s**i for i in range(1, d + 1))
-    return AffineMap(linear, offset)
 
 
 def gale_pair_partition(S, P: CyclicPolytope) -> tuple[GaleSet, ...]:

@@ -1,7 +1,7 @@
 """Lifted (extended) descriptions of cyclic polytopes, exactly.
 
-An extended formulation of P is a polyhedron Q in more variables together
-with an affine projection with projection(Q) = P; the size of Q counts
+An extended formulation of P is a polyhedron Q in more variables whose
+projection onto its first d variables is P; the size of Q counts
 inequalities only, equations are free. Degree-2 cyclic polytopes on n
 points admit a recursive lifted description of size <= 2*floor(log2(n-1))
 + 2 (build_ef_2d): halve the point set by folding the interval onto itself,
@@ -12,6 +12,9 @@ nonnegative slack-matrix factorizations are here as well:
 ef_from_factorization (rank-r factorization -> size-r lift) and
 factorization_from_ef (size-f lift -> rank-f factorization, with the
 beta vectors obtained as exact LP duals of the per-facet maximization).
+A lift with a coordinate projection and a slack-matrix factorization are the
+same object (Yannakakis's factorization theorem), so no other kind of
+projection is needed.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalError
-from .exact_lp import OPTIMAL, UNBOUNDED, ReoptimizingSolver
+from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
 from .factorization import NonnegFactorization, verify
 from .geometry import (
-    AffineMap,
     CyclicPolytope,
     Interval,
     enumerate_facets,
@@ -79,24 +81,17 @@ class Polyhedron:
 
 @dataclass(frozen=True)
 class ExtendedFormulation:
-    """A lifted polyhedron, the projection back down, and one preimage
-    (witness) per vertex of the target polytope."""
+    """A lifted polyhedron and one preimage (witness) per vertex of the
+    target polytope. The projection back down keeps the first target.d
+    variables, so witness[:d] is the vertex itself."""
 
     lifted: Polyhedron
-    projection: AffineMap
     witnesses: dict
     target: CyclicPolytope
 
     @property
     def size(self) -> int:
         return self.lifted.size
-
-
-def lift_vertex_2d(ef: ExtendedFormulation, i: int) -> tuple:
-    """The stored lifted point above vertex i."""
-    if i not in ef.witnesses:
-        raise DomainError(f"no vertex {i} in [{ef.target.interval.t1}, {ef.target.interval.t2}]")
-    return ef.witnesses[i]
 
 
 def _facet_system(t1: int, t2: int):
@@ -184,16 +179,8 @@ def build_ef_2d(n: int) -> ExtendedFormulation:
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
     variables, eqs, ineqs, wits = _build(1, n, 1)
-    nv = len(variables)
     lifted = Polyhedron(tuple(variables), tuple(eqs), tuple(ineqs))
-    projection = AffineMap(
-        (
-            tuple(1 if j == 0 else 0 for j in range(nv)),
-            tuple(1 if j == 1 else 0 for j in range(nv)),
-        ),
-        (0, 0),
-    )
-    return ExtendedFormulation(lifted, projection, wits, CyclicPolytope.standard(2, n))
+    return ExtendedFormulation(lifted, wits, CyclicPolytope.standard(2, n))
 
 
 def ef_from_factorization(
@@ -218,13 +205,7 @@ def ef_from_factorization(
         f = facet_inequality(P, S)
         eqs.append((f.a + tuple(F.beta[j]), f.b))
     wits = {i: vertex(P, i) + tuple(F.alpha[i - P.interval.t1]) for i in P.interval.indices()}
-    projection = AffineMap(
-        tuple(
-            tuple(1 if j == k else 0 for j in range(d + r)) for k in range(d)
-        ),
-        (0,) * d,
-    )
-    return ExtendedFormulation(Polyhedron(variables, tuple(eqs), ineqs), projection, wits, P)
+    return ExtendedFormulation(Polyhedron(variables, tuple(eqs), ineqs), wits, P)
 
 
 def independent_equations(equations) -> tuple:
@@ -255,23 +236,16 @@ def independent_equations(equations) -> tuple:
     return tuple(kept)
 
 
-def lift_objective(ef: ExtendedFormulation, objective):
+def lift_objective(ef: ExtendedFormulation, objective) -> tuple:
     """Pull an objective on the target's coordinates back through the
-    projection: returns (coefficients over lifted variables, constant)."""
-    rows = ef.projection.linear
-    if len(objective) != len(rows):
+    projection: the same coefficients on the first target.d lifted
+    variables, zero on the rest."""
+    d = ef.target.d
+    if len(objective) != d:
         raise DomainError(
-            f"objective has {len(objective)} coordinates, projection has {len(rows)}"
+            f"objective has {len(objective)} coordinates, target has dimension {d}"
         )
-    nv = ef.lifted.nvars
-    coeffs = [0] * nv
-    for ck, row in zip(objective, rows):
-        if ck:
-            for v in range(nv):
-                if row[v]:
-                    coeffs[v] += ck * row[v]
-    const = sum(c * o for c, o in zip(objective, ef.projection.offset))
-    return tuple(coeffs), const
+    return tuple(objective) + (0,) * (ef.lifted.nvars - d)
 
 
 class EfOptimizer:
@@ -294,25 +268,27 @@ class EfOptimizer:
             feasible_point=start,
         )
 
-    def _run(self, objective, sense):
-        coeffs, const = lift_objective(self.ef, objective)
-        res = (
-            self._solver.maximize(coeffs)
-            if sense == "max"
-            else self._solver.minimize(coeffs)
-        )
+    def solve(self, objective, sense=MAX) -> LPResult:
+        """The full exact LP result for an objective on the target's
+        coordinates: status, value, lifted point and the duals of the
+        lifted inequalities."""
+        coeffs = lift_objective(self.ef, objective)
+        if sense == MAX:
+            return self._solver.maximize(coeffs)
+        return self._solver.minimize(coeffs)
+
+    def _optimum(self, objective, sense):
+        res = self.solve(objective, sense)
         if res.status != OPTIMAL:
             raise DomainError(f"lifted optimization is {res.status}")
-        return res, const
+        return res.value, res.primal
 
     def maximize(self, objective):
         """(optimal value, a lifted optimizer point)."""
-        res, const = self._run(objective, "max")
-        return res.value + const, res.primal
+        return self._optimum(objective, MAX)
 
     def minimize(self, objective):
-        res, const = self._run(objective, "min")
-        return res.value + const, res.primal
+        return self._optimum(objective, MIN)
 
 
 def factorization_from_ef(
@@ -324,16 +300,15 @@ def factorization_from_ef(
     facet's inequality is maximized exactly over the lifted polyhedron; the
     optimum must come out at b_j (tightness: the lift really projects onto
     P), and the inequality duals of that solve are beta_j. On the lifted
-    affine hull b_j - <a_j, projection(z)> = <beta_j, slacks(z)>, so pairing
-    duals with witness slacks reproduces every slack-matrix entry; the
-    result is re-verified entry by entry before it is returned.
+    affine hull b_j - <a_j, z[:d]> = <beta_j, slacks(z)>, so pairing duals
+    with witness slacks reproduces every slack-matrix entry.
+
+    The result is not verified here: verify(slack_matrix(P), F) is the
+    check, run where the factorization leaves the library (the command
+    line, ef_from_factorization).
     """
     if ef.target != P:
         raise DomainError("lift targets a different polytope")
-    if ef.projection.output_dim != P.d:
-        raise DomainError(
-            f"projection lands in dimension {ef.projection.output_dim}, need {P.d}"
-        )
     lifted = ef.lifted
     for i in P.interval.indices():
         if i not in ef.witnesses:
@@ -341,7 +316,7 @@ def factorization_from_ef(
         w = ef.witnesses[i]
         if len(w) != lifted.nvars or not lifted.contains(w):
             raise DomainError(f"witness for vertex {i} is not in the lifted polyhedron")
-        if ef.projection(w) != vertex(P, i):
+        if tuple(w[: P.d]) != vertex(P, i):
             raise DomainError(f"witness for vertex {i} does not project to it")
     alphas = tuple(
         lifted.inequality_slacks(ef.witnesses[i]) for i in P.interval.indices()
@@ -351,27 +326,20 @@ def factorization_from_ef(
     betas = []
     for S in facets:
         f = facet_inequality(P, S)
-        coeffs, const = lift_objective(ef, f.a)
-        res = optimizer._solver.maximize(coeffs)
+        res = optimizer.solve(f.a)
         if res.status == UNBOUNDED:
             raise DomainError(
                 f"lifted system is unbounded along the facet {S.members} normal"
             )
         if res.status != OPTIMAL:
             raise InternalError(f"facet LP ended {res.status} with a feasible start")
-        if res.value + const != f.b:
+        if res.value != f.b:
             raise DomainError(
                 f"lift does not project onto the polytope: facet {S.members} "
-                f"maximum is {res.value + const}, boundary is at {f.b}"
+                f"maximum is {res.value}, boundary is at {f.b}"
             )
         betas.append(tuple(res.dual_ineq))
-    out = NonnegFactorization(lifted.size, alphas, tuple(betas), facets, P)
-    report = verify(slack_matrix(P), out)
-    if not report.ok:
-        raise InternalError(
-            f"extracted factorization failed verification at {report.first_mismatch}"
-        )
-    return out
+    return NonnegFactorization(lifted.size, alphas, tuple(betas), facets, P)
 
 
 def ef_to_text(ef: ExtendedFormulation) -> str:
@@ -398,11 +366,7 @@ def ef_to_text(ef: ExtendedFormulation) -> str:
         for coeffs, rhs in lifted.inequalities
     ]
     lines.append("projection:")
-    for k, (row, off) in enumerate(zip(ef.projection.linear, ef.projection.offset), 1):
-        terms = format_linear(row, names, off, "+")
-        lhs, _, tail = terms.rpartition(" + ")
-        expr = lhs if tail == "0" and lhs else terms
-        lines.append(f"  p{k} = {expr}")
+    lines += [f"  p{k} = {name}" for k, name in enumerate(names[: P.d], 1)]
     return "\n".join(lines) + "\n"
 
 
@@ -413,6 +377,7 @@ def ef_to_json_dict(ef: ExtendedFormulation) -> dict:
             for coeffs, r in rows
         ]
 
+    d, nv = ef.target.d, ef.lifted.nvars
     return {
         "target": {
             "d": ef.target.d,
@@ -423,8 +388,8 @@ def ef_to_json_dict(ef: ExtendedFormulation) -> dict:
         "equations": side(ef.lifted.equations),
         "inequalities": side(ef.lifted.inequalities),
         "projection": {
-            "linear": [[format_rational(c) for c in row] for row in ef.projection.linear],
-            "offset": [format_rational(c) for c in ef.projection.offset],
+            "linear": [["1" if j == k else "0" for j in range(nv)] for k in range(d)],
+            "offset": ["0"] * d,
         },
         "witnesses": {
             str(i): [format_rational(x) for x in w] for i, w in sorted(ef.witnesses.items())

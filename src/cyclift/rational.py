@@ -26,6 +26,8 @@ _RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?")
 
 def parse_rational(text: str):
     """Inverse of format_rational. Returns an int when the denominator is 1."""
+    if not isinstance(text, str):
+        raise DomainError(f"not a rational: {text!r} is not a string")
     s = text.strip()
     if not _RATIONAL.fullmatch(s):
         raise DomainError(f"not a rational: {text!r}")

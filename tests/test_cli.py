@@ -1,9 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+import cyclift
+import cyclift.cli
+import cyclift.factorization
+import cyclift.lifting
 from cyclift.cli import main
 
 
@@ -114,6 +119,27 @@ def test_verify_flag_cross_check(capsys, tmp_path):
     assert run(capsys, "verify", str(path), "--n", "9")[0] == 2  # n without d
 
 
+MALFORMED = {
+    "rank is not a number": lambda data: data.update(rank="abc"),
+    "target without d": lambda data: data["target"].pop("d"),
+    "numbers are not strings": lambda data: data.update(
+        alpha=[[int(x) for x in vec] for vec in data["alpha"]]
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(MALFORMED))
+def test_verify_malformed_json_is_usage_error(capsys, tmp_path, defect):
+    path = tmp_path / "f.json"
+    run(capsys, "factorize", "--n", "9", "--d", "2", "--out", str(path))
+    data = json.loads(path.read_text())
+    MALFORMED[defect](data)
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert "error: malformed factorization JSON" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert rc == 2 and "cannot load" in err
@@ -124,6 +150,63 @@ def test_factorize_report_table(capsys):
     assert rc == 0
     assert "guaranteed bound vs facet description at d=4" in err
     assert "even-dimension bound: 64" in err
+
+
+def _count_verify(monkeypatch):
+    """Wrap verify where the command line and the lifts call it."""
+    calls = []
+    original = cyclift.factorization.verify
+
+    def counting(M, F):
+        calls.append(M.polytope)
+        return original(M, F)
+
+    for module in (cyclift.cli, cyclift.lifting):
+        monkeypatch.setattr(module, "verify", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factorize", "--n", "9", "--d", "2"),
+        ("factorize", "--n", "33", "--d", "3"),
+        ("factorize", "--n", "10", "--d", "3"),
+        ("factorize", "--n", "9", "--d", "4"),
+        ("factorize", "--n", "9", "--d", "5"),
+        ("factorize", "--n", "10", "--d", "6"),
+        ("ef", "--n", "9", "--d", "3"),
+        ("minimize-poly", "--coeffs", "5,-7,0,1", "--n", "9"),
+    ],
+    ids=" ".join,
+)
+def test_each_command_verifies_once(capsys, monkeypatch, argv):
+    calls = _count_verify(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == 1
+
+
+def test_verify_command_verifies_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "f.json"
+    run(capsys, "factorize", "--n", "17", "--d", "2", "--out", str(path))
+    calls = _count_verify(monkeypatch)
+    assert run(capsys, "verify", str(path))[0] == 0
+    assert len(calls) == 1
+
+
+def test_factorize_2d_output_is_gated(capsys, monkeypatch):
+    # the degree-2 extraction is no longer self-verified; the command's own
+    # verification must catch a wrong beta entry
+    original = cyclift.lifting.factorization_from_ef
+
+    def perturbed(P, ef):
+        F = original(P, ef)
+        first = (F.beta[0][0] + 1,) + F.beta[0][1:]
+        return replace(F, beta=(first,) + F.beta[1:])
+
+    monkeypatch.setattr(cyclift.lifting, "factorization_from_ef", perturbed)
+    rc, _, err = run(capsys, "factorize", "--n", "9", "--d", "2")
+    assert rc == 1 and "verification: FAILED" in err
 
 
 # --------------------------------------------------------------------- ef
@@ -196,6 +279,13 @@ def test_minimize_poly_usage_errors(capsys):
     assert run(capsys, "minimize-poly", "--coeffs", "1,2", "--n", "5")[0] == 2
     assert run(capsys, "minimize-poly", "--coeffs", "1,2,3", "--n", "2")[0] == 2
     assert run(capsys, "minimize-poly", "--coeffs", "1,x,3", "--n", "5")[0] == 2
+
+
+# ---------------------------------------------------------------- package
+
+
+def test_public_names_resolve():
+    assert [name for name in cyclift.__all__ if not hasattr(cyclift, name)] == []
 
 
 # ------------------------------------------------------------- subprocess

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cyclift.factorization
 from cyclift.errors import DomainError
 from cyclift.factorization import (
     NonnegFactorization,
@@ -277,6 +278,19 @@ def test_factorize_dispatch_and_trivial_switch():
         factorize(5, 5)
     with pytest.raises(DomainError):
         factorize(9, 1)
+
+
+def test_trivial_choice_builds_no_construction(monkeypatch):
+    # construction ranks 729 and 81 lose to 17 and 20 vertices: the trivial
+    # factorization is chosen before any Hadamard product is formed
+    def refuse(fa, fb):
+        raise AssertionError("hadamard_combine called")
+
+    monkeypatch.setattr(cyclift.factorization, "hadamard_combine", refuse)
+    for n, d in ((17, 6), (20, 4)):
+        F = factorize(n, d)
+        assert F.rank == n
+        assert verify(slack_matrix(CyclicPolytope.standard(d, n)), F).ok
 
 
 def test_trivial_factorization_shape():

@@ -10,7 +10,6 @@ from cyclift.geometry import (
     facet_inequality,
     format_linear,
     gale_pair_partition,
-    interval_shift_map,
     is_gale,
     slack_entry,
     slack_matrix,
@@ -224,46 +223,6 @@ def test_facet_inequality_reproduces_slack(d, t1, t2):
 def test_facet_inequality_rejects_non_facet():
     with pytest.raises(DomainError):
         facet_inequality(P(2, 1, 5), GaleSet((1, 3)))
-
-
-# ---------------------------------------------------------------- shifting
-
-
-def test_interval_shift_examples():
-    m = interval_shift_map(2, Interval(1, 5), Interval(-2, 2))
-    assert m((4, 16)) == (1, 1)
-
-    ident = interval_shift_map(2, Interval(1, 5), Interval(1, 5))
-    assert ident((4, 16)) == (4, 16)
-
-    m3 = interval_shift_map(3, Interval(1, 4), Interval(2, 5))
-    assert m3((1, 1, 1)) == (2, 4, 8)
-
-
-def test_interval_shift_maps_all_vertices():
-    for d, src, dst in (
-        (2, Interval(1, 5), Interval(-2, 2)),
-        (3, Interval(0, 6), Interval(4, 10)),
-        (4, Interval(1, 6), Interval(-5, 0)),
-    ):
-        m = interval_shift_map(d, src, dst)
-        shift = dst.t1 - src.t1
-        ps, pd = CyclicPolytope(d, src), CyclicPolytope(d, dst)
-        for t in src.indices():
-            assert m(vertex(ps, t)) == vertex(pd, t + shift)
-
-
-def test_interval_shift_round_trip():
-    fwd = interval_shift_map(3, Interval(1, 5), Interval(7, 11))
-    back = interval_shift_map(3, Interval(7, 11), Interval(1, 5))
-    p = P(3, 1, 5)
-    for t in range(1, 6):
-        assert back(fwd(vertex(p, t))) == vertex(p, t)
-
-
-def test_interval_shift_length_mismatch():
-    with pytest.raises(DomainError):
-        interval_shift_map(2, Interval(1, 5), Interval(1, 6))
 
 
 # ----------------------------------------------------------- pair partition

@@ -17,7 +17,6 @@ from cyclift.lifting import (
     factorization_from_ef,
     independent_equations,
     lift_objective,
-    lift_vertex_2d,
 )
 
 from oracles import vertex_maximum
@@ -56,33 +55,25 @@ def test_witnesses_feasible_and_project(n):
     for i in P.interval.indices():
         w = ef.witnesses[i]
         assert ef.lifted.contains(w)
-        assert ef.projection(w) == vertex(P, i)
+        assert w[:2] == vertex(P, i)
 
 
 def test_witness_values_odd_fold():
     # n=9 folds symmetrically at 5, so the auxiliary coordinate is |t - 5|
     ef = build_ef_2d(9)
     assert ef.lifted.variables == ("x1", "x2", "z1_1")
-    assert lift_vertex_2d(ef, 2) == (2, 4, 3)
-    assert lift_vertex_2d(ef, 5) == (5, 25, 0)
-    assert lift_vertex_2d(ef, 9) == (9, 81, 4)
+    assert ef.witnesses[2] == (2, 4, 3)
+    assert ef.witnesses[5] == (5, 25, 0)
+    assert ef.witnesses[9] == (9, 81, 4)
 
 
 def test_witness_values_even_shear():
     # n=10 centers to [-4, 5]; t <= 0 lands on the sheared copy (1-t, (1-t)^2)
     ef = build_ef_2d(10)
     assert ef.lifted.variables == ("x1", "x2", "z1_1", "z1_2")
-    assert lift_vertex_2d(ef, 8) == (8, 64, 3, 9)
-    assert lift_vertex_2d(ef, 5) == (5, 25, 1, 1)
-    assert lift_vertex_2d(ef, 1) == (1, 1, 5, 25)
-
-
-def test_lift_vertex_rejects_outsiders():
-    ef = build_ef_2d(9)
-    with pytest.raises(DomainError):
-        lift_vertex_2d(ef, 0)
-    with pytest.raises(DomainError):
-        lift_vertex_2d(ef, 10)
+    assert ef.witnesses[8] == (8, 64, 3, 9)
+    assert ef.witnesses[5] == (5, 25, 1, 1)
+    assert ef.witnesses[1] == (1, 1, 5, 25)
 
 
 def test_max_objective_example():
@@ -123,7 +114,7 @@ def test_ef_from_factorization_shape():
     for i in range(1, 6):
         w = ef.witnesses[i]
         assert ef.lifted.contains(w)
-        assert ef.projection(w) == vertex(P, i)
+        assert w[:2] == vertex(P, i)
 
 
 def test_ef_from_factorization_higher_dim_lp():
@@ -184,14 +175,14 @@ def test_factorization_from_ef_checks_witnesses():
     ef = build_ef_2d(7)
     bad = dict(ef.witnesses)
     bad[3] = (3, 10, bad[3][2])  # projects to (3, 10), not the vertex
-    ef_bad = ExtendedFormulation(ef.lifted, ef.projection, bad, ef.target)
+    ef_bad = ExtendedFormulation(ef.lifted, bad, ef.target)
     with pytest.raises(DomainError):
         factorization_from_ef(ef.target, ef_bad)
     missing = dict(ef.witnesses)
     del missing[4]
     with pytest.raises(DomainError):
         factorization_from_ef(
-            ef.target, ExtendedFormulation(ef.lifted, ef.projection, missing, ef.target)
+            ef.target, ExtendedFormulation(ef.lifted, missing, ef.target)
         )
 
 
@@ -204,7 +195,6 @@ def test_factorization_from_ef_rejects_loose_lift():
     )
     bad = ExtendedFormulation(
         Polyhedron(ef.lifted.variables, ef.lifted.equations, loose),
-        ef.projection,
         ef.witnesses,
         ef.target,
     )
@@ -226,9 +216,7 @@ def test_independent_equations():
 
 def test_lift_objective():
     ef = build_ef_2d(10)
-    coeffs, const = lift_objective(ef, (3, -2))
-    assert const == 0
-    assert coeffs == (3, -2, 0, 0)
+    assert lift_objective(ef, (3, -2)) == (3, -2, 0, 0)
     with pytest.raises(DomainError):
         lift_objective(ef, (1, 2, 3))
 
