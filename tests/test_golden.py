@@ -62,6 +62,21 @@ CASES = {
         (0, "aa89b0da2d54a5b5b16d79fa32d75729a487d193e403f663254cc6967fc67e57"),
     ("minimize-poly", "--coeffs", "196,-252,109,-18,1", "--n", "8"):
         (0, "0537d01fcbba54a236e58e84aeb829e1818f8c4f02cd37e5f2de4496218fe1c1"),
+    # degree-2 factorizations whose betas are LP duals of larger lifts:
+    # folds by shear (n = 128), by reflection (129) and by both (193)
+    ("factorize", "--n", "128", "--d", "2"):
+        (0, "1f84206c97ce0968a35478f8bdb3fc0c3ef4e824ee7fd3d9267382d4aa2257ef"),
+    ("factorize", "--n", "129", "--d", "2"):
+        (0, "eb2fbc4634796cd58ef8e3700d6257db0b17d28059432ec441cebd1cc1b19b9d"),
+    ("factorize", "--n", "193", "--d", "2"):
+        (0, "d580dd7fe26f17e58e9a188444fbf1de324e4363a1f94aacc5a1cb1dfc457955"),
+    ("ef", "--n", "65", "--d", "3", "--check", "6", "--seed", "1"):
+        (0, "182ac134831ff77f6073d9856f6e0d89fcf6efc975ea1abb5384c8f6a3f5b4df"),
+    # a phase-1 job, and a job whose lift has 1080 equation rows
+    ("minimize-poly", "--coeffs", "1,-3,2,5", "--n", "75"):
+        (0, "fb1fb696ddd694b6fffc45dbe19885308e7acbe0ce488910bcb8702149a6d6fb"),
+    ("minimize-poly", "--coeffs", "3,1,-2,4,1", "--n", "48"):
+        (0, "36c50a253b97fb08ba645088f59239fbbd45de27a80570388c4380a6b8d2bcdf"),
 }
 
 # factorize --n 17 --d 2 --out FILE, then verify FILE
