@@ -1,9 +1,14 @@
 """Exact rational linear programming.
 
-A dense-tableau simplex over fractions.Fraction: two phases with explicit
-artificial variables, Bland's smallest-index rule throughout (so degenerate
-instances terminate), and dual multipliers read from the final tableau. No
-tolerances anywhere; every comparison is exact.
+A dense-tableau simplex whose rows are Python integers, each over its own
+positive denominator and kept in lowest terms (gcd(den, *row) == 1), in
+the fraction-free style of Edmonds and Bareiss. A pivot scales each other
+row by the pivot entry and updates it only at the pivot row's nonzero
+columns, then divides out the gcd; Fractions are formed only where a value
+is read (ratio test, primal point, objective value, duals). Two phases with
+explicit artificial variables, Bland's smallest-index rule throughout (so
+degenerate instances terminate), and dual multipliers read from the final
+tableau. No tolerances anywhere; every comparison is exact.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. For a maximization the certificate
@@ -27,8 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError, InternalError
+from .rational import scaled_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -100,7 +107,8 @@ class ReoptimizingSolver:
         self._ncols = 2 * nv + mi + m
         self._rhs = self._ncols
 
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
+        dens: list[int] = []
         basis: list[int] = []
         rho: list[int] = []
         needs_artificial = False
@@ -117,23 +125,26 @@ class ReoptimizingSolver:
                     raise DomainError("feasible point violates an equation")
             sign = -1 if rhs < 0 else 1
             rho.append(sign)
-            row = [Fraction(0)] * (self._ncols + 1)
-            for j, c in enumerate(coeffs):
+            ints, den = scaled_ints(coeffs + (rhs,))
+            row = [0] * (self._ncols + 1)
+            for j, c in enumerate(ints[:nv]):
                 if c:
-                    row[j] = Fraction(sign * c)          # u_j
-                    row[nv + j] = Fraction(-sign * c)    # w_j = negative part
+                    row[j] = sign * c  # u_j
+                    row[nv + j] = -sign * c  # w_j = negative part
             if is_ineq:
-                row[self._slack0 + (r_idx - self._me)] = Fraction(sign)
-            row[self._track0 + r_idx] = Fraction(1)
-            row[self._rhs] = sign * rhs
+                row[self._slack0 + (r_idx - self._me)] = sign * den
+            row[self._track0 + r_idx] = den
+            row[self._rhs] = sign * ints[nv]
             if is_ineq and sign == 1:
                 basis.append(self._slack0 + (r_idx - self._me))
             else:
                 basis.append(self._track0 + r_idx)
                 needs_artificial = True
             rows.append(row)
+            dens.append(den)
 
         self._rows = rows
+        self._dens = dens
         self._basis = basis
         self._rho = rho
         self._infeasible = False
@@ -145,35 +156,58 @@ class ReoptimizingSolver:
     # -- tableau mechanics ------------------------------------------------
 
     def _pivot(self, pi: int, pc: int) -> None:
-        rows = self._rows
+        rows, dens = self._rows, self._dens
         prow = rows[pi]
-        piv = prow[pc]
-        if piv != 1:
-            inv = 1 / piv
-            rows[pi] = prow = [x * inv for x in prow]
+        g = gcd(*prow)
+        if prow[pc] < 0:
+            g = -g
+        if g != 1:
+            prow = rows[pi] = [x // g for x in prow]
+        p = dens[pi] = prow[pc]
+        support = [(j, v) for j, v in enumerate(prow) if v]
         for i, row in enumerate(rows):
-            if i == pi:
-                continue
             f = row[pc]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
+            if not f or i == pi:
+                continue
+            den = dens[i]
+            if p != 1:
+                row = [x * p for x in row]
+                den *= p
+            for j, v in support:
+                row[j] -= f * v
+            if den != 1:
+                g = gcd(den, *row)
+                if g != 1:
+                    row = [x // g for x in row]
+                    den //= g
+            rows[i] = row
+            dens[i] = den
         self._basis[pi] = pc
 
-    def _price(self, cost) -> list[Fraction]:
-        """Reduced costs of the real (enterable) columns under `cost`."""
-        n_ent = self._track0
-        rc = list(cost[:n_ent])
-        for row, b in zip(self._rows, self._basis):
-            cb = cost[b]
-            if cb:
-                for j in range(n_ent):
-                    v = row[j]
-                    if v:
-                        rc[j] -= cb * v
+    def _weighted(self, cost):
+        """(w, row) for the basic rows whose integer cost cost[b] is
+        nonzero, and a positive scale, such that the sum over them of
+        cost[b] * row / den equals sum(w * row) / scale."""
+        picked = [
+            (cost[b], row, den)
+            for row, den, b in zip(self._rows, self._dens, self._basis)
+            if cost[b]
+        ]
+        scale = lcm(*[den for _, _, den in picked])
+        return [(cb * (scale // den), row) for cb, row, den in picked], scale
+
+    def _price(self, cost) -> list[int]:
+        """Reduced costs of the real (enterable) columns under the integer
+        cost vector, each multiplied by the same positive factor."""
+        weighted, scale = self._weighted(cost)
+        rc = [scale * c for c in cost[: self._track0]]
+        for w, row in weighted:
+            rc = [a - w * v for a, v in zip(rc, row)]
         return rc
 
     def _simplex(self, cost) -> str:
-        """Bland's rule until optimal or unbounded. cost indexes all columns."""
+        """Bland's rule until optimal or unbounded. cost is a list of ints
+        indexing all columns."""
         rows, basis = self._rows, self._basis
         rhs = self._rhs
         while True:
@@ -185,8 +219,7 @@ class ReoptimizingSolver:
             for i, row in enumerate(rows):
                 v = row[pc]
                 if v > 0:
-                    ratio = row[rhs] / v
-                    key = (ratio, basis[i])
+                    key = (Fraction(row[rhs], v), basis[i])
                     if best is None or key < best[0]:
                         best = (key, i)
             if best is None:
@@ -194,15 +227,15 @@ class ReoptimizingSolver:
             self._pivot(best[1], pc)
 
     def _phase1(self) -> None:
-        cost = [Fraction(0)] * (self._ncols + 1)
+        cost = [0] * (self._ncols + 1)
         for j in range(self._track0, self._ncols):
-            cost[j] = Fraction(1)
+            cost[j] = 1
         status = self._simplex(cost)
         if status != OPTIMAL:
             raise InternalError("phase 1 cannot be unbounded")
         value = sum(
-            row[self._rhs]
-            for row, b in zip(self._rows, self._basis)
+            Fraction(row[self._rhs], den)
+            for row, den, b in zip(self._rows, self._dens, self._basis)
             if b >= self._track0
         )
         if value > 0:
@@ -221,6 +254,7 @@ class ReoptimizingSolver:
             pc = next((j for j in range(self._track0) if row[j]), None)
             if pc is None:
                 del self._rows[i]
+                del self._dens[i]
                 del self._basis[i]
             else:
                 self._pivot(i, pc)
@@ -236,15 +270,16 @@ class ReoptimizingSolver:
         if self._infeasible:
             return LPResult(INFEASIBLE)
         nv = self._nv
-        cost = [Fraction(0)] * (self._ncols + 1)
-        for j, c in enumerate(objective):
+        ints, cden = scaled_ints(objective)
+        cost = [0] * (self._ncols + 1)
+        for j, c in enumerate(ints):
             if c:
-                cost[j] = Fraction(-c)
-                cost[nv + j] = Fraction(c)
+                cost[j] = -c
+                cost[nv + j] = c
         status = self._simplex(cost)
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED)
-        return self._extract(cost, objective)
+        return self._extract(cost, cden, objective)
 
     def minimize(self, objective) -> LPResult:
         res = self.maximize([-c for c in objective])
@@ -258,28 +293,30 @@ class ReoptimizingSolver:
             tuple(-m for m in res.dual_eq),
         )
 
-    def _extract(self, cost, objective) -> LPResult:
+    def _extract(self, cost, cden, objective) -> LPResult:
         nv, rhs = self._nv, self._rhs
-        basic = [
-            (row, cost[b], b) for row, b in zip(self._rows, self._basis)
-        ]
-        value_internal = sum(cb * row[rhs] for row, cb, _ in basic if cb)
+        weighted, scale = self._weighted(cost)
+        total = scale * cden
+
+        def weighted_sum(col):
+            # sum over cost-carrying basic rows of cost * value in column col
+            if not weighted:
+                return 0
+            return Fraction(sum(w * row[col] for w, row in weighted), total)
+
         x = [Fraction(0)] * nv
-        for row, _, b in basic:
+        for row, den, b in zip(self._rows, self._dens, self._basis):
             if b < nv:
-                x[b] += row[rhs]
+                x[b] += Fraction(row[rhs], den)
             elif b < 2 * nv:
-                x[b - nv] -= row[rhs]
-        value = -value_internal
+                x[b - nv] -= Fraction(row[rhs], den)
+        value = -weighted_sum(rhs)
         if self._shift is not None:
             x = [xi + zi for xi, zi in zip(x, self._shift)]
             value += sum(Fraction(c) * z for c, z in zip(objective, self._shift))
-        duals = []
-        weighted = [(row, cb) for row, cb, _ in basic if cb]
-        for r in range(self._m):
-            tcol = self._track0 + r
-            y = sum(cb * row[tcol] for row, cb in weighted)
-            duals.append(-self._rho[r] * y)
+        duals = [
+            -self._rho[r] * weighted_sum(self._track0 + r) for r in range(self._m)
+        ]
         return LPResult(
             OPTIMAL,
             value,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError, InternalError
 from .geometry import (
@@ -40,7 +39,7 @@ from .geometry import (
     is_gale,
     slack_matrix,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, scaled_ints
 
 
 def _floor_log2(x: int) -> int:
@@ -132,23 +131,27 @@ class NonnegFactorization:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NonnegFactorization":
-        """Inverse of to_json_dict; any malformed document is a DomainError."""
+        """Inverse of to_json_dict; any malformed document is a DomainError.
+
+        rank, the target fields and the column members are JSON integers;
+        a float, a string or a boolean in their place is malformed.
+        """
         try:
-            rank = int(data["rank"])
+            rank = _json_int(data["rank"])
             alpha = tuple(tuple(parse_rational(x) for x in vec) for vec in data["alpha"])
             beta = tuple(tuple(parse_rational(x) for x in vec) for vec in data["beta"])
             raw_target = data.get("target")
             target = None
             if raw_target is not None:
                 target = CyclicPolytope(
-                    int(raw_target["d"]),
-                    Interval(int(raw_target["t1"]), int(raw_target["t2"])),
+                    _json_int(raw_target["d"]),
+                    Interval(_json_int(raw_target["t1"]), _json_int(raw_target["t2"])),
                 )
             raw_columns = data.get("columns")
             columns = None
             if raw_columns is not None:
                 columns = tuple(
-                    GaleSet(tuple(int(m) for m in mem)) for mem in raw_columns
+                    GaleSet(tuple(_json_int(m) for m in mem)) for mem in raw_columns
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(
@@ -162,22 +165,19 @@ class NonnegFactorization:
         return cls(rank, alpha, beta, columns, target)
 
 
+def _json_int(x) -> int:
+    # bool is a subclass of int, and int() would accept 1.9 and "7"
+    if type(x) is not int:
+        raise TypeError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
     rank: int
     bound: int | None
     first_mismatch: tuple | None = None
-
-
-def _scaled_ints(vec):
-    """(integer vector, denominator) with vec == ints / den, exactly."""
-    den = 1
-    for x in vec:
-        d = x.denominator
-        if d != 1:
-            den = lcm(den, d)
-    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
@@ -209,8 +209,8 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
         for x in vec:
             if x < 0:
                 return VerificationReport(False, F.rank, bound, None)
-    rows = [_scaled_ints(vec) for vec in F.alpha]
-    cols = [_scaled_ints(vec) for vec in F.beta]
+    rows = [scaled_ints(vec) for vec in F.alpha]
+    cols = [scaled_ints(vec) for vec in F.beta]
     t1 = P.interval.t1
     for ri, (ai, da) in enumerate(rows):
         m_row = M.entries[ri]

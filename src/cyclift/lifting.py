@@ -20,7 +20,7 @@ projection is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, InternalError
 from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
@@ -34,7 +34,7 @@ from .geometry import (
     slack_matrix,
     vertex,
 )
-from .rational import format_rational
+from .rational import format_rational, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -211,27 +211,35 @@ def ef_from_factorization(
 def independent_equations(equations) -> tuple:
     """The first maximal independent subset, original rows untouched.
 
-    Dependent rows must be implied exactly (a feasible point exists for
-    every system handled here, so a contradictory dependent row means the
-    caller's data is corrupt, not merely redundant).
+    Each (coeffs, rhs) row is cleared to integers and eliminated against
+    the rows kept so far, held sparse, by cross-multiplying and dividing
+    out the gcd; a row is kept when something nonzero survives. Dependent
+    rows must be implied exactly (a feasible point exists for every system
+    handled here, so a contradictory dependent row means the caller's data
+    is corrupt, not merely redundant).
     """
-    basis = []  # (pivot column, reduced row, reduced rhs)
+    basis = []  # (pivot column, pivot value, nonzero (column, value) pairs)
     kept = []
     for coeffs, rhs in equations:
-        row = list(coeffs)
-        r = rhs
-        for pc, brow, brhs in basis:
+        row, _ = scaled_ints(tuple(coeffs) + (rhs,))
+        for pc, p, support in basis:
             f = row[pc]
             if f:
-                row = [x - f * y for x, y in zip(row, brow)]
-                r = r - f * brhs
-        pivot = next((j for j, x in enumerate(row) if x), None)
+                if p != 1:
+                    row = [x * p for x in row]
+                for j, v in support:
+                    row[j] -= f * v
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+        pivot = next((j for j, x in enumerate(row[:-1]) if x), None)
         if pivot is None:
-            if r != 0:
+            if row[-1] != 0:
                 raise InternalError("dependent equation with nonzero residual")
             continue
-        inv = Fraction(1) / row[pivot]
-        basis.append((pivot, [x * inv for x in row], r * inv))
+        if row[pivot] < 0:
+            row = [-x for x in row]
+        basis.append((pivot, row[pivot], [(j, v) for j, v in enumerate(row) if v]))
         kept.append((coeffs, rhs))
     return tuple(kept)
 

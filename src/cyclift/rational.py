@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 
@@ -39,3 +40,14 @@ def parse_rational(text: str):
     if value.denominator == 1:
         return int(value)
     return value
+
+
+def scaled_ints(vec):
+    """(integer list, positive denominator) with vec == ints / den exactly;
+    den is the least common denominator of the ints and Fractions in vec."""
+    den = 1
+    for x in vec:
+        d = x.denominator
+        if d != 1:
+            den = lcm(den, d)
+    return [x.numerator * (den // x.denominator) for x in vec], den

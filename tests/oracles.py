@@ -5,6 +5,7 @@ into the package's enumeration or construction code, so library results can
 be checked against a second, dumber path.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -43,3 +44,40 @@ def vertex_maximum(objective, d, t1, t2):
         sum(c * x for c, x in zip(objective, moment_point(i, d)))
         for i in range(t1, t2 + 1)
     )
+
+
+def _rank(rows):
+    """Rank of a list of rational rows by plain Fraction Gauss elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def independent_rows(equations):
+    """Indices of the first maximal independent subset of the coefficient
+    rows: row k is kept when it raises the rank of the rows kept before it."""
+    kept = []
+    for k, (coeffs, _) in enumerate(equations):
+        before = [equations[i][0] for i in kept]
+        if _rank(before + [coeffs]) > _rank(before):
+            kept.append(k)
+    return kept
+
+
+def consistent(equations):
+    """Whether <coeffs, x> = rhs has a solution: appending the rhs column
+    leaves the rank unchanged."""
+    coeffs = [list(c) for c, _ in equations]
+    augmented = [list(c) + [r] for c, r in equations]
+    return _rank(coeffs) == _rank(augmented)

@@ -125,6 +125,20 @@ MALFORMED = {
     "numbers are not strings": lambda data: data.update(
         alpha=[[int(x) for x in vec] for vec in data["alpha"]]
     ),
+    # integer fields take JSON integers only: int() would truncate 7.9 to
+    # rank 7 and read "7" as 7, and True would pass as 1
+    "rank is a float": lambda data: data.update(rank=data["rank"] + 0.9),
+    "rank is a string": lambda data: data.update(rank=str(data["rank"])),
+    "rank is a boolean": lambda data: data.update(rank=True),
+    "target d is a float": lambda data: data["target"].update(d=2.0),
+    "target t1 is a string": lambda data: data["target"].update(t1="1"),
+    "target t2 is a float": lambda data: data["target"].update(t2=9.0),
+    "column member is a float": lambda data: data["columns"][0].__setitem__(
+        0, float(data["columns"][0][0])
+    ),
+    "column member is a boolean": lambda data: data["columns"][0].__setitem__(
+        0, True
+    ),
 }
 
 

@@ -3,8 +3,11 @@ warm restarts, and randomized cross-checks against vertex enumeration."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclift.errors import DomainError
 from cyclift.exact_lp import (
@@ -222,3 +225,146 @@ def test_degenerate_vertex_terminates():
     res = solve(lp)
     assert res.status == OPTIMAL and res.value == 2
     assert certify(lp, res)
+
+
+# ------------------------------------------------------------- properties
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def _dot(coeffs, x):
+    return sum((c * xi for c, xi in zip(coeffs, x)), Fraction(0))
+
+
+@st.composite
+def feasible_systems(draw):
+    """(nvars, equations, inequalities, x0): rational rows with
+    denominators 1..6 and mixed signs, all satisfied by the point x0, with
+    inequalities tight or slack at x0; sometimes boxed so that more
+    objectives are bounded."""
+    nvars = draw(st.integers(1, 3))
+    vec = st.lists(rationals, min_size=nvars, max_size=nvars).map(tuple)
+    x0 = draw(vec)
+    eqs = [(c, _dot(c, x0)) for c in draw(st.lists(vec, max_size=2))]
+    slack = st.sampled_from([Fraction(0), Fraction(0)]) | rationals.map(abs)
+    ineqs = [(c, _dot(c, x0) + draw(slack)) for c in draw(st.lists(vec, min_size=1, max_size=5))]
+    if draw(st.booleans()):
+        for j in range(nvars):
+            unit = tuple(Fraction(int(k == j)) for k in range(nvars))
+            ineqs.append((unit, Fraction(10)))
+            ineqs.append((tuple(-u for u in unit), Fraction(10)))
+    return nvars, tuple(eqs), tuple(ineqs), x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(), st.data())
+def test_random_rational_lps_certify(system, data):
+    nvars, eqs, ineqs, x0 = system
+    objective = tuple(data.draw(st.lists(rationals, min_size=nvars, max_size=nvars)))
+    sense = data.draw(st.sampled_from([MAX, MIN]))
+    lp = LinearProgram(sense, objective, eqs, ineqs)
+    plain = solve(lp)
+    seeded = solve(lp, feasible_point=x0)
+    assert plain.status == seeded.status != INFEASIBLE
+    if plain.status == OPTIMAL:
+        assert plain.value == seeded.value
+        assert certify(lp, plain)
+        assert certify(lp, seeded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(), st.data())
+def test_random_rational_lps_without_known_point(system, data):
+    # shifting the rhs can make the system infeasible: status must then be
+    # INFEASIBLE, and every optimum must still certify
+    nvars, eqs, ineqs, _ = system
+    shift = data.draw(st.lists(rationals, min_size=len(ineqs), max_size=len(ineqs)))
+    ineqs = tuple((c, r + s) for (c, r), s in zip(ineqs, shift))
+    objective = tuple(data.draw(st.lists(rationals, min_size=nvars, max_size=nvars)))
+    lp = LinearProgram(data.draw(st.sampled_from([MAX, MIN])), objective, eqs, ineqs)
+    res = solve(lp)
+    if res.status == OPTIMAL:
+        assert certify(lp, res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-6, 3),
+    st.integers(5, 12),
+    st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 6)), min_size=13, max_size=13),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), rationals, rationals, st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
+    """Over a degree-2 cyclic polytope (every vertex on exactly two facets)
+    whose facet rows are scaled by positive rationals, a warm solver and a
+    fresh solve agree on every objective. For an objective inside the
+    normal cone of a vertex (a positive combination of its two facet
+    normals) the optimum and its duals are unique, so the whole LPResult
+    must be equal; for any other objective the values must be."""
+    t2 = t1 + length
+    p = CyclicPolytope(2, Interval(t1, t2))
+    facets = enumerate_facets(p)
+    ineqs = tuple(
+        (tuple(s * a for a in facet_inequality(p, S).a), s * facet_inequality(p, S).b)
+        for S, s in zip(facets, scales)
+    )
+    solver = ReoptimizingSolver(2, (), ineqs)
+    for pick, w1, w2, cone in queries:
+        if cone:
+            t = t1 + pick % (length + 1)
+            at = [k for k, S in enumerate(facets) if t in S.members]
+            assert len(at) == 2
+            objective = tuple(
+                abs(w1 or 1) * a + abs(w2 or 1) * b
+                for a, b in zip(ineqs[at[0]][0], ineqs[at[1]][0])
+            )
+        else:
+            objective = (w1, w2)
+        warm = solver.maximize(objective)
+        fresh = solve(LinearProgram(MAX, objective, inequalities=ineqs))
+        assert warm.status == fresh.status == OPTIMAL
+        assert warm.value == fresh.value
+        assert certify(LinearProgram(MAX, objective, inequalities=ineqs), warm)
+        if cone:
+            assert warm == fresh
+
+
+def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
+    """Every pivot of small degenerate programs, with equations (phase 1)
+    and fractional coefficients, leaves each row with a positive
+    denominator and gcd(den, *row) == 1."""
+    checked = []
+    original = ReoptimizingSolver._pivot
+
+    def checking(self, pi, pc):
+        original(self, pi, pc)
+        assert len(self._rows) == len(self._dens) == len(self._basis)
+        for row, den in zip(self._rows, self._dens):
+            assert den > 0 and gcd(den, *row) == 1
+            assert all(type(x) is int for x in row)
+        assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
+        checked.append(max(self._dens))
+
+    monkeypatch.setattr(ReoptimizingSolver, "_pivot", checking)
+    h = Fraction(1, 2)
+    degenerate = (
+        ((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((2, 1), 3), ((1, 2), 3),
+        ((3 * h, 3 * h), 3), ((Fraction(2, 3), Fraction(1, 3)), 1),
+    )
+    for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (1, 2)):
+        lp = LinearProgram(MAX, objective, inequalities=degenerate)
+        res = solve(lp)
+        assert certify(lp, res)
+    eqs = (((Fraction(3, 2), -1, Fraction(1, 3)), Fraction(1, 2)), ((3, -2, Fraction(2, 3)), 1))
+    ineqs = (
+        ((1, 1, 1), 6), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
+        ((Fraction(1, 4), Fraction(1, 6), 0), 1),
+    )
+    lp = LinearProgram(MAX, (1, 2, 3), eqs, ineqs)
+    res = solve(lp)
+    assert res.status == OPTIMAL and certify(lp, res)
+    assert checked and max(checked) > 1

@@ -1,7 +1,10 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclift.errors import DomainError, InternalError
 from cyclift.factorization import factorize_2d, size_bound_2d, trivial_factorization, verify
@@ -19,7 +22,7 @@ from cyclift.lifting import (
     lift_objective,
 )
 
-from oracles import vertex_maximum
+from oracles import consistent, independent_rows, vertex_maximum
 
 
 def size_oracle(n):
@@ -212,6 +215,52 @@ def test_independent_equations():
     with pytest.raises(InternalError):
         independent_equations((((1, 1), 2), ((2, 2), 5)))
     assert independent_equations(()) == ()
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def planted_systems(draw):
+    """Random rational rows, some of them rational combinations of rows
+    drawn before them, with rhs values consistent with one point x0; when
+    `contradiction` is set, one planted row's rhs is moved off."""
+    nvars = draw(st.integers(1, 5))
+    x0 = draw(st.lists(rationals, min_size=nvars, max_size=nvars))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(range(len(rows))), min_size=1, max_size=3))
+            weights = draw(st.lists(rationals, min_size=len(picks), max_size=len(picks)))
+            coeffs = tuple(
+                sum((w * rows[k][0][j] for k, w in zip(picks, weights)), Fraction(0))
+                for j in range(nvars)
+            )
+        else:
+            coeffs = tuple(draw(st.lists(rationals, min_size=nvars, max_size=nvars)))
+        rows.append((coeffs, sum((c * x for c, x in zip(coeffs, x0)), Fraction(0))))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_systems())
+def test_independent_equations_matches_fraction_oracle(rows):
+    kept = independent_equations(rows)
+    assert kept == tuple(rows[k] for k in independent_rows(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(), st.data())
+def test_independent_equations_rejects_contradiction(rows, data):
+    # append a copy of a dependent combination with its rhs moved off
+    k = data.draw(st.sampled_from(range(len(rows))))
+    w = data.draw(rationals.filter(bool))
+    delta = data.draw(rationals.filter(bool))
+    coeffs, rhs = rows[k]
+    bad = rows + [(tuple(w * c for c in coeffs), w * rhs + delta)]
+    assert not consistent(bad)
+    with pytest.raises(InternalError):
+        independent_equations(bad)
 
 
 def test_lift_objective():
