@@ -50,4 +50,8 @@ def scaled_ints(vec):
         d = x.denominator
         if d != 1:
             den = lcm(den, d)
+    if den == 1:
+        # the ints themselves, not equal copies: verify holds a whole
+        # factorization this way, and fresh ints would double its memory
+        return [x.numerator for x in vec], 1
     return [x.numerator * (den // x.denominator) for x in vec], den
