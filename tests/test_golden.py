@@ -70,6 +70,13 @@ CASES = {
         (0, "eb2fbc4634796cd58ef8e3700d6257db0b17d28059432ec441cebd1cc1b19b9d"),
     ("factorize", "--n", "193", "--d", "2"):
         (0, "d580dd7fe26f17e58e9a188444fbf1de324e4363a1f94aacc5a1cb1dfc457955"),
+    # the other sizes of the certify2d benchmark workload
+    ("factorize", "--n", "256", "--d", "2"):
+        (0, "1aa11209ee3b274c39746c082b475ca29f527e74d078715103989577f3e49a2d"),
+    ("factorize", "--n", "257", "--d", "2"):
+        (0, "7c6ee453cf36dbd40160dc9f6df9300f7dd293e7fbc0249f94eb8c82ceff2197"),
+    ("factorize", "--n", "513", "--d", "2"):
+        (0, "80ce03cad4fd94991f05d0099952e92106a6d2c304ba0ca43ba124e56e5328c5"),
     ("ef", "--n", "65", "--d", "3", "--check", "6", "--seed", "1"):
         (0, "182ac134831ff77f6073d9856f6e0d89fcf6efc975ea1abb5384c8f6a3f5b4df"),
     # a phase-1 job, and a job whose lift has 1080 equation rows

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclift.errors import DomainError, InternalError
+from cyclift.exact_lp import OPTIMAL, ReoptimizingSolver
 from cyclift.factorization import factorize_2d, size_bound_2d, trivial_factorization, verify
 from cyclift.geometry import CyclicPolytope, enumerate_facets, facet_inequality, slack_matrix, vertex
 from cyclift.lifting import (
@@ -157,6 +158,26 @@ def test_per_facet_tightness():
         f = facet_inequality(P, S)
         value, _ = opt.maximize(f.a)
         assert value == f.b
+
+
+@pytest.mark.parametrize("n", [16, 33, 64, 100, 129, 193])
+def test_facet_duals_do_not_depend_on_start(n):
+    """Solvers started at different witnesses reach the same optimum and the
+    same inequality duals on every facet objective, so the factorization's
+    betas do not depend on the starting basis. The sizes mix shear and
+    reflection folds."""
+    ef = build_ef_2d(n)
+    lifted = ef.lifted
+    eqs = independent_equations(lifted.equations)
+    solvers = [
+        ReoptimizingSolver(lifted.nvars, eqs, lifted.inequalities, ef.witnesses[i])
+        for i in (1, n // 2, n)
+    ]
+    for S in enumerate_facets(ef.target):
+        objective = lift_objective(ef, facet_inequality(ef.target, S).a)
+        results = [s.maximize(objective) for s in solvers]
+        assert results[0].status == OPTIMAL
+        assert len({(r.value, r.dual_ineq) for r in results}) == 1
 
 
 def test_round_trip_rank_never_grows():
