@@ -9,7 +9,6 @@ inequalities.
 
 from .errors import DomainError, InternalError
 from .exact_lp import (
-    INFEASIBLE,
     MAX,
     MIN,
     OPTIMAL,
@@ -75,7 +74,6 @@ __all__ = [
     "ExtendedFormulation",
     "FacetInequality",
     "GaleSet",
-    "INFEASIBLE",
     "InternalError",
     "Interval",
     "LPResult",

@@ -5,10 +5,12 @@ positive denominator and kept in lowest terms (gcd(den, *row) == 1), in
 the fraction-free style of Edmonds and Bareiss. A pivot scales each other
 row by the pivot entry and updates it only at the pivot row's nonzero
 columns, then divides out the gcd; Fractions are formed only where a value
-is read (ratio test, primal point, objective value, duals). Two phases with
-explicit artificial variables, Bland's smallest-index rule throughout (so
-degenerate instances terminate), and dual multipliers read from the final
-tableau. No tolerances anywhere; every comparison is exact.
+is read (ratio test, primal point, objective value, duals). Every solve
+starts at a point the caller knows to be feasible (every lift here comes
+with a witness above each vertex), so there is no phase 1 and no
+infeasible status. Bland's smallest-index rule throughout (so degenerate
+instances terminate), and dual multipliers read from the final tableau.
+No tolerances anywhere; every comparison is exact.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. For a maximization the certificate
@@ -24,8 +26,8 @@ plus primal feasibility and complementary slackness.
 
 ReoptimizingSolver keeps the tableau alive between solves so a family of
 objectives over one constraint system (the per-facet programs of the
-factorization extraction) pays for phase 1 once and then reoptimizes from
-the previous basis.
+factorization extraction) builds the starting basis once and then
+reoptimizes from the previous basis.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .rational import scaled_ints
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 MAX = "max"
@@ -80,78 +81,69 @@ def _check_rows(rows, nvars, what):
 class ReoptimizingSolver:
     """Simplex over a fixed constraint system, reusable across objectives.
 
-    If `feasible_point` is given, the system is translated so that point
-    becomes the origin; every inequality row then has nonnegative rhs and
-    starts with its slack variable basic, which removes phase-1 work for
-    all-inequality systems entirely.
+    The system is translated so that `feasible_point` becomes the origin:
+    every inequality row then has nonnegative rhs and starts with its slack
+    variable basic, and every equation row sits at level 0. Each equation
+    row is pivoted on its first nonzero variable column, which moves no
+    basic value; a row with none is a combination of the rows before it and
+    is dropped. The starting basis is therefore feasible, with no phase 1.
     """
 
-    def __init__(self, nvars, equations=(), inequalities=(), feasible_point=None):
+    def __init__(self, nvars, equations, inequalities, feasible_point):
         equations = [(tuple(c), r) for c, r in equations]
         inequalities = [(tuple(c), r) for c, r in inequalities]
         _check_rows(equations, nvars, "equation")
         _check_rows(inequalities, nvars, "inequality")
-        self._nv = nvars
-        self._me = len(equations)
-        self._mi = len(inequalities)
-        self._m = self._me + self._mi
-        self._shift = None
-        if feasible_point is not None:
-            if len(feasible_point) != nvars:
-                raise DomainError("feasible point has the wrong dimension")
-            self._shift = tuple(Fraction(x) for x in feasible_point)
+        if len(feasible_point) != nvars:
+            raise DomainError("feasible point has the wrong dimension")
+        self._nv = nv = nvars
+        self._shift = tuple(Fraction(x) for x in feasible_point)
+        me = len(equations)
 
-        nv, mi, m = self._nv, self._mi, self._m
+        # columns: u, w (x = u - w), one slack per inequality, one tracker
+        # per equation, rhs; a row's slack or tracker column carries its
+        # multipliers, so the duals are read from columns slack0 .. rhs - 1
         self._slack0 = 2 * nv
-        self._track0 = 2 * nv + mi
-        self._ncols = 2 * nv + mi + m
-        self._rhs = self._ncols
+        self._track0 = 2 * nv + len(inequalities)
+        self._rhs = self._track0 + me
 
         rows: list[list[int]] = []
         dens: list[int] = []
         basis: list[int] = []
-        rho: list[int] = []
-        needs_artificial = False
-        user_rows = [(c, r, False) for c, r in equations] + [
-            (c, r, True) for c, r in inequalities
-        ]
-        for r_idx, (coeffs, rhs, is_ineq) in enumerate(user_rows):
+        for r_idx, (coeffs, rhs) in enumerate(equations + inequalities):
             rhs = Fraction(rhs)
-            if self._shift is not None:
-                rhs -= sum(Fraction(c) * z for c, z in zip(coeffs, self._shift))
-                if is_ineq and rhs < 0:
-                    raise DomainError("feasible point violates an inequality")
-                if not is_ineq and rhs != 0:
+            rhs -= sum(Fraction(c) * z for c, z in zip(coeffs, self._shift))
+            if r_idx < me:
+                if rhs != 0:
                     raise DomainError("feasible point violates an equation")
-            sign = -1 if rhs < 0 else 1
-            rho.append(sign)
+                col = self._track0 + r_idx
+            else:
+                if rhs < 0:
+                    raise DomainError("feasible point violates an inequality")
+                col = self._slack0 + r_idx - me
             ints, den = scaled_ints(coeffs + (rhs,))
-            row = [0] * (self._ncols + 1)
+            row = [0] * (self._rhs + 1)
             for j, c in enumerate(ints[:nv]):
                 if c:
-                    row[j] = sign * c  # u_j
-                    row[nv + j] = -sign * c  # w_j = negative part
-            if is_ineq:
-                row[self._slack0 + (r_idx - self._me)] = sign * den
-            row[self._track0 + r_idx] = den
-            row[self._rhs] = sign * ints[nv]
-            if is_ineq and sign == 1:
-                basis.append(self._slack0 + (r_idx - self._me))
-            else:
-                basis.append(self._track0 + r_idx)
-                needs_artificial = True
+                    row[j] = c  # u_j
+                    row[nv + j] = -c  # w_j = negative part
+            row[col] = den
+            row[self._rhs] = ints[nv]
+            basis.append(col)
             rows.append(row)
             dens.append(den)
 
         self._rows = rows
         self._dens = dens
         self._basis = basis
-        self._rho = rho
-        self._infeasible = False
-        if needs_artificial:
-            self._phase1()
-        # with a feasible shift there is nothing for phase 1 to do beyond
-        # pivoting equation trackers out of the basis, handled above
+        i = 0
+        while i < len(basis) and basis[i] >= self._track0:
+            pc = next((j for j in range(self._track0) if rows[i][j]), None)
+            if pc is None:
+                del rows[i], dens[i], basis[i]
+            else:
+                self._pivot(i, pc)
+                i += 1
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -226,40 +218,6 @@ class ReoptimizingSolver:
                 return UNBOUNDED
             self._pivot(best[1], pc)
 
-    def _phase1(self) -> None:
-        cost = [0] * (self._ncols + 1)
-        for j in range(self._track0, self._ncols):
-            cost[j] = 1
-        status = self._simplex(cost)
-        if status != OPTIMAL:
-            raise InternalError("phase 1 cannot be unbounded")
-        value = sum(
-            Fraction(row[self._rhs], den)
-            for row, den, b in zip(self._rows, self._dens, self._basis)
-            if b >= self._track0
-        )
-        if value > 0:
-            self._infeasible = True
-            return
-        # drive zero-level artificials out of the basis; rows that cannot
-        # pivot are linear combinations of the others and are dropped
-        i = 0
-        while i < len(self._basis):
-            if self._basis[i] < self._track0:
-                i += 1
-                continue
-            row = self._rows[i]
-            if row[self._rhs] != 0:
-                raise InternalError("artificial basic at nonzero level after phase 1")
-            pc = next((j for j in range(self._track0) if row[j]), None)
-            if pc is None:
-                del self._rows[i]
-                del self._dens[i]
-                del self._basis[i]
-            else:
-                self._pivot(i, pc)
-                i += 1
-
     # -- public solves ----------------------------------------------------
 
     def maximize(self, objective) -> LPResult:
@@ -267,11 +225,9 @@ class ReoptimizingSolver:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
-        if self._infeasible:
-            return LPResult(INFEASIBLE)
         nv = self._nv
         ints, cden = scaled_ints(objective)
-        cost = [0] * (self._ncols + 1)
+        cost = [0] * (self._rhs + 1)
         for j, c in enumerate(ints):
             if c:
                 cost[j] = -c
@@ -310,30 +266,25 @@ class ReoptimizingSolver:
                 x[b] += Fraction(row[rhs], den)
             elif b < 2 * nv:
                 x[b - nv] -= Fraction(row[rhs], den)
+        x = [xi + zi for xi, zi in zip(x, self._shift)]
         value = -weighted_sum(rhs)
-        if self._shift is not None:
-            x = [xi + zi for xi, zi in zip(x, self._shift)]
-            value += sum(Fraction(c) * z for c, z in zip(objective, self._shift))
-        duals = [
-            -self._rho[r] * weighted_sum(self._track0 + r) for r in range(self._m)
-        ]
+        value += sum(Fraction(c) * z for c, z in zip(objective, self._shift))
         return LPResult(
             OPTIMAL,
             value,
             tuple(x),
-            tuple(duals[self._me :]),
-            tuple(duals[: self._me]),
+            tuple(-weighted_sum(j) for j in range(self._slack0, self._track0)),
+            tuple(-weighted_sum(j) for j in range(self._track0, rhs)),
         )
 
 
-def solve(lp: LinearProgram, feasible_point=None) -> LPResult:
-    """Solve one program. Returns status 'optimal' with exact value, primal
-    point and dual multipliers, or 'infeasible' / 'unbounded'."""
+def solve(lp: LinearProgram, feasible_point) -> LPResult:
+    """Solve one program from a point that satisfies its constraints.
+    Returns status 'optimal' with exact value, primal point and dual
+    multipliers, or 'unbounded'."""
     if lp.sense not in (MAX, MIN):
         raise DomainError(f"unknown sense {lp.sense!r}")
-    solver = ReoptimizingSolver(
-        lp.nvars, lp.equations, lp.inequalities, feasible_point=feasible_point
-    )
+    solver = ReoptimizingSolver(lp.nvars, lp.equations, lp.inequalities, feasible_point)
     if lp.sense == MAX:
         return solver.maximize(lp.objective)
     return solver.minimize(lp.objective)
@@ -344,7 +295,7 @@ def certify(lp: LinearProgram, res: LPResult) -> bool:
 
     Verifies the primal point, dual signs, the stationarity identity, the
     zero duality gap and complementary slackness. Only optimal results can
-    certify; infeasible/unbounded statuses return False.
+    certify; an unbounded status returns False.
     """
     if res.status != OPTIMAL:
         return False

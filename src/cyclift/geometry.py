@@ -46,9 +46,6 @@ class Interval:
     def __contains__(self, i) -> bool:
         return self.t1 <= i <= self.t2
 
-    def shifted(self, c: int) -> "Interval":
-        return Interval(self.t1 + c, self.t2 + c)
-
 
 @dataclass(frozen=True)
 class CyclicPolytope:
@@ -251,15 +248,6 @@ class SlackMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.columns)
-
-    def row_index(self, i: int) -> int:
-        if i not in self.polytope.interval:
-            raise DomainError(f"vertex index {i} outside the interval")
-        return i - self.polytope.interval.t1
-
-    def entry(self, i: int, col: int) -> int:
-        """Entry for vertex index i (interval indexing) and column position col."""
-        return self.entries[self.row_index(i)][col]
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(e) for e in row) for row in self.entries) + "\n"

@@ -259,9 +259,10 @@ def lift_objective(ef: ExtendedFormulation, objective) -> tuple:
 class EfOptimizer:
     """Exact linear optimization over a lifted polyhedron, warm-started.
 
-    One simplex tableau serves every objective; the first witness seeds a
-    feasible basis so no phase-1 work is ever repeated. Objectives are
-    given in the coordinates of the target polytope.
+    One simplex tableau serves every objective. It starts at the first
+    witness, a known feasible point, and each solve reoptimizes from the
+    previous basis. Objectives are given in the coordinates of the target
+    polytope.
     """
 
     def __init__(self, ef: ExtendedFormulation):
@@ -339,8 +340,6 @@ def factorization_from_ef(
             raise DomainError(
                 f"lifted system is unbounded along the facet {S.members} normal"
             )
-        if res.status != OPTIMAL:
-            raise InternalError(f"facet LP ended {res.status} with a feasible start")
         if res.value != f.b:
             raise DomainError(
                 f"lift does not project onto the polytope: facet {S.members} "

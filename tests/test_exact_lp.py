@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cyclift.errors import DomainError
 from cyclift.exact_lp import (
-    INFEASIBLE,
     MAX,
     MIN,
     OPTIMAL,
@@ -39,7 +38,7 @@ def test_simple_max():
     lp = LinearProgram(
         MAX, (1, 1), inequalities=(((1, 0), 2), ((0, 1), 3), ((1, 1), 4))
     )
-    res = solve(lp)
+    res = solve(lp, (0, 0))
     assert res.status == OPTIMAL
     assert res.value == 4
     assert sum(res.primal) == 4
@@ -48,39 +47,27 @@ def test_simple_max():
 
 def test_simple_min_is_negated_max():
     ineqs = (((1, 0), 2), ((0, 1), 3), ((1, 1), 4), ((-1, 0), 1), ((0, -1), 1))
-    mx = solve(LinearProgram(MAX, (-2, -3), inequalities=ineqs))
-    mn = solve(LinearProgram(MIN, (2, 3), inequalities=ineqs))
+    mx = solve(LinearProgram(MAX, (-2, -3), inequalities=ineqs), (0, 0))
+    mn = solve(LinearProgram(MIN, (2, 3), inequalities=ineqs), (0, 0))
     assert mn.status == mx.status == OPTIMAL
     assert mn.value == -mx.value == -5
     assert certify(LinearProgram(MIN, (2, 3), inequalities=ineqs), mn)
 
 
-def test_infeasible():
-    lp = LinearProgram(MAX, (1,), inequalities=(((1,), 0), ((-1,), -1)))
-    assert solve(lp).status == INFEASIBLE
-
-
 def test_unbounded():
     lp = LinearProgram(MAX, (1,), inequalities=(((-1,), 0),))
-    assert solve(lp).status == UNBOUNDED
+    assert solve(lp, (0,)).status == UNBOUNDED
 
 
 def test_equality_constraints():
     lp = LinearProgram(
         MAX, (1, 1), equations=(((1, -1), 0),), inequalities=(((1, 1), 4),)
     )
-    res = solve(lp)
+    res = solve(lp, (0, 0))
     assert res.status == OPTIMAL
     assert res.value == 4
     assert res.primal == (2, 2)
     assert certify(lp, res)
-
-
-def test_infeasible_equations():
-    lp = LinearProgram(
-        MAX, (1, 1), equations=(((1, 1), 1), ((1, 1), 2)), inequalities=()
-    )
-    assert solve(lp).status == INFEASIBLE
 
 
 def test_redundant_equation_is_dropped():
@@ -90,7 +77,7 @@ def test_redundant_equation_is_dropped():
         equations=(((1, 1), 3), ((2, 2), 6)),
         inequalities=(((1, 0), 2),),
     )
-    res = solve(lp)
+    res = solve(lp, (1, 2))
     assert res.status == OPTIMAL and res.value == 2
     assert certify(lp, res)
 
@@ -98,12 +85,12 @@ def test_redundant_equation_is_dropped():
 def test_fractional_answer():
     # max x + y with 2x + y <= 3, x + 2y <= 3 peaks at (1, 1); tilt it
     lp = LinearProgram(MAX, (2, 1), inequalities=(((2, 1), 3), ((1, 2), 3)))
-    res = solve(lp)
+    res = solve(lp, (0, 0))
     assert res.status == OPTIMAL
     assert res.value == Fraction(3)
     assert certify(lp, res)
     lp = LinearProgram(MAX, (1, 1), inequalities=(((2, 1), 2), ((1, 3), 3)))
-    res = solve(lp)
+    res = solve(lp, (0, 0))
     assert res.value == Fraction(7, 5)
     assert res.primal == (Fraction(3, 5), Fraction(4, 5))
 
@@ -111,17 +98,18 @@ def test_fractional_answer():
 def test_free_variables():
     # x unconstrained below: min x is unbounded, max is fine
     lp = LinearProgram(MAX, (1,), inequalities=(((1,), 5),))
-    assert solve(lp).value == 5
-    assert solve(LinearProgram(MIN, (1,), inequalities=(((1,), 5),))).status == UNBOUNDED
+    assert solve(lp, (0,)).value == 5
+    lp = LinearProgram(MIN, (1,), inequalities=(((1,), 5),))
+    assert solve(lp, (0,)).status == UNBOUNDED
     # negative optimum, reachable only because variables are free
-    lp = LinearProgram(MIN, (0, 1), inequalities=facet_system(2, 1, 5))
-    res = solve(lp)
-    assert res.value == 1 and certify(lp, res)
+    lp = LinearProgram(MIN, (1, 0), inequalities=facet_system(2, -5, -1))
+    res = solve(lp, (-1, 1))
+    assert res.value == -5 and certify(lp, res)
 
 
 def test_max_over_cyclic_polytope_hits_vertices():
     lp = LinearProgram(MAX, (0, 1), inequalities=facet_system(2, 1, 5))
-    res = solve(lp)
+    res = solve(lp, (1, 1))
     assert res.value == 25
     assert res.primal == (5, 25)
     assert certify(lp, res)
@@ -131,7 +119,7 @@ def test_duals_price_the_objective():
     lp = LinearProgram(
         MAX, (3, 5), inequalities=(((1, 0), 4), ((0, 2), 12), ((3, 2), 18))
     )
-    res = solve(lp)
+    res = solve(lp, (0, 0))
     assert res.value == 36
     # weak duality bound computed by hand from the returned multipliers
     y = res.dual_ineq
@@ -144,24 +132,25 @@ def test_certify_rejects_tampering():
     lp = LinearProgram(
         MAX, (3, 5), inequalities=(((1, 0), 4), ((0, 2), 12), ((3, 2), 18))
     )
-    res = solve(lp)
+    res = solve(lp, (0, 0))
     bad_value = LPResult(res.status, res.value + 1, res.primal, res.dual_ineq, res.dual_eq)
     assert not certify(lp, bad_value)
     duals = list(res.dual_ineq)
     duals[0] += 1
     bad_dual = LPResult(res.status, res.value, res.primal, tuple(duals), res.dual_eq)
     assert not certify(lp, bad_dual)
-    assert not certify(lp, LPResult(INFEASIBLE))
+    assert not certify(lp, LPResult(UNBOUNDED))
 
 
 @pytest.mark.parametrize("d,t1,t2", [(2, 1, 9), (2, -4, 4), (3, 1, 9), (4, 1, 10)])
 def test_random_objectives_agree_with_vertex_scan(d, t1, t2):
     rng = random.Random(20260819 + d)
     ineqs = facet_system(d, t1, t2)
+    start = vertex(CyclicPolytope(d, Interval(t1, t2)), t1)
     for _ in range(15):
         c = tuple(rng.randint(-9, 9) for _ in range(d))
         lp = LinearProgram(MAX, c, inequalities=ineqs)
-        res = solve(lp)
+        res = solve(lp, start)
         assert res.status == OPTIMAL
         assert res.value == vertex_maximum(c, d, t1, t2)
         assert certify(lp, res)
@@ -169,24 +158,25 @@ def test_random_objectives_agree_with_vertex_scan(d, t1, t2):
 
 def test_warm_restarts_match_cold_solves():
     ineqs = facet_system(2, 1, 17)
-    solver = ReoptimizingSolver(2, (), ineqs)
+    solver = ReoptimizingSolver(2, (), ineqs, (1, 1))
     rng = random.Random(7)
     for _ in range(25):
         c = (rng.randint(-9, 9), rng.randint(-9, 9))
         warm = solver.maximize(c)
-        cold = solve(LinearProgram(MAX, c, inequalities=ineqs))
+        cold = solve(LinearProgram(MAX, c, inequalities=ineqs), (17, 289))
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == cold.value
         assert warm.value == vertex_maximum(c, 2, 1, 17)
 
 
 def test_feasible_point_start():
+    # a vertex and an interior point; each objective lies inside the normal
+    # cone of one vertex, so the optimum and its duals are unique
     ineqs = facet_system(2, 1, 9)
-    eqs = ()
-    seeded = ReoptimizingSolver(2, eqs, ineqs, feasible_point=(3, 9))
-    plain = ReoptimizingSolver(2, eqs, ineqs)
+    at_vertex = ReoptimizingSolver(2, (), ineqs, (3, 9))
+    inside = ReoptimizingSolver(2, (), ineqs, (5, 30))
     for c in ((1, 1), (0, -1), (-5, 2), (7, 0)):
-        a, b = seeded.maximize(c), plain.maximize(c)
+        a, b = at_vertex.maximize(c), inside.maximize(c)
         assert a.status == b.status == OPTIMAL
         assert a.value == b.value
         assert a.dual_ineq == b.dual_ineq
@@ -208,21 +198,23 @@ def test_feasible_point_must_be_feasible():
         ReoptimizingSolver(1, (), ineqs, feasible_point=(2,))
     with pytest.raises(DomainError):
         ReoptimizingSolver(1, (((1,), 0),), ineqs, feasible_point=(1,))
+    with pytest.raises(DomainError):
+        ReoptimizingSolver(1, (), ineqs, feasible_point=(0, 0))
 
 
 def test_objective_length_checked():
-    solver = ReoptimizingSolver(2, (), (((1, 1), 4),))
+    solver = ReoptimizingSolver(2, (), (((1, 1), 4),), (0, 0))
     with pytest.raises(DomainError):
         solver.maximize((1, 2, 3))
     with pytest.raises(DomainError):
-        solve(LinearProgram("best", (1, 1), inequalities=(((1, 1), 4),)))
+        solve(LinearProgram("best", (1, 1), inequalities=(((1, 1), 4),)), (0, 0))
 
 
 def test_degenerate_vertex_terminates():
     # three inequalities meeting at one point; Bland's rule must not cycle
     ineqs = (((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((2, 1), 3), ((1, 2), 3))
     lp = LinearProgram(MAX, (1, 1), inequalities=ineqs)
-    res = solve(lp)
+    res = solve(lp, (0, 0))
     assert res.status == OPTIMAL and res.value == 2
     assert certify(lp, res)
 
@@ -263,28 +255,14 @@ def test_random_rational_lps_certify(system, data):
     objective = tuple(data.draw(st.lists(rationals, min_size=nvars, max_size=nvars)))
     sense = data.draw(st.sampled_from([MAX, MIN]))
     lp = LinearProgram(sense, objective, eqs, ineqs)
-    plain = solve(lp)
-    seeded = solve(lp, feasible_point=x0)
-    assert plain.status == seeded.status != INFEASIBLE
-    if plain.status == OPTIMAL:
-        assert plain.value == seeded.value
-        assert certify(lp, plain)
-        assert certify(lp, seeded)
-
-
-@settings(max_examples=200, deadline=None)
-@given(feasible_systems(), st.data())
-def test_random_rational_lps_without_known_point(system, data):
-    # shifting the rhs can make the system infeasible: status must then be
-    # INFEASIBLE, and every optimum must still certify
-    nvars, eqs, ineqs, _ = system
-    shift = data.draw(st.lists(rationals, min_size=len(ineqs), max_size=len(ineqs)))
-    ineqs = tuple((c, r + s) for (c, r), s in zip(ineqs, shift))
-    objective = tuple(data.draw(st.lists(rationals, min_size=nvars, max_size=nvars)))
-    lp = LinearProgram(data.draw(st.sampled_from([MAX, MIN])), objective, eqs, ineqs)
-    res = solve(lp)
+    res = solve(lp, x0)
+    assert res.status in (OPTIMAL, UNBOUNDED)
     if res.status == OPTIMAL:
         assert certify(lp, res)
+        # the optimum is feasible too; a solve started there agrees
+        again = solve(lp, res.primal)
+        assert again.value == res.value
+        assert certify(lp, again)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,7 +290,7 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
         (tuple(s * a for a in facet_inequality(p, S).a), s * facet_inequality(p, S).b)
         for S, s in zip(facets, scales)
     )
-    solver = ReoptimizingSolver(2, (), ineqs)
+    solver = ReoptimizingSolver(2, (), ineqs, vertex(p, t1))
     for pick, w1, w2, cone in queries:
         if cone:
             t = t1 + pick % (length + 1)
@@ -325,7 +303,7 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
         else:
             objective = (w1, w2)
         warm = solver.maximize(objective)
-        fresh = solve(LinearProgram(MAX, objective, inequalities=ineqs))
+        fresh = solve(LinearProgram(MAX, objective, inequalities=ineqs), vertex(p, t2))
         assert warm.status == fresh.status == OPTIMAL
         assert warm.value == fresh.value
         assert certify(LinearProgram(MAX, objective, inequalities=ineqs), warm)
@@ -334,11 +312,13 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
 
 
 def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
-    """Every pivot of small degenerate programs, with equations (phase 1)
-    and fractional coefficients, leaves each row with a positive
-    denominator and gcd(den, *row) == 1."""
+    """Every pivot of small degenerate programs, with equations and
+    fractional coefficients, leaves each row with a positive denominator
+    and gcd(den, *row) == 1, and with one column per variable sign, per
+    inequality and per equation handed to the solver, plus the rhs."""
     checked = []
     original = ReoptimizingSolver._pivot
+    width = None
 
     def checking(self, pi, pc):
         original(self, pi, pc)
@@ -346,6 +326,7 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
         for row, den in zip(self._rows, self._dens):
             assert den > 0 and gcd(den, *row) == 1
             assert all(type(x) is int for x in row)
+            assert len(row) == width
         assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
         checked.append(max(self._dens))
 
@@ -355,16 +336,20 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
         ((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((2, 1), 3), ((1, 2), 3),
         ((3 * h, 3 * h), 3), ((Fraction(2, 3), Fraction(1, 3)), 1),
     )
+    width = 2 * 2 + len(degenerate) + 1
     for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (1, 2)):
         lp = LinearProgram(MAX, objective, inequalities=degenerate)
-        res = solve(lp)
+        res = solve(lp, (0, 0))
         assert certify(lp, res)
     eqs = (((Fraction(3, 2), -1, Fraction(1, 3)), Fraction(1, 2)), ((3, -2, Fraction(2, 3)), 1))
     ineqs = (
         ((1, 1, 1), 6), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
         ((Fraction(1, 4), Fraction(1, 6), 0), 1),
     )
+    # the second equation is twice the first: its row is dropped, but the
+    # equation pivot before that already ran with its column in place
+    width = 2 * 3 + len(ineqs) + len(eqs) + 1
     lp = LinearProgram(MAX, (1, 2, 3), eqs, ineqs)
-    res = solve(lp)
+    res = solve(lp, (1, 1, 0))
     assert res.status == OPTIMAL and certify(lp, res)
     assert checked and max(checked) > 1

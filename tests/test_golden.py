@@ -79,7 +79,8 @@ CASES = {
         (0, "80ce03cad4fd94991f05d0099952e92106a6d2c304ba0ca43ba124e56e5328c5"),
     ("ef", "--n", "65", "--d", "3", "--check", "6", "--seed", "1"):
         (0, "182ac134831ff77f6073d9856f6e0d89fcf6efc975ea1abb5384c8f6a3f5b4df"),
-    # a phase-1 job, and a job whose lift has 1080 equation rows
+    # a job that pivots equation rows into its starting basis, and a job
+    # whose lift has 1080 equation rows
     ("minimize-poly", "--coeffs", "1,-3,2,5", "--n", "75"):
         (0, "fb1fb696ddd694b6fffc45dbe19885308e7acbe0ce488910bcb8702149a6d6fb"),
     ("minimize-poly", "--coeffs", "3,1,-2,4,1", "--n", "48"):
