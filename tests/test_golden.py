@@ -70,6 +70,16 @@ CASES = {
         (0, "eb2fbc4634796cd58ef8e3700d6257db0b17d28059432ec441cebd1cc1b19b9d"),
     ("factorize", "--n", "193", "--d", "2"):
         (0, "d580dd7fe26f17e58e9a188444fbf1de324e4363a1f94aacc5a1cb1dfc457955"),
+    # the smallest degree-2 factorizations, where the lift is the facet
+    # description itself
+    ("factorize", "--n", "3", "--d", "2"):
+        (0, "1c553022798081b883761b8611a779f42a9c77ac8e8cd19b1a860257a752e424"),
+    ("factorize", "--n", "4", "--d", "2"):
+        (0, "70d55d7faf2861856762d1651d9033c0f7f826441cb7b73a6b39e435b52a8fca"),
+    ("factorize", "--n", "5", "--d", "2"):
+        (0, "f71577321d8becc35fbaafad6e023019f42178be147c6cf783772202db6d4851"),
+    ("factorize", "--n", "6", "--d", "2"):
+        (0, "9263009bc0d6b3a0cd9bec8b817299d35b1b0cce225b8db301e35e8e6158a078"),
     # the other sizes of the certify2d benchmark workload
     ("factorize", "--n", "256", "--d", "2"):
         (0, "1aa11209ee3b274c39746c082b475ca29f527e74d078715103989577f3e49a2d"),
