@@ -8,9 +8,13 @@ columns, then divides out the gcd; Fractions are formed only where a value
 is read (ratio test, primal point, objective value, duals). Every solve
 starts at a point the caller knows to be feasible (every lift here comes
 with a witness above each vertex), so there is no phase 1 and no
-infeasible status. Bland's smallest-index rule throughout (so degenerate
-instances terminate), and dual multipliers read from the final tableau.
-No tolerances anywhere; every comparison is exact.
+infeasible status. The objective is one more integer row over its own
+denominator: each solve prices out the basic columns with the same row
+update a pivot applies, and every pivot keeps it current. Bland's
+smallest-index rule takes the first negative entry of that row (so
+degenerate instances terminate), and at the optimum the row's rhs entry is
+the objective value and its slack and tracker entries are the inequality
+and equation duals. No tolerances anywhere; every comparison is exact.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. For a maximization the certificate
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError
 from .rational import scaled_ints
@@ -78,6 +82,25 @@ def _check_rows(rows, nvars, what):
             )
 
 
+def _eliminate(row, den, f, p, support):
+    """(row * p - f * pivot row) / (den * p), fraction-free and in lowest
+    terms: with f = row[pc] and p = pivot row[pc] this clears column pc.
+    support holds the pivot row's nonzero (column, value) pairs, the only
+    columns updated; the scaling is skipped when p is 1, and then row is
+    updated in place. Returns (row, den)."""
+    if p != 1:
+        row = [x * p for x in row]
+        den *= p
+    for j, v in support:
+        row[j] -= f * v
+    if den != 1:
+        g = gcd(den, *row)
+        if g != 1:
+            row = [x // g for x in row]
+            den //= g
+    return row, den
+
+
 class ReoptimizingSolver:
     """Simplex over a fixed constraint system, reusable across objectives.
 
@@ -87,6 +110,8 @@ class ReoptimizingSolver:
     row is pivoted on its first nonzero variable column, which moves no
     basic value; a row with none is a combination of the rows before it and
     is dropped. The starting basis is therefore feasible, with no phase 1.
+    Each maximize writes its objective as a row priced against the current
+    basis and reads the value and the duals from that row at the optimum.
     """
 
     def __init__(self, nvars, equations, inequalities, feasible_point):
@@ -102,7 +127,8 @@ class ReoptimizingSolver:
 
         # columns: u, w (x = u - w), one slack per inequality, one tracker
         # per equation, rhs; a row's slack or tracker column carries its
-        # multipliers, so the duals are read from columns slack0 .. rhs - 1
+        # multipliers, so the duals are the objective row's entries in
+        # columns slack0 .. rhs - 1
         self._slack0 = 2 * nv
         self._track0 = 2 * nv + len(inequalities)
         self._rhs = self._track0 + me
@@ -136,6 +162,8 @@ class ReoptimizingSolver:
         self._rows = rows
         self._dens = dens
         self._basis = basis
+        self._obj = [0] * (self._rhs + 1)  # each maximize writes its own
+        self._oden = 1
         i = 0
         while i < len(basis) and basis[i] >= self._track0:
             pc = next((j for j in range(self._track0) if rows[i][j]), None)
@@ -159,52 +187,20 @@ class ReoptimizingSolver:
         support = [(j, v) for j, v in enumerate(prow) if v]
         for i, row in enumerate(rows):
             f = row[pc]
-            if not f or i == pi:
-                continue
-            den = dens[i]
-            if p != 1:
-                row = [x * p for x in row]
-                den *= p
-            for j, v in support:
-                row[j] -= f * v
-            if den != 1:
-                g = gcd(den, *row)
-                if g != 1:
-                    row = [x // g for x in row]
-                    den //= g
-            rows[i] = row
-            dens[i] = den
+            if f and i != pi:
+                rows[i], dens[i] = _eliminate(row, dens[i], f, p, support)
+        f = self._obj[pc]
+        if f:
+            self._obj, self._oden = _eliminate(self._obj, self._oden, f, p, support)
         self._basis[pi] = pc
 
-    def _weighted(self, cost):
-        """(w, row) for the basic rows whose integer cost cost[b] is
-        nonzero, and a positive scale, such that the sum over them of
-        cost[b] * row / den equals sum(w * row) / scale."""
-        picked = [
-            (cost[b], row, den)
-            for row, den, b in zip(self._rows, self._dens, self._basis)
-            if cost[b]
-        ]
-        scale = lcm(*[den for _, _, den in picked])
-        return [(cb * (scale // den), row) for cb, row, den in picked], scale
-
-    def _price(self, cost) -> list[int]:
-        """Reduced costs of the real (enterable) columns under the integer
-        cost vector, each multiplied by the same positive factor."""
-        weighted, scale = self._weighted(cost)
-        rc = [scale * c for c in cost[: self._track0]]
-        for w, row in weighted:
-            rc = [a - w * v for a, v in zip(rc, row)]
-        return rc
-
-    def _simplex(self, cost) -> str:
-        """Bland's rule until optimal or unbounded. cost is a list of ints
-        indexing all columns."""
+    def _simplex(self) -> str:
+        """Bland's rule on the objective row until optimal or unbounded."""
         rows, basis = self._rows, self._basis
         rhs = self._rhs
         while True:
-            rc = self._price(cost)
-            pc = next((j for j, v in enumerate(rc) if v < 0), None)
+            obj = self._obj
+            pc = next((j for j in range(self._track0) if obj[j] < 0), None)
             if pc is None:
                 return OPTIMAL
             best = None  # (ratio, basis var, row index)
@@ -226,16 +222,21 @@ class ReoptimizingSolver:
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
         nv = self._nv
-        ints, cden = scaled_ints(objective)
-        cost = [0] * (self._rhs + 1)
+        ints, den = scaled_ints(objective)
+        obj = [0] * (self._rhs + 1)
         for j, c in enumerate(ints):
             if c:
-                cost[j] = -c
-                cost[nv + j] = c
-        status = self._simplex(cost)
-        if status == UNBOUNDED:
+                obj[j] = -c
+                obj[nv + j] = c
+        for row, p, b in zip(self._rows, self._dens, self._basis):
+            f = obj[b]
+            if f:
+                support = [(j, v) for j, v in enumerate(row) if v]
+                obj, den = _eliminate(obj, den, f, p, support)
+        self._obj, self._oden = obj, den
+        if self._simplex() == UNBOUNDED:
             return LPResult(UNBOUNDED)
-        return self._extract(cost, cden, objective)
+        return self._extract(objective)
 
     def minimize(self, objective) -> LPResult:
         res = self.maximize([-c for c in objective])
@@ -249,32 +250,24 @@ class ReoptimizingSolver:
             tuple(-m for m in res.dual_eq),
         )
 
-    def _extract(self, cost, cden, objective) -> LPResult:
+    def _extract(self, objective) -> LPResult:
         nv, rhs = self._nv, self._rhs
-        weighted, scale = self._weighted(cost)
-        total = scale * cden
-
-        def weighted_sum(col):
-            # sum over cost-carrying basic rows of cost * value in column col
-            if not weighted:
-                return 0
-            return Fraction(sum(w * row[col] for w, row in weighted), total)
-
+        obj, den = self._obj, self._oden
         x = [Fraction(0)] * nv
-        for row, den, b in zip(self._rows, self._dens, self._basis):
+        for row, rden, b in zip(self._rows, self._dens, self._basis):
             if b < nv:
-                x[b] += Fraction(row[rhs], den)
+                x[b] += Fraction(row[rhs], rden)
             elif b < 2 * nv:
-                x[b - nv] -= Fraction(row[rhs], den)
+                x[b - nv] -= Fraction(row[rhs], rden)
         x = [xi + zi for xi, zi in zip(x, self._shift)]
-        value = -weighted_sum(rhs)
+        value = Fraction(obj[rhs], den)
         value += sum(Fraction(c) * z for c, z in zip(objective, self._shift))
         return LPResult(
             OPTIMAL,
             value,
             tuple(x),
-            tuple(-weighted_sum(j) for j in range(self._slack0, self._track0)),
-            tuple(-weighted_sum(j) for j in range(self._track0, rhs)),
+            tuple(Fraction(v, den) for v in obj[self._slack0 : self._track0]),
+            tuple(Fraction(v, den) for v in obj[self._track0 : rhs]),
         )
 
 

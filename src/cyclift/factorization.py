@@ -69,7 +69,7 @@ def _size_2d(n: int) -> int:
 
 def construction_rank(n: int, d: int) -> int:
     """Exact rank the recursive construction produces for (n, d), without
-    building it; factorize(n, d, allow_trivial=False).rank equals this."""
+    building it: the rank of factorize_2d, factorize_even or factorize_odd."""
     if d < 2 or n <= d:
         raise DomainError(f"need n > d >= 2, got n={n}, d={d}")
     if d == 2:
@@ -294,19 +294,15 @@ def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
 def factorize_2d(n: int) -> NonnegFactorization:
     """Degree-2 factorization with rank <= min(n, 2*floor(log2(n-1)) + 2).
 
-    Up to n = 6 the facet description is already at the bound, so the
-    trivial factorization is returned. Beyond that the recursive lifted
-    description is built and its slack vectors and exact per-facet dual
+    The recursive lifted description is built (up to n = 6 it is the facet
+    description itself) and its slack vectors and exact per-facet dual
     multipliers are extracted (lifting.factorization_from_ef).
     """
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    P = CyclicPolytope.standard(2, n)
-    if n <= 6:
-        return trivial_factorization(slack_matrix(P))
     from .lifting import build_ef_2d, factorization_from_ef
 
-    return factorization_from_ef(P, build_ef_2d(n))
+    return factorization_from_ef(CyclicPolytope.standard(2, n), build_ef_2d(n))
 
 
 def factorize_even(n: int, q: int) -> NonnegFactorization:
@@ -370,14 +366,14 @@ def factorize_odd(n: int, q: int) -> NonnegFactorization:
     return NonnegFactorization(2 * r, tuple(alphas), tuple(betas), facets, P)
 
 
-def factorize(n: int, d: int, allow_trivial: bool = True) -> NonnegFactorization:
+def factorize(n: int, d: int) -> NonnegFactorization:
     """Factorization of the slack matrix of P^d_[1,n], rank <= rank_bound(n, d).
 
     Dispatches on the parity of d. The constructed rank can exceed n at
-    desk scale; with allow_trivial (the default) the trivial rank-n
-    factorization is returned whenever it is strictly smaller, decided from
-    construction_rank before anything structured is built. Pass
-    allow_trivial=False to get the recursive construction unconditionally.
+    desk scale; the trivial rank-n factorization is returned whenever it is
+    strictly smaller, decided from construction_rank before anything
+    structured is built. factorize_2d, factorize_even and factorize_odd
+    build the recursive construction unconditionally.
 
     The result is not verified here: verify(slack_matrix(P), F) is the
     check, and the command line and ef_from_factorization run it.
@@ -386,7 +382,7 @@ def factorize(n: int, d: int, allow_trivial: bool = True) -> NonnegFactorization
         raise DomainError(f"dimension must be at least 2, got {d}")
     if n <= d:
         raise DomainError(f"need n > d, got n={n}, d={d}")
-    if allow_trivial and n < construction_rank(n, d):
+    if n < construction_rank(n, d):
         return trivial_factorization(slack_matrix(CyclicPolytope.standard(d, n)))
     if d == 2:
         return factorize_2d(n)

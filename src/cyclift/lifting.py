@@ -19,7 +19,7 @@ projection is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .errors import DomainError, InternalError
@@ -270,21 +270,28 @@ class EfOptimizer:
         if not ef.witnesses:
             raise DomainError("lifted system has no witnesses to start from")
         start = ef.witnesses[min(ef.witnesses)]
+        kept = independent_equations(ef.lifted.equations)
+        # kept is an order-preserving subsequence of the lifted equations
+        rows = iter(enumerate(ef.lifted.equations))
+        self._kept_at = [next(i for i, row in rows if row == k) for k in kept]
         self._solver = ReoptimizingSolver(
-            ef.lifted.nvars,
-            independent_equations(ef.lifted.equations),
-            ef.lifted.inequalities,
-            feasible_point=start,
+            ef.lifted.nvars, kept, ef.lifted.inequalities, feasible_point=start
         )
 
     def solve(self, objective, sense=MAX) -> LPResult:
         """The full exact LP result for an objective on the target's
         coordinates: status, value, lifted point and the duals of the
-        lifted inequalities."""
+        lifted inequalities and of every lifted equation (0 for one dropped
+        as dependent), so certify holds against the lift's own program."""
         coeffs = lift_objective(self.ef, objective)
-        if sense == MAX:
-            return self._solver.maximize(coeffs)
-        return self._solver.minimize(coeffs)
+        solver = self._solver
+        res = (solver.maximize if sense == MAX else solver.minimize)(coeffs)
+        if res.status != OPTIMAL:
+            return res
+        dual_eq = [0] * len(self.ef.lifted.equations)
+        for i, mu in zip(self._kept_at, res.dual_eq):
+            dual_eq[i] = mu
+        return replace(res, dual_eq=tuple(dual_eq))
 
     def _optimum(self, objective, sense):
         res = self.solve(objective, sense)

@@ -313,10 +313,13 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
 
 def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     """Every pivot of small degenerate programs, with equations and
-    fractional coefficients, leaves each row with a positive denominator
-    and gcd(den, *row) == 1, and with one column per variable sign, per
-    inequality and per equation handed to the solver, plus the rhs."""
+    fractional coefficients, leaves each row, the objective row included,
+    with a positive denominator and gcd(den, *row) == 1, and with one
+    column per variable sign, per inequality and per equation handed to the
+    solver, plus the rhs. The objective row stays priced out: it is 0 at
+    every basic column."""
     checked = []
+    priced = []
     original = ReoptimizingSolver._pivot
     width = None
 
@@ -328,7 +331,13 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
             assert all(type(x) is int for x in row)
             assert len(row) == width
         assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
+        obj, oden = self._obj, self._oden
+        assert oden > 0 and gcd(oden, *obj) == 1
+        assert all(type(x) is int for x in obj)
+        assert len(obj) == width
+        assert all(obj[b] == 0 for b in self._basis)
         checked.append(max(self._dens))
+        priced.append(oden)
 
     monkeypatch.setattr(ReoptimizingSolver, "_pivot", checking)
     h = Fraction(1, 2)
@@ -353,3 +362,4 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     res = solve(lp, (1, 1, 0))
     assert res.status == OPTIMAL and certify(lp, res)
     assert checked and max(checked) > 1
+    assert max(priced) > 1

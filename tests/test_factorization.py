@@ -47,10 +47,12 @@ def test_bound_formulas():
 
 
 def test_construction_rank_matches_builds():
-    cases = [(n, 2) for n in (3, 5, 7, 9, 33)]
-    cases += [(8, 4), (10, 4), (9, 6), (5, 3), (9, 5), (12, 3)]
-    for n, d in cases:
-        assert factorize(n, d, allow_trivial=False).rank == construction_rank(n, d)
+    for n in (3, 5, 7, 9, 33):
+        assert factorize_2d(n).rank == construction_rank(n, 2)
+    for n, q in ((8, 2), (10, 2), (9, 3)):
+        assert factorize_even(n, q).rank == construction_rank(n, 2 * q)
+    for n, q in ((5, 1), (9, 2), (12, 1)):
+        assert factorize_odd(n, q).rank == construction_rank(n, 2 * q + 1)
 
 
 # ------------------------------------------------------------------ verify
@@ -271,7 +273,7 @@ def test_factorize_dispatch_and_trivial_switch():
     F = factorize(10, 3)
     assert F.rank == 10
     assert verify(slack_matrix(CyclicPolytope.standard(3, 10)), F).ok
-    full = factorize(10, 3, allow_trivial=False)
+    full = factorize_odd(10, 1)
     assert full.rank == construction_rank(10, 3) == 14
     assert verify(slack_matrix(CyclicPolytope.standard(3, 10)), full).ok
     with pytest.raises(DomainError):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclift.errors import DomainError, InternalError
-from cyclift.exact_lp import OPTIMAL, ReoptimizingSolver
-from cyclift.factorization import factorize_2d, size_bound_2d, trivial_factorization, verify
+from cyclift.exact_lp import MAX, MIN, OPTIMAL, LinearProgram, ReoptimizingSolver, certify, solve
+from cyclift.factorization import factorize, factorize_2d, size_bound_2d, trivial_factorization, verify
 from cyclift.geometry import CyclicPolytope, enumerate_facets, facet_inequality, slack_matrix, vertex
 from cyclift.lifting import (
     EfOptimizer,
@@ -103,6 +103,58 @@ def test_minimize_agrees_with_vertex_scan():
         c = (rng.randint(-9, 9), rng.randint(-9, 9))
         value, _ = opt.minimize(c)
         assert value == -vertex_maximum((-c[0], -c[1]), 2, 1, 17)
+
+
+def test_optimizer_duals_cover_every_lifted_equation():
+    """The equation duals are indexed by the lift's own equations, with 0 on
+    the rows dropped as dependent, so the result certifies against the
+    lift's program and agrees with a one-off solve of it."""
+    P = CyclicPolytope.standard(3, 9)
+    ef = ef_from_factorization(P, factorize(9, 3))
+    c = (1, -2, 1)
+    res = EfOptimizer(ef).solve(c)
+    lp = LinearProgram(MAX, lift_objective(ef, c), ef.lifted.equations, ef.lifted.inequalities)
+    assert len(res.dual_eq) == len(ef.lifted.equations) == 14
+    assert certify(lp, res)
+    kept = independent_equations(ef.lifted.equations)
+    assert len(kept) < 14
+    dropped = [mu for row, mu in zip(ef.lifted.equations, res.dual_eq) if row not in kept]
+    assert dropped and all(mu == 0 for mu in dropped)
+    one_off = solve(lp, ef.witnesses[1])
+    assert certify(lp, one_off)
+    assert (res.value, res.dual_ineq) == (one_off.value, one_off.dual_ineq)
+
+
+# largest n per degree, so that building the lifts stays cheap
+LIFT_N_CAP = {2: 40, 3: 14, 4: 12, 5: 11}
+
+
+@st.composite
+def lift_queries(draw):
+    d = draw(st.sampled_from(sorted(LIFT_N_CAP)))
+    n = draw(st.integers(d + 1, LIFT_N_CAP[d]))
+    objective = tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+    return n, d, objective, draw(st.sampled_from((MAX, MIN)))
+
+
+@settings(deadline=None)
+@given(lift_queries())
+def test_lift_optima_match_vertex_scan_and_certify(query):
+    n, d, objective, sense = query
+    if d == 2:
+        ef = build_ef_2d(n)
+    else:
+        P = CyclicPolytope.standard(d, n)
+        ef = ef_from_factorization(P, factorize(n, d))
+    res = EfOptimizer(ef).solve(objective, sense)
+    assert res.status == OPTIMAL
+    if sense == MAX:
+        assert res.value == vertex_maximum(objective, d, 1, n)
+    else:
+        assert res.value == -vertex_maximum([-c for c in objective], d, 1, n)
+    lifted = ef.lifted
+    lp = LinearProgram(sense, lift_objective(ef, objective), lifted.equations, lifted.inequalities)
+    assert certify(lp, res)
 
 
 # ------------------------------------------------- factorization -> lift
