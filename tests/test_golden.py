@@ -8,6 +8,8 @@ guard, and are only ever regenerated for an intended change of output.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +103,17 @@ CASES = {
 FACTORIZE_17_FILE = "afdc9803a16fc97955b3fef0a2cf8b2bcd947bce73f8b17ab29dc46aaa57d04d"
 VERIFY_17_STDOUT = "eb04bf068bf4c76e11c4c69d1f64f6f40c8a06d16f1a229742f67d09721c370b"
 
+# factorize --n N --d 2 --out FILE, add 1/7 to one entry, then verify FILE:
+# (n, "alpha" or "beta", vector index, coordinate) -> verify stdout. A beta
+# entry in a late column fails first at a middle vertex; an alpha entry in a
+# late row fails at that row's first column.
+TAMPERED = {
+    (513, "beta", -3, 0):
+        "4cf2e6b43c65acce6ba7287fbbe9a5fc192766ab2aaff14800465f111f482bf5",
+    (257, "alpha", -3, 0):
+        "bccc850edd10f27bbf65f1dbd803cce83caca695d739eced6ae8e534717e41b1",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -119,3 +132,17 @@ def test_verify_written_file(capsys, tmp_path):
     assert _sha256(path.read_text()) == FACTORIZE_17_FILE
     assert main(["verify", str(path)]) == 0
     assert _sha256(capsys.readouterr().out) == VERIFY_17_STDOUT
+
+
+@pytest.mark.parametrize("case", list(TAMPERED), ids=str)
+def test_verify_tampered_file(capsys, tmp_path, case):
+    n, side, index, k = case
+    path = tmp_path / f"f{n}.json"
+    assert main(["factorize", "--n", str(n), "--d", "2", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    vec = data[side][index]
+    vec[k] = str(Fraction(vec[k]) + Fraction(1, 7))
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert _sha256(capsys.readouterr().out) == TAMPERED[case]
