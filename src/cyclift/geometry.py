@@ -19,6 +19,7 @@ coefficients are ints or fractions.Fraction. No floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import DomainError, InternalError
@@ -235,19 +236,34 @@ def slack_entry(P: CyclicPolytope, i: int, S) -> int:
 @dataclass(frozen=True)
 class SlackMatrix:
     """Rows indexed by vertices (interval order), columns by facets
-    (lexicographic order); entries are exact nonnegative ints."""
+    (lexicographic order); entries are exact nonnegative ints. The entries
+    and the facet inequalities are computed on first read and cached."""
 
     polytope: CyclicPolytope
     columns: tuple[GaleSet, ...]
-    entries: tuple[tuple[int, ...], ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return self.polytope.n
 
     @property
     def n_cols(self) -> int:
         return len(self.columns)
+
+    def row(self, k: int) -> tuple[int, ...]:
+        """Row k (vertex t1 + k) on its own, without building the others."""
+        i = self.polytope.interval.t1 + k
+        return tuple(_slack_product(i, S.members) for S in self.columns)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.row(k) for k in range(self.n_rows))
+
+    @cached_property
+    def inequalities(self) -> tuple[FacetInequality, ...]:
+        """facet_inequality of each column, computed on first read and
+        cached: entry (i, S) is the slack of vertex i in S's inequality."""
+        return tuple(facet_inequality(self.polytope, S) for S in self.columns)
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(e) for e in row) for row in self.entries) + "\n"
@@ -263,14 +279,9 @@ class SlackMatrix:
 
 
 def slack_matrix(P: CyclicPolytope) -> SlackMatrix:
-    """The full slack matrix of P, facets in canonical column order."""
-    facets = enumerate_facets(P)
-    member_lists = [S.members for S in facets]
-    rows = tuple(
-        tuple(_slack_product(i, members) for members in member_lists)
-        for i in P.interval.indices()
-    )
-    return SlackMatrix(P, facets, rows)
+    """The slack matrix of P, facets in canonical column order; its entries
+    are computed when first read."""
+    return SlackMatrix(P, enumerate_facets(P))
 
 
 def facet_inequality(P: CyclicPolytope, S) -> FacetInequality:

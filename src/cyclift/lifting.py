@@ -20,7 +20,6 @@ projection is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd
 
 from .errors import DomainError, InternalError
 from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
@@ -34,7 +33,7 @@ from .geometry import (
     slack_matrix,
     vertex,
 )
-from .rational import format_rational, scaled_ints
+from .rational import format_rational, reduce_rows, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,8 @@ def ef_from_factorization(
     """Size-rank(F) lift of P: variables (x, y), inequalities y >= 0 only,
     and per facet the equation <a_j, x> + <beta_j, y> = b_j; above vertex i
     the witness is (v_i, alpha_i)."""
-    report = verify(slack_matrix(P), F)
-    if not report.ok:
+    M = slack_matrix(P)
+    if not verify(M, F).ok:
         raise DomainError("factorization does not verify against the slack matrix")
     d, r = P.d, F.rank
     variables = tuple(f"x{k}" for k in range(1, d + 1)) + tuple(
@@ -201,9 +200,8 @@ def ef_from_factorization(
         (zeros_x + tuple(-1 if k == t else 0 for k in range(r)), 0) for t in range(r)
     )
     eqs = []
-    for j, S in enumerate(enumerate_facets(P)):
-        f = facet_inequality(P, S)
-        eqs.append((f.a + tuple(F.beta[j]), f.b))
+    for f, beta in zip(M.inequalities, F.beta):
+        eqs.append((f.a + tuple(beta), f.b))
     wits = {i: vertex(P, i) + tuple(F.alpha[i - P.interval.t1]) for i in P.interval.indices()}
     return ExtendedFormulation(Polyhedron(variables, tuple(eqs), ineqs), wits, P)
 
@@ -212,35 +210,20 @@ def independent_equations(equations) -> tuple:
     """The first maximal independent subset, original rows untouched.
 
     Each (coeffs, rhs) row is cleared to integers and eliminated against
-    the rows kept so far, held sparse, by cross-multiplying and dividing
-    out the gcd; a row is kept when something nonzero survives. Dependent
+    the rows kept so far (rational.reduce_rows, pivoting on coefficient
+    columns only); a row is kept when a coefficient survives. Dependent
     rows must be implied exactly (a feasible point exists for every system
     handled here, so a contradictory dependent row means the caller's data
     is corrupt, not merely redundant).
     """
-    basis = []  # (pivot column, pivot value, nonzero (column, value) pairs)
+    rows = [scaled_ints(tuple(coeffs) + (rhs,))[0] for coeffs, rhs in equations]
+    width = len(rows[0]) - 1 if rows else 0
     kept = []
-    for coeffs, rhs in equations:
-        row, _ = scaled_ints(tuple(coeffs) + (rhs,))
-        for pc, p, support in basis:
-            f = row[pc]
-            if f:
-                if p != 1:
-                    row = [x * p for x in row]
-                for j, v in support:
-                    row[j] -= f * v
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-        pivot = next((j for j, x in enumerate(row[:-1]) if x), None)
-        if pivot is None:
-            if row[-1] != 0:
-                raise InternalError("dependent equation with nonzero residual")
-            continue
-        if row[pivot] < 0:
-            row = [-x for x in row]
-        basis.append((pivot, row[pivot], [(j, v) for j, v in enumerate(row) if v]))
-        kept.append((coeffs, rhs))
+    for (coeffs, rhs), (pivot, residual) in zip(equations, reduce_rows(rows, width)):
+        if pivot is not None:
+            kept.append((coeffs, rhs))
+        elif residual[-1] != 0:
+            raise InternalError("dependent equation with nonzero residual")
     return tuple(kept)
 
 
@@ -282,7 +265,10 @@ class EfOptimizer:
         """The full exact LP result for an objective on the target's
         coordinates: status, value, lifted point and the duals of the
         lifted inequalities and of every lifted equation (0 for one dropped
-        as dependent), so certify holds against the lift's own program."""
+        as dependent), so certify holds against the lift's own program.
+        sense is "max" or "min"; anything else is a DomainError."""
+        if sense not in (MAX, MIN):
+            raise DomainError(f"unknown sense {sense!r}")
         coeffs = lift_objective(self.ef, objective)
         solver = self._solver
         res = (solver.maximize if sense == MAX else solver.minimize)(coeffs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -55,3 +55,41 @@ def scaled_ints(vec):
         # factorization this way, and fresh ints would double its memory
         return [x.numerator for x in vec], 1
     return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def reduce_rows(rows, width=None):
+    """Fraction-free Gaussian elimination of integer rows, in order.
+
+    Yields (pivot, residual) per row. The residual is a positive integer
+    multiple of the row minus its combination of the rows kept before it,
+    eliminated one kept row at a time by cross-multiplying with the two
+    entries divided by their gcd. pivot is the first of the first `width`
+    columns (every column when width is None) where the residual is
+    nonzero; the row is then kept, and its residual, divided by its content
+    and signed so the pivot is positive, joins the basis. pivot is None for
+    a row that depends on the kept rows in those columns. Every entry stays
+    an exact int.
+    """
+    basis = []  # (pivot column, pivot value, nonzero (column, value) pairs)
+    for row in rows:
+        for pc, p, support in basis:
+            f = row[pc]
+            if f:
+                g = gcd(p, f)
+                scale, f = p // g, f // g
+                if scale != 1:
+                    row = [x * scale for x in row]
+                for j, v in support:
+                    row[j] -= f * v
+        limit = len(row) if width is None else width
+        pivot = next((j for j in range(limit) if row[j]), None)
+        if pivot is None:
+            yield None, row
+            continue
+        g = gcd(*row)
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
+        basis.append((pivot, row[pivot], [(j, v) for j, v in enumerate(row) if v]))
+        yield pivot, row

@@ -38,6 +38,21 @@ def slack_product(i, members):
     return out
 
 
+def first_mismatch(alpha, beta, d, t1, t2):
+    """The entry scan: the first (i, S, expected, got), rows then columns,
+    where <alpha_i, beta_S> differs from the slack prod_{j in S} |j - i|,
+    facets S in the order of gale_subsets; expected is an int and got a
+    Fraction. None when every entry matches."""
+    facets = gale_subsets(d, t1, t2)
+    for i, a in zip(range(t1, t2 + 1), alpha):
+        for S, b in zip(facets, beta):
+            expected = slack_product(i, S)
+            got = sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
+            if got != expected:
+                return i, S, expected, got
+    return None
+
+
 def vertex_maximum(objective, d, t1, t2):
     """Brute-force max of a linear objective over the moment-curve points."""
     return max(

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -10,6 +11,7 @@ import cyclift.cli
 import cyclift.factorization
 import cyclift.lifting
 from cyclift.cli import main
+from cyclift.geometry import SlackMatrix
 
 
 def run(capsys, *argv):
@@ -206,6 +208,40 @@ def test_verify_command_verifies_once(capsys, monkeypatch, tmp_path):
     calls = _count_verify(monkeypatch)
     assert run(capsys, "verify", str(path))[0] == 0
     assert len(calls) == 1
+
+
+def _count_slack_entries(monkeypatch):
+    """Record each time a slack matrix computes its entries."""
+    builds = []
+    original = SlackMatrix.__dict__["entries"].func
+
+    def counting(M):
+        builds.append(M.polytope)
+        return original(M)
+
+    prop = cached_property(counting)
+    prop.__set_name__(SlackMatrix, "entries")
+    monkeypatch.setattr(SlackMatrix, "entries", prop)
+    return builds
+
+
+def test_verification_builds_no_slack_entries(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "f.json"
+    builds = _count_slack_entries(monkeypatch)
+    assert run(capsys, "factorize", "--n", "513", "--d", "2", "--out", str(path))[0] == 0
+    assert run(capsys, "verify", str(path))[0] == 0
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("factorize", "--n", "20", "--d", "4"), ("ef", "--n", "9", "--d", "3")],
+    ids=" ".join,
+)
+def test_trivial_path_builds_slack_entries_once(capsys, monkeypatch, argv):
+    builds = _count_slack_entries(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert len(builds) == 1
 
 
 def test_factorize_2d_output_is_gated(capsys, monkeypatch):

@@ -1,12 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclift.factorization
 from cyclift.errors import DomainError
 from cyclift.factorization import (
     NonnegFactorization,
+    VerificationReport,
     column_select,
     construction_rank,
     even_rank_bound,
@@ -23,12 +27,13 @@ from cyclift.factorization import (
 from cyclift.geometry import (
     CyclicPolytope,
     GaleSet,
+    Interval,
     enumerate_facets,
     gale_pair_partition,
     slack_matrix,
 )
 
-from oracles import slack_product
+from oracles import first_mismatch, slack_product
 
 
 def test_bound_formulas():
@@ -108,6 +113,54 @@ def test_verify_handles_fractions():
     beta = tuple(tuple(3 * x for x in vec) for vec in F.beta)
     rep = verify(M, NonnegFactorization(F.rank, alpha, beta, F.column_labels, F.target))
     assert rep.ok
+
+
+# largest n per degree, so that the oracle's Fraction entry scan stays cheap;
+# factorize is structured for degree 2 from n = 7 and degree 3 from n = 19
+VERIFY_N_CAP = {2: 33, 3: 20, 4: 11, 5: 10}
+
+
+@st.composite
+def perturbed_factorizations(draw):
+    """(polytope, factorization, the same with one positive Fraction added
+    to one alpha or beta entry)."""
+    d = draw(st.sampled_from(sorted(VERIFY_N_CAP)))
+    n = draw(st.integers(d + 1, VERIFY_N_CAP[d]))
+    if draw(st.booleans()):
+        P = CyclicPolytope.standard(d, n)
+        F = factorize(n, d)
+    else:
+        t1 = draw(st.integers(-6, 6))
+        P = CyclicPolytope(d, Interval(t1, t1 + n - 1))
+        F = trivial_factorization(slack_matrix(P))
+    side = draw(st.sampled_from(("alpha", "beta")))
+    vectors = list(getattr(F, side))
+    index = draw(st.integers(0, len(vectors) - 1))
+    k = draw(st.integers(0, F.rank - 1))
+    delta = Fraction(draw(st.integers(1, 50)), draw(st.integers(1, 9)))
+    vec = list(vectors[index])
+    vec[k] += delta
+    vectors[index] = tuple(vec)
+    return P, F, replace(F, **{side: tuple(vectors)})
+
+
+@settings(deadline=None)
+@given(perturbed_factorizations())
+def test_verify_matches_entry_scan(case):
+    P, F, G = case
+    t1, t2 = P.interval.t1, P.interval.t2
+    M = slack_matrix(P)
+    bound = rank_bound(P.n, P.d)
+    assert first_mismatch(F.alpha, F.beta, P.d, t1, t2) is None
+    assert verify(M, F) == VerificationReport(True, F.rank, bound, None)
+    found = first_mismatch(G.alpha, G.beta, P.d, t1, t2)
+    if found is not None:
+        i, S, expected, got = found
+        found = (i, GaleSet(S), expected, got)
+    report = verify(M, G)
+    assert report == VerificationReport(found is None, G.rank, bound, found)
+    if found is not None:
+        assert [type(x) for x in report.first_mismatch] == [int, GaleSet, int, Fraction]
 
 
 # ------------------------------------------------------- hadamard_combine

@@ -105,6 +105,15 @@ def test_minimize_agrees_with_vertex_scan():
         assert value == -vertex_maximum((-c[0], -c[1]), 2, 1, 17)
 
 
+@pytest.mark.parametrize("sense", ["MAX", "maximize"])
+def test_optimizer_rejects_unknown_sense(sense):
+    opt = EfOptimizer(build_ef_2d(9))
+    with pytest.raises(DomainError, match="unknown sense"):
+        opt.solve((1, 0), sense)
+    assert opt.solve((1, 0), MAX).value == 9
+    assert opt.solve((1, 0), MIN).value == 1
+
+
 def test_optimizer_duals_cover_every_lifted_equation():
     """The equation duals are indexed by the lift's own equations, with 0 on
     the rows dropped as dependent, so the result certifies against the

@@ -2,7 +2,8 @@
 
 The tracer wraps cyclift's functions by module attribute and reads some of
 their parameters by name (nvars, equations, inequalities, M, n, d), so a
-rename in the package would otherwise break only the traced benchmark run.
+rename in the package, or a change to verify's signature, would otherwise
+break only the traced benchmark run.
 It is loaded by file path: putting perfbench/ on sys.path would let
 perfbench/oracles.py shadow tests/oracles.py.
 """
@@ -49,3 +50,5 @@ def test_tracer_binds_every_traced_name(capsys):
     assert tracer.calls["exact_lp.ReoptimizingSolver.init"] > 0
     assert tracer.calls["lifting.independent_equations"] > 0
     assert tracer.counts["exact_lp.ReoptimizingSolver.init.tableau_cells"] > 0
+    assert tracer.calls["factorization.verify"] > 0
+    assert tracer.counts["factorization.verify.entries"] > 0
