@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from cyclift.cli import main
+from cyclift.factorization import factorize_2d
 
 CASES = {
     ("facets", "--n", "7", "--d", "3"):
@@ -114,6 +115,15 @@ TAMPERED = {
         "bccc850edd10f27bbf65f1dbd803cce83caca695d739eced6ae8e534717e41b1",
 }
 
+# factorize_2d(n) for n = 3..130, each document as json.dumps(...,
+# sort_keys=True) followed by a newline, hashed as one stream: the plain
+# facet systems and lifts of up to five odd and even folds, whose betas
+# depend on the simplex's ratio-test tie-breaks
+FACTORIZE_2D_SWEEP = (
+    range(3, 131),
+    "75c69873f786f4e7c11dd6efc04857d2bab1fac0aac5aaaeee3fc9a6b9854332",
+)
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -146,3 +156,12 @@ def test_verify_tampered_file(capsys, tmp_path, case):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert _sha256(capsys.readouterr().out) == TAMPERED[case]
+
+
+def test_factorize_2d_sweep_digest():
+    sizes, digest = FACTORIZE_2D_SWEEP
+    h = hashlib.sha256()
+    for n in sizes:
+        h.update(json.dumps(factorize_2d(n).to_json_dict(), sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == digest
