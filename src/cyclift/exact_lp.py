@@ -4,9 +4,10 @@ A dense-tableau simplex whose rows are Python integers, each over its own
 positive denominator and kept in lowest terms (gcd(den, *row) == 1), in
 the fraction-free style of Edmonds and Bareiss. A pivot scales each other
 row by the pivot entry and updates it only at the pivot row's nonzero
-columns, then divides out the gcd; Fractions are formed only where a value
-is read (ratio test, primal point, objective value, duals). Every solve
-starts at a point the caller knows to be feasible (every lift here comes
+columns, then divides out the gcd. The ratio test compares integers by
+cross-multiplication. Each entry of a result (primal point, objective
+value, nonzero duals) is built once, as one Fraction of two integers, and
+the zero duals share one Fraction(0). Every solve starts at a point the caller knows to be feasible (every lift here comes
 with a witness above each vertex), so there is no phase 1 and no
 infeasible status. The objective is one more integer row over its own
 denominator: each solve prices out the basic columns with the same row
@@ -48,6 +49,8 @@ UNBOUNDED = "unbounded"
 
 MAX = "max"
 MIN = "min"
+
+_ZERO = Fraction(0)  # shared by every zero dual
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,7 @@ class ReoptimizingSolver:
             raise DomainError("feasible point has the wrong dimension")
         self._nv = nv = nvars
         self._shift = tuple(Fraction(x) for x in feasible_point)
+        self._shift_ints, self._sden = scaled_ints(self._shift)
         me = len(equations)
 
         # columns: u, w (x = u - w), one slack per inequality, one tracker
@@ -203,16 +207,21 @@ class ReoptimizingSolver:
             pc = next((j for j in range(self._track0) if obj[j] < 0), None)
             if pc is None:
                 return OPTIMAL
-            best = None  # (ratio, basis var, row index)
+            # smallest ratio row[rhs] / row[pc] over rows with row[pc] > 0,
+            # compared by cross-multiplying; ties go to the smaller basis var
+            best = None
             for i, row in enumerate(rows):
                 v = row[pc]
                 if v > 0:
-                    key = (Fraction(row[rhs], v), basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
+                    if best is None:
+                        best, best_v, best_rhs = i, v, row[rhs]
+                        continue
+                    c = row[rhs] * best_v - best_rhs * v
+                    if c < 0 or (c == 0 and basis[i] < basis[best]):
+                        best, best_v, best_rhs = i, v, row[rhs]
             if best is None:
                 return UNBOUNDED
-            self._pivot(best[1], pc)
+            self._pivot(best, pc)
 
     # -- public solves ----------------------------------------------------
 
@@ -222,12 +231,13 @@ class ReoptimizingSolver:
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
         nv = self._nv
-        ints, den = scaled_ints(objective)
+        ints, cden = scaled_ints(objective)
         obj = [0] * (self._rhs + 1)
         for j, c in enumerate(ints):
             if c:
                 obj[j] = -c
                 obj[nv + j] = c
+        den = cden
         for row, p, b in zip(self._rows, self._dens, self._basis):
             f = obj[b]
             if f:
@@ -236,7 +246,7 @@ class ReoptimizingSolver:
         self._obj, self._oden = obj, den
         if self._simplex() == UNBOUNDED:
             return LPResult(UNBOUNDED)
-        return self._extract(objective)
+        return self._extract(ints, cden)
 
     def minimize(self, objective) -> LPResult:
         res = self.maximize([-c for c in objective])
@@ -250,24 +260,30 @@ class ReoptimizingSolver:
             tuple(-m for m in res.dual_eq),
         )
 
-    def _extract(self, objective) -> LPResult:
+    def _extract(self, objective, cden) -> LPResult:
+        """The optimal result, each entry one Fraction built from ints.
+
+        objective / cden is the objective maximized. x = shift + u - w,
+        where at most one of u_j and w_j is basic (their columns are
+        negatives of each other), and the value is the objective row's rhs
+        plus the objective at the shift.
+        """
         nv, rhs = self._nv, self._rhs
         obj, den = self._obj, self._oden
-        x = [Fraction(0)] * nv
+        shift, sden = self._shift_ints, self._sden
+        x = list(self._shift)
         for row, rden, b in zip(self._rows, self._dens, self._basis):
-            if b < nv:
-                x[b] += Fraction(row[rhs], rden)
-            elif b < 2 * nv:
-                x[b - nv] -= Fraction(row[rhs], rden)
-        x = [xi + zi for xi, zi in zip(x, self._shift)]
-        value = Fraction(obj[rhs], den)
-        value += sum(Fraction(c) * z for c, z in zip(objective, self._shift))
+            if b < 2 * nv:
+                j, t = (b, row[rhs]) if b < nv else (b - nv, -row[rhs])
+                x[j] = Fraction(t * sden + shift[j] * rden, rden * sden)
+        at_shift = sum(c * z for c, z in zip(objective, shift) if c)
+        value = Fraction(obj[rhs] * cden * sden + at_shift * den, den * cden * sden)
         return LPResult(
             OPTIMAL,
             value,
             tuple(x),
-            tuple(Fraction(v, den) for v in obj[self._slack0 : self._track0]),
-            tuple(Fraction(v, den) for v in obj[self._track0 : rhs]),
+            tuple(Fraction(v, den) if v else _ZERO for v in obj[self._slack0 : self._track0]),
+            tuple(Fraction(v, den) if v else _ZERO for v in obj[self._track0 : rhs]),
         )
 
 

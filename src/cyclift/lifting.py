@@ -312,17 +312,20 @@ def factorization_from_ef(
     if ef.target != P:
         raise DomainError("lift targets a different polytope")
     lifted = ef.lifted
+    alphas = []
     for i in P.interval.indices():
         if i not in ef.witnesses:
             raise DomainError(f"no witness for vertex {i}")
         w = ef.witnesses[i]
-        if len(w) != lifted.nvars or not lifted.contains(w):
+        # lifted.contains(w), keeping the slacks it computes as alpha_i
+        slacks = None
+        if len(w) == lifted.nvars and all(r == 0 for r in lifted.equation_residuals(w)):
+            slacks = lifted.inequality_slacks(w)
+        if slacks is None or any(s < 0 for s in slacks):
             raise DomainError(f"witness for vertex {i} is not in the lifted polyhedron")
         if tuple(w[: P.d]) != vertex(P, i):
             raise DomainError(f"witness for vertex {i} does not project to it")
-    alphas = tuple(
-        lifted.inequality_slacks(ef.witnesses[i]) for i in P.interval.indices()
-    )
+        alphas.append(slacks)
     optimizer = EfOptimizer(ef)
     facets = enumerate_facets(P)
     betas = []
@@ -339,7 +342,7 @@ def factorization_from_ef(
                 f"maximum is {res.value}, boundary is at {f.b}"
             )
         betas.append(tuple(res.dual_ineq))
-    return NonnegFactorization(lifted.size, alphas, tuple(betas), facets, P)
+    return NonnegFactorization(lifted.size, tuple(alphas), tuple(betas), facets, P)
 
 
 def ef_to_text(ef: ExtendedFormulation) -> str:

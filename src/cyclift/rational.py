@@ -26,17 +26,24 @@ _RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?")
 
 
 def parse_rational(text: str):
-    """Inverse of format_rational. Returns an int when the denominator is 1."""
+    """Inverse of format_rational. Returns an int when the denominator is 1.
+
+    An integer past the regex gate is returned by int() itself, with no
+    Fraction built; a number longer than Python's int-conversion digit
+    limit is a DomainError like any other malformed one.
+    """
     if not isinstance(text, str):
         raise DomainError(f"not a rational: {text!r} is not a string")
     s = text.strip()
     if not _RATIONAL.fullmatch(s):
         raise DomainError(f"not a rational: {text!r}")
-    if "/" in s:
+    try:
+        if "/" not in s:
+            return int(s)
         p, q = s.split("/")
         value = Fraction(int(p), int(q))
-    else:
-        value = Fraction(int(s))
+    except ValueError as exc:
+        raise DomainError(f"not a rational: {exc}") from exc
     if value.denominator == 1:
         return int(value)
     return value

@@ -329,6 +329,8 @@ def test_minimize_poly_usage_errors(capsys):
     assert run(capsys, "minimize-poly", "--coeffs", "1,2", "--n", "5")[0] == 2
     assert run(capsys, "minimize-poly", "--coeffs", "1,2,3", "--n", "2")[0] == 2
     assert run(capsys, "minimize-poly", "--coeffs", "1,x,3", "--n", "5")[0] == 2
+    rc, _, err = run(capsys, "minimize-poly", "--coeffs", "1,2," + "7" * 5000, "--n", "5")
+    assert rc == 2 and err.startswith("error:")
 
 
 # ---------------------------------------------------------------- package

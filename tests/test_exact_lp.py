@@ -259,6 +259,9 @@ def test_random_rational_lps_certify(system, data):
     assert res.status in (OPTIMAL, UNBOUNDED)
     if res.status == OPTIMAL:
         assert certify(lp, res)
+        assert type(res.value) is Fraction
+        for entries in (res.primal, res.dual_ineq, res.dual_eq):
+            assert all(type(x) is Fraction for x in entries)
         # the optimum is feasible too; a solve started there agrees
         again = solve(lp, res.primal)
         assert again.value == res.value

@@ -271,6 +271,62 @@ def test_factorization_from_ef_checks_witnesses():
         )
 
 
+def _with_witness(ef, vertex_index, witness):
+    witnesses = dict(ef.witnesses)
+    if witness is None:
+        del witnesses[vertex_index]
+    else:
+        witnesses[vertex_index] = witness
+    return ExtendedFormulation(ef.lifted, witnesses, ef.target)
+
+
+NOT_IN_LIFT = "witness for vertex 3 is not in the lifted polyhedron"
+
+
+@pytest.mark.parametrize(
+    "n, witness, message",
+    [
+        # build_ef_2d(9) has no equation; in build_ef_2d(10) the witness
+        # (3, 9, 3, 9) moves to (5/2, 7), inside every inequality but off
+        # the equation z2 - z1 = 6
+        (10, (3, 9, Fraction(5, 2), 7), NOT_IN_LIFT),
+        (9, (3, 9, 1), NOT_IN_LIFT),  # breaks -(x1 - 5) <= z only
+        (9, (3, 9), NOT_IN_LIFT),
+        (9, (3, 9, 2, 0), NOT_IN_LIFT),
+        (9, (3, 10, 2), "witness for vertex 3 does not project to it"),
+        (9, None, "no witness for vertex 3"),
+    ],
+    ids=["equation", "inequality", "short", "long", "projection", "missing"],
+)
+def test_factorization_from_ef_witness_checks(n, witness, message):
+    ef = build_ef_2d(n)
+    with pytest.raises(DomainError, match=message):
+        factorization_from_ef(ef.target, _with_witness(ef, 3, witness))
+
+
+def test_witness_check_cases_break_one_thing():
+    lift = build_ef_2d(10).lifted
+    assert lift.equation_residuals((3, 9, Fraction(5, 2), 7)) != (0,)
+    assert min(lift.inequality_slacks((3, 9, Fraction(5, 2), 7))) >= 0
+    lift = build_ef_2d(9).lifted
+    assert [s < 0 for s in lift.inequality_slacks((3, 9, 1))] == [True] + [False] * 6
+    assert lift.contains((3, 10, 2))
+
+
+@pytest.mark.parametrize("n", [9, 10, 33])
+def test_factorization_from_ef_computes_each_witness_slacks_once(monkeypatch, n):
+    calls = []
+    original = Polyhedron.inequality_slacks
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(Polyhedron, "inequality_slacks", counting)
+    factorization_from_ef(CyclicPolytope.standard(2, n), build_ef_2d(n))
+    assert len(calls) == n
+
+
 def test_factorization_from_ef_rejects_loose_lift():
     # widen one inequality: the lift strictly contains the polytope, so some
     # facet maximization overshoots its boundary

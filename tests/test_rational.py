@@ -23,12 +23,30 @@ def test_parse():
     assert isinstance(parse_rational("4/2"), int)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("6", 6), ("-0", 0), ("007", 7), ("4/2", 2), ("1/3", Fraction(1, 3))],
+)
+def test_parse_types(text, value):
+    parsed = parse_rational(text)
+    assert (type(parsed), parsed) == (type(value), value)
+
+
 def test_round_trip():
     for x in (0, 5, -3, Fraction(22, 7), Fraction(-1, 1000)):
         assert parse_rational(format_rational(x)) == x
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5", "2 /3"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "x", "1/0", "1/2/3", "1.5", "2 /3",
+        "+5", "1_000", "0x10", "5/-2", "5/03",
+        # beyond Python's default limit of 4300 digits for int(str)
+        pytest.param("1" * 5000, id="5000 digits"),
+        pytest.param("1/" + "1" * 5000, id="1/5000 digits"),
+    ],
+)
 def test_parse_rejects(bad):
     with pytest.raises(DomainError):
         parse_rational(bad)
