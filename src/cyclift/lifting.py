@@ -68,14 +68,20 @@ class Polyhedron:
             for coeffs, rhs in self.inequalities
         )
 
-    def contains(self, point) -> bool:
+    def member_slacks(self, point):
+        """inequality_slacks(point) for a point of the polyhedron, None for
+        a point outside it."""
         if len(point) != self.nvars:
             raise DomainError(
                 f"expected a point of length {self.nvars}, got {len(point)}"
             )
-        return all(r == 0 for r in self.equation_residuals(point)) and all(
-            s >= 0 for s in self.inequality_slacks(point)
-        )
+        if any(r != 0 for r in self.equation_residuals(point)):
+            return None
+        slacks = self.inequality_slacks(point)
+        return None if any(s < 0 for s in slacks) else slacks
+
+    def contains(self, point) -> bool:
+        return self.member_slacks(point) is not None
 
 
 @dataclass(frozen=True)
@@ -298,7 +304,8 @@ def factorization_from_ef(
 ) -> NonnegFactorization:
     """Rank-size(ef) factorization of P's slack matrix out of a lift of P.
 
-    alpha_i is the witness's slack vector in the lifted inequalities. Each
+    alpha_i is the witness's slack vector in the lifted inequalities,
+    computed once by the check that the witness lies in the lift. Each
     facet's inequality is maximized exactly over the lifted polyhedron; the
     optimum must come out at b_j (tightness: the lift really projects onto
     P), and the inequality duals of that solve are beta_j. On the lifted
@@ -317,11 +324,8 @@ def factorization_from_ef(
         if i not in ef.witnesses:
             raise DomainError(f"no witness for vertex {i}")
         w = ef.witnesses[i]
-        # lifted.contains(w), keeping the slacks it computes as alpha_i
-        slacks = None
-        if len(w) == lifted.nvars and all(r == 0 for r in lifted.equation_residuals(w)):
-            slacks = lifted.inequality_slacks(w)
-        if slacks is None or any(s < 0 for s in slacks):
+        slacks = lifted.member_slacks(w) if len(w) == lifted.nvars else None
+        if slacks is None:
             raise DomainError(f"witness for vertex {i} is not in the lifted polyhedron")
         if tuple(w[: P.d]) != vertex(P, i):
             raise DomainError(f"witness for vertex {i} does not project to it")
