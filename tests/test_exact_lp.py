@@ -268,6 +268,41 @@ def test_random_rational_lps_certify(system, data):
         assert certify(lp, again)
 
 
+class FractionKeySolver(ReoptimizingSolver):
+    """The ratio test as the key (Fraction(rhs, entry), basis var), the
+    reference for the solver's integer cross-multiplication."""
+
+    def _simplex(self):
+        rows, basis, rhs = self._rows, self._basis, self._rhs
+        while True:
+            obj = self._obj
+            pc = next((j for j in range(self._track0) if obj[j] < 0), None)
+            if pc is None:
+                return OPTIMAL
+            keys = [
+                ((Fraction(row[rhs], row[pc]), basis[i]), i)
+                for i, row in enumerate(rows)
+                if row[pc] > 0
+            ]
+            if not keys:
+                return UNBOUNDED
+            self._pivot(min(keys)[1], pc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(), st.data())
+def test_ratio_test_matches_fraction_key(system, data):
+    """Same leaving row on every pivot, ties included: the systems are
+    often degenerate (inequalities tight at the start), so ratios tie."""
+    nvars, eqs, ineqs, x0 = system
+    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+    reference = FractionKeySolver(nvars, eqs, ineqs, x0)
+    vec = st.lists(rationals, min_size=nvars, max_size=nvars)
+    for objective in data.draw(st.lists(vec, min_size=1, max_size=4)):
+        assert solver.maximize(objective) == reference.maximize(objective)
+        assert solver._basis == reference._basis
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(-6, 3),
