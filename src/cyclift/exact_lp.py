@@ -7,15 +7,16 @@ row by the pivot entry and updates it only at the pivot row's nonzero
 columns, then divides out the gcd. The ratio test compares integers by
 cross-multiplication. Each entry of a result (primal point, objective
 value, nonzero duals) is built once, as one Fraction of two integers, and
-the zero duals share one Fraction(0). Every solve starts at a point the caller knows to be feasible (every lift here comes
-with a witness above each vertex), so there is no phase 1 and no
-infeasible status. The objective is one more integer row over its own
-denominator: each solve prices out the basic columns with the same row
-update a pivot applies, and every pivot keeps it current. Bland's
-smallest-index rule takes the first negative entry of that row (so
-degenerate instances terminate), and at the optimum the row's rhs entry is
-the objective value and its slack and tracker entries are the inequality
-and equation duals. No tolerances anywhere; every comparison is exact.
+the zero duals share one Fraction(0). Every solve starts at a point the
+caller knows to be feasible (every lift here comes with a witness above
+each vertex), so there is no phase 1 and no infeasible status. The
+objective is one more integer row over its own denominator: each solve
+prices out the basic columns with the same row update a pivot applies,
+and every pivot keeps it current. Bland's smallest-index rule takes the
+first negative entry of that row (so degenerate instances terminate), and
+at the optimum the row's rhs entry is the objective value and its slack
+and tracker entries are the inequality and equation duals. No tolerances
+anywhere; every comparison is exact.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. For a maximization the certificate
@@ -278,13 +279,9 @@ class ReoptimizingSolver:
                 x[j] = Fraction(t * sden + shift[j] * rden, rden * sden)
         at_shift = sum(c * z for c, z in zip(objective, shift) if c)
         value = Fraction(obj[rhs] * cden * sden + at_shift * den, den * cden * sden)
-        return LPResult(
-            OPTIMAL,
-            value,
-            tuple(x),
-            tuple(Fraction(v, den) if v else _ZERO for v in obj[self._slack0 : self._track0]),
-            tuple(Fraction(v, den) if v else _ZERO for v in obj[self._track0 : rhs]),
-        )
+        duals = tuple(Fraction(v, den) if v else _ZERO for v in obj[self._slack0 : rhs])
+        k = self._track0 - self._slack0
+        return LPResult(OPTIMAL, value, tuple(x), duals[:k], duals[k:])
 
 
 def solve(lp: LinearProgram, feasible_point) -> LPResult:
