@@ -98,6 +98,17 @@ CASES = {
         (0, "fb1fb696ddd694b6fffc45dbe19885308e7acbe0ce488910bcb8702149a6d6fb"),
     ("minimize-poly", "--coeffs", "3,1,-2,4,1", "--n", "48"):
         (0, "36c50a253b97fb08ba645088f59239fbbd45de27a80570388c4380a6b8d2bcdf"),
+    # minimize-poly where the trivial factorization wins (n below the
+    # construction rank): the minpoly_mix shapes at d = 4, 5, 6, and a
+    # degree-8 polynomial on 30 points (17250 facets)
+    ("minimize-poly", "--coeffs", "4,-9,5,-8,1", "--n", "37"):
+        (0, "e91adc5c0003863a5373ae3dfb763847b589f2ecce78b633197438af572a97a0"),
+    ("minimize-poly", "--coeffs", "5,-4,0,9,-6,1", "--n", "24"):
+        (0, "580aedb5a6bef5ef31a52ec878a311efb07e1bb8a27b78d076a1d9cdaf4f0c84"),
+    ("minimize-poly", "--coeffs=-5,8,1,-7,2,9,-3", "--n", "17"):
+        (0, "9b48c7d0d6d4c9788c49a54924abfc02a2da0e0691dc50993578633dcf750018"),
+    ("minimize-poly", "--coeffs", "1,0,0,0,0,0,0,0,1", "--n", "30"):
+        (0, "9a357b854c38c6e31c17e0a7fe4d2a90fce5bf8e3c9978ec7314f4d5aad7867c"),
 }
 
 # factorize --n 17 --d 2 --out FILE, then verify FILE
