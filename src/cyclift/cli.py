@@ -25,6 +25,7 @@ from .factorization import (
     factorize,
     rank_bound,
     size_bound_2d,
+    trivial_wins,
     verify,
 )
 from .geometry import (
@@ -41,6 +42,7 @@ from .lifting import (
     ef_from_factorization,
     ef_to_json_dict,
     ef_to_text,
+    hull_ef,
 )
 from .rational import format_rational, parse_rational
 
@@ -189,6 +191,8 @@ def _emit_comparison_table(d: int) -> None:
 
 
 def cmd_ef(args) -> int:
+    if args.check < 0:
+        raise DomainError(f"--check needs K >= 0, got {args.check}")
     report = RunReport({"n": args.n, "d": args.d})
     with report.stage("construct"):
         ef = _construct_ef(args.n, args.d)
@@ -301,7 +305,12 @@ def cmd_minimize_poly(args) -> int:
         best = min(values.values())
         argmin = [t for t in range(1, n + 1) if values[t] == best]
     with report.stage("build lift"):
-        ef = _construct_ef(n, d)
+        # the LP reads only the projection, and where the trivial
+        # factorization wins its lift is the convex hull of the vertices
+        if trivial_wins(n, d):
+            ef = hull_ef(CyclicPolytope.standard(d, n))
+        else:
+            ef = _construct_ef(n, d)
     with report.stage("lifted LP"):
         optimizer = EfOptimizer(ef)
         lp_value, _ = optimizer.minimize(coeffs[1:])

@@ -80,6 +80,13 @@ def construction_rank(n: int, d: int) -> int:
     return 2 * _size_2d(n - 1) ** (d // 2)
 
 
+def trivial_wins(n: int, d: int) -> bool:
+    """Whether the trivial rank-n factorization is strictly smaller than the
+    recursive construction, so that factorize(n, d) returns it. Never true
+    at d = 2."""
+    return n < construction_rank(n, d)
+
+
 def even_rank_bound(n: int, d: int) -> int:
     """For even d the factor 2 is not needed: (2*floor(log2(n-1)) + 2)**(d//2)."""
     if d % 2:
@@ -387,8 +394,8 @@ def factorize(n: int, d: int) -> NonnegFactorization:
 
     Dispatches on the parity of d. The constructed rank can exceed n at
     desk scale; the trivial rank-n factorization is returned whenever it is
-    strictly smaller, decided from construction_rank before anything
-    structured is built. factorize_2d, factorize_even and factorize_odd
+    strictly smaller (trivial_wins), decided from construction_rank before
+    anything structured is built. factorize_2d, factorize_even and factorize_odd
     build the recursive construction unconditionally.
 
     The result is not verified here: verify(slack_matrix(P), F) is the
@@ -398,7 +405,7 @@ def factorize(n: int, d: int) -> NonnegFactorization:
         raise DomainError(f"dimension must be at least 2, got {d}")
     if n <= d:
         raise DomainError(f"need n > d, got n={n}, d={d}")
-    if n < construction_rank(n, d):
+    if trivial_wins(n, d):
         return trivial_factorization(slack_matrix(CyclicPolytope.standard(d, n)))
     if d == 2:
         return factorize_2d(n)

@@ -12,6 +12,9 @@ nonnegative slack-matrix factorizations are here as well:
 ef_from_factorization (rank-r factorization -> size-r lift) and
 factorization_from_ef (size-f lift -> rank-f factorization, with the
 beta vectors obtained as exact LP duals of the per-facet maximization).
+hull_ef builds the convex-hull lift directly, with no facet enumerated; it
+stands in for the lift of the trivial factorization where only the
+projection matters.
 A lift with a coordinate projection and a slack-matrix factorization are the
 same object (Yannakakis's factorization theorem), so no other kind of
 projection is needed.
@@ -188,6 +191,19 @@ def build_ef_2d(n: int) -> ExtendedFormulation:
     return ExtendedFormulation(lifted, wits, CyclicPolytope.standard(2, n))
 
 
+def _unit(k: int, r: int, value=1) -> tuple:
+    return tuple(value if j == k else 0 for j in range(r))
+
+
+def _xy_system(d: int, r: int):
+    """Variables x1..xd, y1..yr and the inequalities y >= 0."""
+    variables = tuple(f"x{k}" for k in range(1, d + 1)) + tuple(
+        f"y{t}" for t in range(1, r + 1)
+    )
+    ineqs = tuple(((0,) * d + _unit(t, r, -1), 0) for t in range(r))
+    return variables, ineqs
+
+
 def ef_from_factorization(
     P: CyclicPolytope, F: NonnegFactorization
 ) -> ExtendedFormulation:
@@ -197,19 +213,34 @@ def ef_from_factorization(
     M = slack_matrix(P)
     if not verify(M, F).ok:
         raise DomainError("factorization does not verify against the slack matrix")
-    d, r = P.d, F.rank
-    variables = tuple(f"x{k}" for k in range(1, d + 1)) + tuple(
-        f"y{t}" for t in range(1, r + 1)
-    )
-    zeros_x = (0,) * d
-    ineqs = tuple(
-        (zeros_x + tuple(-1 if k == t else 0 for k in range(r)), 0) for t in range(r)
-    )
-    eqs = []
-    for f, beta in zip(M.inequalities, F.beta):
-        eqs.append((f.a + tuple(beta), f.b))
+    variables, ineqs = _xy_system(P.d, F.rank)
+    eqs = tuple((f.a + tuple(beta), f.b) for f, beta in zip(M.inequalities, F.beta))
     wits = {i: vertex(P, i) + tuple(F.alpha[i - P.interval.t1]) for i in P.interval.indices()}
-    return ExtendedFormulation(Polyhedron(variables, tuple(eqs), ineqs), wits, P)
+    return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P)
+
+
+def hull_ef(P: CyclicPolytope) -> ExtendedFormulation:
+    """The convex-hull lift of P, built with no facet: variables (x, y) with
+    one y per vertex, inequalities y >= 0, and the d + 1 equations
+    sum_i y_i = 1 and x_k - sum_i i^k y_i = 0 (k = 1..d); above vertex i
+    the witness is (v_i, e_i).
+
+    Where factorize(n, d) is trivial and n >= d + 2, its alpha rows are the
+    unit vectors, so ef_from_factorization gives this lift up to the
+    equations: the same variables, inequalities and witnesses, and facet
+    equations that span the same rows as these d + 1. At n = d + 1 the
+    trivial alpha rows are the slack rows, a different lift of P.
+    """
+    d, indices = P.d, P.interval.indices()
+    n = len(indices)
+    variables, ineqs = _xy_system(d, n)
+    convexity = ((0,) * d + (1,) * n, 1)
+    moments = tuple(
+        (_unit(k - 1, d) + tuple(-(i**k) for i in indices), 0) for k in range(1, d + 1)
+    )
+    eqs = (convexity,) + moments
+    wits = {i: vertex(P, i) + _unit(r, n) for r, i in enumerate(indices)}
+    return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P)
 
 
 def independent_equations(equations) -> tuple:

@@ -9,6 +9,7 @@ import pytest
 import cyclift
 import cyclift.cli
 import cyclift.factorization
+import cyclift.geometry
 import cyclift.lifting
 from cyclift.cli import main
 from cyclift.geometry import SlackMatrix
@@ -168,17 +169,21 @@ def test_factorize_report_table(capsys):
     assert "even-dimension bound: 64" in err
 
 
-def _count_verify(monkeypatch):
-    """Wrap verify where the command line and the lifts call it."""
-    calls = []
-    original = cyclift.factorization.verify
+def _count_calls(monkeypatch, names):
+    """Wrap each named function in every cyclift module that binds it;
+    returns {name: number of calls}."""
+    calls = dict.fromkeys(names, 0)
+    modules = (cyclift.geometry, cyclift.factorization, cyclift.lifting, cyclift.cli)
+    for name in names:
+        original = getattr(cyclift, name)
 
-    def counting(M, F):
-        calls.append(M.polytope)
-        return original(M, F)
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    for module in (cyclift.cli, cyclift.lifting):
-        monkeypatch.setattr(module, "verify", counting)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -192,22 +197,40 @@ def _count_verify(monkeypatch):
         ("factorize", "--n", "9", "--d", "5"),
         ("factorize", "--n", "10", "--d", "6"),
         ("ef", "--n", "9", "--d", "3"),
-        ("minimize-poly", "--coeffs", "5,-7,0,1", "--n", "9"),
+        # structured (rank 20 < 27); on the trivial route minimize-poly
+        # builds the convex-hull lift and verifies nothing
+        ("minimize-poly", "--coeffs", "5,-7,0,1", "--n", "27"),
     ],
     ids=" ".join,
 )
 def test_each_command_verifies_once(capsys, monkeypatch, argv):
-    calls = _count_verify(monkeypatch)
+    calls = _count_calls(monkeypatch, ("verify",))
     assert run(capsys, *argv)[0] == 0
-    assert len(calls) == 1
+    assert calls == {"verify": 1}
 
 
 def test_verify_command_verifies_once(capsys, monkeypatch, tmp_path):
     path = tmp_path / "f.json"
     run(capsys, "factorize", "--n", "17", "--d", "2", "--out", str(path))
-    calls = _count_verify(monkeypatch)
+    calls = _count_calls(monkeypatch, ("verify",))
     assert run(capsys, "verify", str(path))[0] == 0
-    assert len(calls) == 1
+    assert calls == {"verify": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minimize-poly", "--coeffs", "4,-9,5,-8,1", "--n", "37"),
+        ("minimize-poly", "--coeffs=-5,8,1,-7,2,9,-3", "--n", "17"),
+    ],
+    ids=" ".join,
+)
+def test_trivial_route_minimize_poly_builds_no_facets(capsys, monkeypatch, argv):
+    names = ("enumerate_facets", "slack_matrix", "factorize", "verify")
+    calls = _count_calls(monkeypatch, names)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["match"] is True
+    assert calls == dict.fromkeys(names, 0)
 
 
 def _count_slack_entries(monkeypatch):
@@ -282,6 +305,14 @@ def test_ef_check_passes(capsys):
     rc, _, err = run(capsys, "ef", "--n", "33", "--d", "2", "--check", "5", "--seed", "3")
     assert rc == 0
     assert err.count("ok") >= 5 and "MISMATCH" not in err
+
+
+def test_ef_negative_check_is_refused_before_building(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, ("enumerate_facets", "factorize"))
+    rc, out, err = run(capsys, "ef", "--n", "9", "--d", "3", "--check", "-3")
+    assert rc == 2 and out == ""
+    assert "--check" in err and "verification" not in err
+    assert calls == {"enumerate_facets": 0, "factorize": 0}
 
 
 def test_ef_higher_dimension(capsys):

@@ -22,6 +22,7 @@ from cyclift.factorization import (
     rank_bound,
     size_bound_2d,
     trivial_factorization,
+    trivial_wins,
     verify,
 )
 from cyclift.geometry import (
@@ -58,6 +59,15 @@ def test_construction_rank_matches_builds():
         assert factorize_even(n, q).rank == construction_rank(n, 2 * q)
     for n, q in ((5, 1), (9, 2), (12, 1)):
         assert factorize_odd(n, q).rank == construction_rank(n, 2 * q + 1)
+
+
+def test_trivial_wins_switch_points():
+    # a tie goes to the construction, which never loses at d = 2
+    assert not any(trivial_wins(n, 2) for n in range(3, 4098))
+    assert [n for n in range(4, 60) if not trivial_wins(n, 3)] == list(range(16, 60))
+    assert trivial_wins(255, 4) and not trivial_wins(256, 4)  # rank 16**2
+    for n, d in ((10, 3), (20, 4), (17, 6)):
+        assert trivial_wins(n, d) and factorize(n, d).rank == n
 
 
 # ------------------------------------------------------------------ verify

@@ -8,8 +8,22 @@ from hypothesis import strategies as st
 
 from cyclift.errors import DomainError, InternalError
 from cyclift.exact_lp import MAX, MIN, OPTIMAL, LinearProgram, ReoptimizingSolver, certify, solve
-from cyclift.factorization import factorize, factorize_2d, size_bound_2d, trivial_factorization, verify
-from cyclift.geometry import CyclicPolytope, enumerate_facets, facet_inequality, slack_matrix, vertex
+from cyclift.factorization import (
+    factorize,
+    factorize_2d,
+    size_bound_2d,
+    trivial_factorization,
+    trivial_wins,
+    verify,
+)
+from cyclift.geometry import (
+    CyclicPolytope,
+    Interval,
+    enumerate_facets,
+    facet_inequality,
+    slack_matrix,
+    vertex,
+)
 from cyclift.lifting import (
     EfOptimizer,
     ExtendedFormulation,
@@ -19,11 +33,12 @@ from cyclift.lifting import (
     ef_to_json_dict,
     ef_to_text,
     factorization_from_ef,
+    hull_ef,
     independent_equations,
     lift_objective,
 )
 
-from oracles import consistent, independent_rows, vertex_maximum
+from oracles import _rank, consistent, independent_rows, vertex_maximum
 
 
 def size_oracle(n):
@@ -161,6 +176,54 @@ def test_lift_optima_match_vertex_scan_and_certify(query):
         assert res.value == vertex_maximum(objective, d, 1, n)
     else:
         assert res.value == -vertex_maximum([-c for c in objective], d, 1, n)
+    lifted = ef.lifted
+    lp = LinearProgram(sense, lift_objective(ef, objective), lifted.equations, lifted.inequalities)
+    assert certify(lp, res)
+
+
+# ------------------------------------------------------ convex-hull lift
+
+TRIVIAL_ROUTE = [(d, n) for d in range(3, 7) for n in range(d + 2, 18) if trivial_wins(n, d)]
+
+
+def _equation_rows(ef):
+    return [tuple(coeffs) + (rhs,) for coeffs, rhs in ef.lifted.equations]
+
+
+@pytest.mark.parametrize("d, n", TRIVIAL_ROUTE)
+def test_hull_ef_is_the_trivial_factorization_lift(d, n):
+    P = CyclicPolytope.standard(d, n)
+    hull = hull_ef(P)
+    ef = ef_from_factorization(P, factorize(n, d))
+    assert hull.lifted.variables == ef.lifted.variables
+    assert hull.lifted.inequalities == ef.lifted.inequalities
+    assert hull.witnesses == ef.witnesses
+    ours, theirs = _equation_rows(hull), _equation_rows(ef)
+    assert len(ours) == d + 1
+    assert _rank(ours) == _rank(theirs) == _rank(ours + theirs) == d + 1
+
+
+@st.composite
+def hull_queries(draw):
+    d = draw(st.integers(3, 6))
+    t1 = draw(st.integers(-6, 6))
+    interval = Interval(t1, t1 + draw(st.integers(d, d + 8)))
+    objective = tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+    return CyclicPolytope(d, interval), objective, draw(st.sampled_from((MAX, MIN)))
+
+
+@settings(deadline=None)
+@given(hull_queries())
+def test_hull_ef_optima_match_vertex_scan_and_certify(query):
+    P, objective, sense = query
+    ef = hull_ef(P)
+    t1, t2 = P.interval.t1, P.interval.t2
+    res = EfOptimizer(ef).solve(objective, sense)
+    assert res.status == OPTIMAL
+    if sense == MAX:
+        assert res.value == vertex_maximum(objective, P.d, t1, t2)
+    else:
+        assert res.value == -vertex_maximum([-c for c in objective], P.d, t1, t2)
     lifted = ef.lifted
     lp = LinearProgram(sense, lift_objective(ef, objective), lifted.equations, lifted.inequalities)
     assert certify(lp, res)
