@@ -395,8 +395,8 @@ def factorize(n: int, d: int) -> NonnegFactorization:
     Dispatches on the parity of d. The constructed rank can exceed n at
     desk scale; the trivial rank-n factorization is returned whenever it is
     strictly smaller (trivial_wins), decided from construction_rank before
-    anything structured is built. factorize_2d, factorize_even and factorize_odd
-    build the recursive construction unconditionally.
+    anything structured is built. factorize_2d, factorize_even and
+    factorize_odd build the recursive construction unconditionally.
 
     The result is not verified here: verify(slack_matrix(P), F) is the
     check, and the command line and ef_from_factorization run it.
