@@ -23,7 +23,7 @@ from cyclift.exact_lp import (
 )
 from cyclift.geometry import CyclicPolytope, Interval, enumerate_facets, facet_inequality, vertex
 
-from oracles import vertex_maximum
+from oracles import TrackerSolver, vertex_maximum
 
 
 def facet_system(d, t1, t2):
@@ -232,12 +232,17 @@ def _dot(coeffs, x):
 def feasible_systems(draw):
     """(nvars, equations, inequalities, x0): rational rows with
     denominators 1..6 and mixed signs, all satisfied by the point x0, with
-    inequalities tight or slack at x0; sometimes boxed so that more
-    objectives are bounded."""
+    inequalities tight or slack at x0; sometimes with one more equation
+    that combines the others, which the solver drops as dependent, and
+    sometimes boxed so that more objectives are bounded."""
     nvars = draw(st.integers(1, 3))
     vec = st.lists(rationals, min_size=nvars, max_size=nvars).map(tuple)
     x0 = draw(vec)
     eqs = [(c, _dot(c, x0)) for c in draw(st.lists(vec, max_size=2))]
+    if eqs and draw(st.booleans()):
+        weights = draw(st.lists(rationals, min_size=len(eqs), max_size=len(eqs)))
+        c = tuple(_dot(weights, col) for col in zip(*(e for e, _ in eqs)))
+        eqs.append((c, _dot(c, x0)))
     slack = st.just(Fraction(0)) | rationals.map(abs)
     ineqs = [(c, _dot(c, x0) + draw(slack)) for c in draw(st.lists(vec, min_size=1, max_size=5))]
     if draw(st.booleans()):
@@ -266,6 +271,34 @@ def test_random_rational_lps_certify(system, data):
         again = solve(lp, res.primal)
         assert again.value == res.value
         assert certify(lp, again)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(), st.data())
+def test_solver_matches_tracker_layout(system, data):
+    """Warm solves give the same results, entry types included, and leave
+    the same basis labels as the reference layout (oracles.TrackerSolver)
+    after every solve: the same pivots and the same equation duals."""
+    nvars, eqs, ineqs, x0 = system
+    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+    reference = TrackerSolver(nvars, eqs, ineqs, x0)
+    assert solver._basis == reference._basis
+    query = st.tuples(
+        st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
+    )
+    for objective, sense in data.draw(st.lists(query, min_size=1, max_size=4)):
+        if sense == MAX:
+            res, ref = solver.maximize(objective), reference.maximize(objective)
+        else:
+            res, ref = solver.minimize(objective), reference.minimize(objective)
+        assert res == ref
+        if res.status == OPTIMAL:
+            for vec, ref_vec in zip(
+                (res.primal, res.dual_ineq, res.dual_eq),
+                (ref.primal, ref.dual_ineq, ref.dual_eq),
+            ):
+                assert list(map(type, vec)) == list(map(type, ref_vec))
+        assert solver._basis == reference._basis
 
 
 class FractionKeySolver(ReoptimizingSolver):

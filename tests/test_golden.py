@@ -14,7 +14,10 @@ from fractions import Fraction
 import pytest
 
 from cyclift.cli import main
-from cyclift.factorization import factorize_2d
+from cyclift.factorization import factorize, factorize_2d
+from cyclift.geometry import CyclicPolytope
+from cyclift.lifting import EfOptimizer, ef_from_factorization, hull_ef
+from cyclift.rational import format_rational
 
 CASES = {
     ("facets", "--n", "7", "--d", "3"):
@@ -135,6 +138,19 @@ FACTORIZE_2D_SWEEP = (
     "75c69873f786f4e7c11dd6efc04857d2bab1fac0aac5aaaeee3fc9a6b9854332",
 )
 
+# (d, n, lift, objectives): one warm EfOptimizer per lift maximizes and then
+# minimizes each objective in turn, and every result is hashed in full
+# (status, value, primal point, inequality duals and the duals of every
+# lifted equation, each by format_rational), one line per solve. The duals
+# depend on which optimal basis Bland's rule reaches. The lifts are the
+# degree-3 lift of the lift_queries benchmark workload under (2 t0, -1, 0)
+# for t0 = 1..65, and the convex-hull lift of minimize-poly's trivial route.
+EF_SOLVE_CASES = (
+    (3, 65, "factorization", [(2 * t0, -1, 0) for t0 in range(1, 66)]),
+    (4, 37, "hull", [(-9, 5, -8, 1)]),
+)
+EF_SOLVE_DIGEST = "aaec61a972cb4f92afd145cbc5e7ba77096c9e90d1c62b5055404ea18d468ccc"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -176,3 +192,23 @@ def test_factorize_2d_sweep_digest():
         h.update(json.dumps(factorize_2d(n).to_json_dict(), sort_keys=True).encode())
         h.update(b"\n")
     assert h.hexdigest() == digest
+
+
+def _render_result(res) -> str:
+    parts = [res.status, format_rational(res.value)]
+    for vec in (res.primal, res.dual_ineq, res.dual_eq):
+        parts.append(",".join(map(format_rational, vec)))
+    return " ".join(parts)
+
+
+def test_ef_solve_digest():
+    h = hashlib.sha256()
+    for d, n, lift, objectives in EF_SOLVE_CASES:
+        P = CyclicPolytope.standard(d, n)
+        ef = ef_from_factorization(P, factorize(n, d)) if lift == "factorization" else hull_ef(P)
+        optimizer = EfOptimizer(ef)
+        for objective in objectives:
+            for sense in ("max", "min"):
+                h.update(_render_result(optimizer.solve(objective, sense)).encode())
+                h.update(b"\n")
+    assert h.hexdigest() == EF_SOLVE_DIGEST
