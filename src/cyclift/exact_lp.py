@@ -15,8 +15,16 @@ prices out the basic columns with the same row update a pivot applies,
 and every pivot keeps it current. Bland's smallest-index rule takes the
 first negative entry of that row (so degenerate instances terminate), and
 at the optimum the row's rhs entry is the objective value and its slack
-and tracker entries are the inequality and equation duals. No tolerances
-anywhere; every comparison is exact.
+entries are the inequality duals. No tolerances anywhere; every
+comparison is exact.
+
+Stored columns. A row holds one column per variable, one slack per
+inequality and the rhs. Each free variable is x_j = shift_j + u_j - w_j,
+and w_j's column, always the negative of u_j's, is not stored: basis
+labels number u_j as j, w_j as nvars + j and slack k as 2 * nvars + k, and
+Bland's rule scans them in that order. Equation rows have no column of
+their own; their duals are solved from stationarity at the optimum, through
+the inverse of the kept equations' pivot block (see ReoptimizingSolver).
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. For a maximization the certificate
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 from .rational import scaled_ints
@@ -105,6 +113,39 @@ def _eliminate(row, den, f, p, support):
     return row, den
 
 
+def _pivot_rows(rows, dens, pi, col, sign=1):
+    """Pivot on row pi at the column that stores sign * rows[.][col]: the
+    pivot row is divided by its content and signed so that its entry there
+    is positive, which becomes its den (the basic column reads 1), and the
+    column is cleared from every other row. Returns (that entry, the pivot
+    row's nonzero (column, value) pairs)."""
+    prow = rows[pi]
+    g = gcd(*prow)
+    if sign * prow[col] < 0:
+        g = -g
+    if g != 1:
+        prow = rows[pi] = [x // g for x in prow]
+    p = dens[pi] = sign * prow[col]
+    support = [(j, v) for j, v in enumerate(prow) if v]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != pi:
+            rows[i], dens[i] = _eliminate(row, dens[i], sign * f, p, support)
+    return p, support
+
+
+def _inverse(m):
+    """(rows, dens) with rows[i] / dens[i] row i of the inverse of the
+    square integer matrix m, by Gauss-Jordan on [m | I] with no row
+    exchange: every leading principal minor of m must be nonzero."""
+    k = len(m)
+    rows = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(m)]
+    dens = [1] * k
+    for c in range(k):
+        _pivot_rows(rows, dens, c, c)
+    return [r[k:] for r in rows], dens
+
+
 class ReoptimizingSolver:
     """Simplex over a fixed constraint system, reusable across objectives.
 
@@ -115,7 +156,24 @@ class ReoptimizingSolver:
     basic value; a row with none is a combination of the rows before it and
     is dropped. The starting basis is therefore feasible, with no phase 1.
     Each maximize writes its objective as a row priced against the current
-    basis and reads the value and the duals from that row at the optimum.
+    basis and reads the value and the inequality duals from that row at the
+    optimum.
+
+    Each free variable is split as x_j = shift_j + u_j - w_j with
+    u_j, w_j >= 0, but only u_j is stored: w_j's column is always the
+    negative of u_j's. A row holds nvars + (inequality count) + 1 integers:
+    u, one slack per inequality, and the rhs. Basis labels number the
+    virtual columns: u_j is j, w_j is nvars + j and slack k is
+    2 * nvars + k; a row basic in w_j holds -den at column u_j. Bland's
+    rule scans the labels in that order.
+
+    The equation duals mu are not tracked through the pivots. At an
+    optimum every u_j has reduced cost 0, so E_K^T mu = c - G^T beta for
+    the kept equation rows E_K, the inequality rows G and the inequality
+    duals beta. On the columns J the kept equations were pivoted on,
+    M = E_K[:, J] is invertible, and mu = (M^-1)^T (c - G^T beta)_J, with
+    M^-1 computed once when the solver is built. A dropped equation's
+    dual is 0.
     """
 
     def __init__(self, nvars, equations, inequalities, feasible_point):
@@ -127,92 +185,131 @@ class ReoptimizingSolver:
             raise DomainError("feasible point has the wrong dimension")
         self._nv = nv = nvars
         self._shift = tuple(Fraction(x) for x in feasible_point)
-        self._shift_ints, self._sden = scaled_ints(self._shift)
-        me = len(equations)
+        self._shift_ints, self._sden = shift, sden = scaled_ints(self._shift)
+        self._me = me = len(equations)
+        self._rhs = rhs_col = nv + len(inequalities)
 
-        # columns: u, w (x = u - w), one slack per inequality, one tracker
-        # per equation, rhs; a row's slack or tracker column carries its
-        # multipliers, so the duals are the objective row's entries in
-        # columns slack0 .. rhs - 1
-        self._slack0 = 2 * nv
-        self._track0 = 2 * nv + len(inequalities)
-        self._rhs = self._track0 + me
-
+        coefs = []  # (coefficient ints, den) of each row as given
         rows: list[list[int]] = []
         dens: list[int] = []
-        basis: list[int] = []
+        basis: list = []  # None: an equation row not pivoted yet
         for r_idx, (coeffs, rhs) in enumerate(equations + inequalities):
-            rhs = Fraction(rhs)
-            rhs -= sum(Fraction(c) * z for c, z in zip(coeffs, self._shift))
+            ints, den = scaled_ints(coeffs)
+            coefs.append((ints, den))
+            # the start residual rhs - <coeffs, shift>, over rd * den * sden
+            rn, rd = rhs.numerator, rhs.denominator
+            num = rn * den * sden - rd * sum(c * z for c, z in zip(ints, shift) if c)
+            row = ints + [0] * (rhs_col + 1 - nv)
+            label = None
             if r_idx < me:
-                if rhs != 0:
+                if num != 0:
                     raise DomainError("feasible point violates an equation")
-                col = self._track0 + r_idx
             else:
-                if rhs < 0:
+                if num < 0:
                     raise DomainError("feasible point violates an inequality")
-                col = self._slack0 + r_idx - me
-            ints, den = scaled_ints(coeffs + (rhs,))
-            row = [0] * (self._rhs + 1)
-            for j, c in enumerate(ints[:nv]):
-                if c:
-                    row[j] = c  # u_j
-                    row[nv + j] = -c  # w_j = negative part
-            row[col] = den
-            row[self._rhs] = ints[nv]
-            basis.append(col)
+                # the row is scaled_ints(coeffs + (residual,)), slack added
+                residual = Fraction(num, rd * den * sden)
+                row_den = lcm(den, residual.denominator)
+                if row_den != den:
+                    row = [c * (row_den // den) for c in row]
+                    den = row_den
+                k = r_idx - me
+                row[nv + k] = den
+                row[rhs_col] = residual.numerator * (den // residual.denominator)
+                label = 2 * nv + k
             rows.append(row)
             dens.append(den)
+            basis.append(label)
 
         self._rows = rows
         self._dens = dens
         self._basis = basis
-        self._obj = [0] * (self._rhs + 1)  # each maximize writes its own
+        self._obj = [0] * (rhs_col + 1)  # each maximize writes its own
         self._oden = 1
+        self._kept_eqs = []  # the index of each equation row kept
         i = 0
-        while i < len(basis) and basis[i] >= self._track0:
-            pc = next((j for j in range(self._track0) if rows[i][j]), None)
+        for r_idx in range(me):
+            pc = next((j for j in range(nv) if rows[i][j]), None)
             if pc is None:
                 del rows[i], dens[i], basis[i]
             else:
                 self._pivot(i, pc)
+                self._kept_eqs.append(r_idx)
                 i += 1
+
+        # For the equation duals: M is E_K[:, J] with each row l scaled by
+        # its den d_l to integers, so E_K[:, J]^-1 is M^-1 with column l
+        # times d_l. It is stored transposed, as (q, entry) pairs per kept
+        # equation over one common den, and G's entries in the columns J
+        # as (slack column, entry) pairs over another.
+        cols = basis[: len(self._kept_eqs)]
+        kept = [coefs[r] for r in self._kept_eqs]
+        inv, inv_dens = _inverse([[ints[j] for j in cols] for ints, _ in kept])
+        self._tden = tden = lcm(*inv_dens)
+        self._minv_t = [
+            [
+                (q, inv_row[l] * (tden // d) * d_l)
+                for q, (inv_row, d) in enumerate(zip(inv, inv_dens))
+                if inv_row[l]
+            ]
+            for l, (_, d_l) in enumerate(kept)
+        ]
+        ineq_coefs = coefs[me:]
+        self._gden = gden = lcm(*(d for _, d in ineq_coefs))
+        self._g_at_eq = [
+            (j, [(nv + k, c[j] * (gden // d)) for k, (c, d) in enumerate(ineq_coefs) if c[j]])
+            for j in cols
+        ]
 
     # -- tableau mechanics ------------------------------------------------
 
-    def _pivot(self, pi: int, pc: int) -> None:
-        rows, dens = self._rows, self._dens
-        prow = rows[pi]
-        g = gcd(*prow)
-        if prow[pc] < 0:
-            g = -g
-        if g != 1:
-            prow = rows[pi] = [x // g for x in prow]
-        p = dens[pi] = prow[pc]
-        support = [(j, v) for j, v in enumerate(prow) if v]
-        for i, row in enumerate(rows):
-            f = row[pc]
-            if f and i != pi:
-                rows[i], dens[i] = _eliminate(row, dens[i], f, p, support)
-        f = self._obj[pc]
+    def _column(self, label):
+        """(stored column, sign) of a basis label."""
+        nv = self._nv
+        if label < nv:
+            return label, 1
+        if label < 2 * nv:
+            return label - nv, -1
+        return label - nv, 1
+
+    def _pivot(self, pi: int, label: int) -> None:
+        col, sign = self._column(label)
+        p, support = _pivot_rows(self._rows, self._dens, pi, col, sign)
+        f = self._obj[col]
         if f:
-            self._obj, self._oden = _eliminate(self._obj, self._oden, f, p, support)
-        self._basis[pi] = pc
+            self._obj, self._oden = _eliminate(self._obj, self._oden, sign * f, p, support)
+        self._basis[pi] = label
+
+    def _entering(self):
+        """Bland's rule: the smallest label with a negative reduced cost, or
+        None. u_j's reduced cost is obj[j], w_j's is -obj[j]."""
+        obj, nv = self._obj, self._nv
+        for j in range(nv):
+            if obj[j] < 0:
+                return j
+        for j in range(nv):
+            if obj[j] > 0:
+                return nv + j
+        for j in range(nv, self._rhs):
+            if obj[j] < 0:
+                return nv + j
+        return None
 
     def _simplex(self) -> str:
         """Bland's rule on the objective row until optimal or unbounded."""
         rows, basis = self._rows, self._basis
         rhs = self._rhs
         while True:
-            obj = self._obj
-            pc = next((j for j in range(self._track0) if obj[j] < 0), None)
-            if pc is None:
+            label = self._entering()
+            if label is None:
                 return OPTIMAL
-            # smallest ratio row[rhs] / row[pc] over rows with row[pc] > 0,
-            # compared by cross-multiplying; ties go to the smaller basis var
+            col, sign = self._column(label)
+            # smallest ratio row[rhs] / v over rows with v = sign * row[col]
+            # > 0, compared by cross-multiplying; ties go to the smaller
+            # basis label
             best = None
             for i, row in enumerate(rows):
-                v = row[pc]
+                v = sign * row[col]
                 if v > 0:
                     if best is None:
                         best, best_v, best_rhs = i, v, row[rhs]
@@ -222,7 +319,7 @@ class ReoptimizingSolver:
                         best, best_v, best_rhs = i, v, row[rhs]
             if best is None:
                 return UNBOUNDED
-            self._pivot(best, pc)
+            self._pivot(best, label)
 
     # -- public solves ----------------------------------------------------
 
@@ -231,19 +328,15 @@ class ReoptimizingSolver:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
-        nv = self._nv
         ints, cden = scaled_ints(objective)
-        obj = [0] * (self._rhs + 1)
-        for j, c in enumerate(ints):
-            if c:
-                obj[j] = -c
-                obj[nv + j] = c
+        obj = [-c for c in ints] + [0] * (self._rhs + 1 - self._nv)
         den = cden
         for row, p, b in zip(self._rows, self._dens, self._basis):
-            f = obj[b]
+            col, sign = self._column(b)
+            f = obj[col]
             if f:
                 support = [(j, v) for j, v in enumerate(row) if v]
-                obj, den = _eliminate(obj, den, f, p, support)
+                obj, den = _eliminate(obj, den, sign * f, p, support)
         self._obj, self._oden = obj, den
         if self._simplex() == UNBOUNDED:
             return LPResult(UNBOUNDED)
@@ -265,9 +358,8 @@ class ReoptimizingSolver:
         """The optimal result, each entry one Fraction built from ints.
 
         objective / cden is the objective maximized. x = shift + u - w,
-        where at most one of u_j and w_j is basic (their columns are
-        negatives of each other), and the value is the objective row's rhs
-        plus the objective at the shift.
+        where at most one of u_j and w_j is basic, and the value is the
+        objective row's rhs plus the objective at the shift.
         """
         nv, rhs = self._nv, self._rhs
         obj, den = self._obj, self._oden
@@ -279,9 +371,28 @@ class ReoptimizingSolver:
                 x[j] = Fraction(t * sden + shift[j] * rden, rden * sden)
         at_shift = sum(c * z for c, z in zip(objective, shift) if c)
         value = Fraction(obj[rhs] * cden * sden + at_shift * den, den * cden * sden)
-        duals = tuple(Fraction(v, den) if v else _ZERO for v in obj[self._slack0 : rhs])
-        k = self._track0 - self._slack0
-        return LPResult(OPTIMAL, value, tuple(x), duals[:k], duals[k:])
+        dual_ineq = tuple(Fraction(v, den) if v else _ZERO for v in obj[nv:rhs])
+        return LPResult(
+            OPTIMAL, value, tuple(x), dual_ineq, self._equation_duals(objective, cden)
+        )
+
+    def _equation_duals(self, objective, cden) -> tuple:
+        """mu = (M^-1)^T (c - G^T beta)_J in integers, one Fraction per
+        nonzero entry; 0 for a dropped equation. With beta_k the objective
+        row's slack entry over its den, r_q below is (c - G^T beta) at
+        column J_q over cden * oden * gden."""
+        obj, oden, gden = self._obj, self._oden, self._gden
+        r = [
+            objective[j] * oden * gden - cden * sum(obj[col] * g for col, g in gcol)
+            for j, gcol in self._g_at_eq
+        ]
+        den = self._tden * cden * oden * gden
+        duals = [_ZERO] * self._me
+        for at, pairs in zip(self._kept_eqs, self._minv_t):
+            num = sum(t * r[q] for q, t in pairs)
+            if num:
+                duals[at] = Fraction(num, den)
+        return tuple(duals)
 
 
 def solve(lp: LinearProgram, feasible_point) -> LPResult:

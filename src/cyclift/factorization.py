@@ -218,20 +218,23 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     if F.column_labels is not None and tuple(F.column_labels) != tuple(M.columns):
         raise DomainError("column labels do not match the matrix's facet order")
     bound = rank_bound(P.n, P.d)
+    # each vector cleared to integers once; a numerator has its entry's sign
+    scaled = []
     for vec in F.alpha + F.beta:
         if len(vec) != F.rank:
             raise DomainError(f"vector length {len(vec)} does not match rank {F.rank}")
-        for x in vec:
-            if x < 0:
-                return VerificationReport(False, F.rank, bound, None)
+        ints, den = scaled_ints(vec)
+        if ints and min(ints) < 0:
+            return VerificationReport(False, F.rank, bound, None)
+        scaled.append((ints, den))
+    # facet inequalities have integer a and b
     facet_rows = [
-        scaled_ints((*vec, f.b, *(-c for c in f.a)))[0]
-        for f, vec in zip(M.inequalities, F.beta)
+        bi + [f.b * db] + [-c * db for c in f.a]
+        for f, (bi, db) in zip(M.inequalities, scaled[F.n_rows :])
     ]
     basis = [row for pivot, row in reduce_rows(facet_rows) if pivot is not None]
     t1 = P.interval.t1
-    for ri, vec in enumerate(F.alpha):
-        ai, da = scaled_ints(vec)
+    for ri, (ai, da) in enumerate(scaled[: F.n_rows]):
         i = t1 + ri
         row = ai + [-da * i**k for k in range(P.d + 1)]
         if any(sum(map(mul, row, b)) for b in basis):

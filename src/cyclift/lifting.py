@@ -23,6 +23,7 @@ projection is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import DomainError, InternalError
 from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
@@ -65,10 +66,19 @@ class Polyhedron:
             for coeffs, rhs in self.equations
         )
 
+    @cached_property
+    def _inequality_terms(self):
+        """Each inequality's nonzero (column, coefficient) pairs and rhs,
+        computed on first use: lifted rows are mostly zero padding."""
+        return tuple(
+            (tuple((j, c) for j, c in enumerate(coeffs) if c), rhs)
+            for coeffs, rhs in self.inequalities
+        )
+
     def inequality_slacks(self, point):
         return tuple(
-            rhs - sum(c * x for c, x in zip(coeffs, point) if c)
-            for coeffs, rhs in self.inequalities
+            rhs - sum([c * point[j] for j, c in terms])
+            for terms, rhs in self._inequality_terms
         )
 
     def member_slacks(self, point):

@@ -301,25 +301,40 @@ def test_solver_matches_tracker_layout(system, data):
         assert solver._basis == reference._basis
 
 
+def _stored(label, nvars):
+    """(stored column, sign) of a basis label: u_j is column j, w_j is the
+    negative of column j, and slack k (label 2 * nvars + k) is column
+    nvars + k."""
+    if label < nvars:
+        return label, 1
+    if label < 2 * nvars:
+        return label - nvars, -1
+    return label - nvars, 1
+
+
 class FractionKeySolver(ReoptimizingSolver):
-    """The ratio test as the key (Fraction(rhs, entry), basis var), the
-    reference for the solver's integer cross-multiplication."""
+    """The ratio test as the key (Fraction(rhs, entry), basis label), the
+    reference for the solver's integer cross-multiplication. The entering
+    label is the first negative entry of the objective row written out over
+    every label: u_j, then w_j = -u_j, then the slacks."""
 
     def _simplex(self):
-        rows, basis, rhs = self._rows, self._basis, self._rhs
+        rows, basis, rhs, nv = self._rows, self._basis, self._rhs, self._nv
         while True:
             obj = self._obj
-            pc = next((j for j in range(self._track0) if obj[j] < 0), None)
-            if pc is None:
+            reduced = obj[:nv] + [-v for v in obj[:nv]] + obj[nv:rhs]
+            label = next((j for j, v in enumerate(reduced) if v < 0), None)
+            if label is None:
                 return OPTIMAL
+            col, sign = _stored(label, nv)
             keys = [
-                ((Fraction(row[rhs], row[pc]), basis[i]), i)
+                ((Fraction(row[rhs], sign * row[col]), basis[i]), i)
                 for i, row in enumerate(rows)
-                if row[pc] > 0
+                if sign * row[col] > 0
             ]
             if not keys:
                 return UNBOUNDED
-            self._pivot(min(keys)[1], pc)
+            self._pivot(min(keys)[1], label)
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,9 +401,9 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     """Every pivot of small degenerate programs, with equations and
     fractional coefficients, leaves each row, the objective row included,
     with a positive denominator and gcd(den, *row) == 1, and with one
-    column per variable sign, per inequality and per equation handed to the
-    solver, plus the rhs. The objective row stays priced out: it is 0 at
-    every basic column."""
+    column per variable and per inequality handed to the solver, plus the
+    rhs. The objective row stays priced out: it is 0 at every basic column
+    (an equation row not pivoted yet has none)."""
     checked = []
     priced = []
     original = ReoptimizingSolver._pivot
@@ -401,12 +416,13 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
             assert den > 0 and gcd(den, *row) == 1
             assert all(type(x) is int for x in row)
             assert len(row) == width
-        assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
+        col, sign = _stored(pc, self._nv)
+        assert sign * self._rows[pi][col] == self._dens[pi]  # basic column reads 1
         obj, oden = self._obj, self._oden
         assert oden > 0 and gcd(oden, *obj) == 1
         assert all(type(x) is int for x in obj)
         assert len(obj) == width
-        assert all(obj[b] == 0 for b in self._basis)
+        assert all(obj[_stored(b, self._nv)[0]] == 0 for b in self._basis if b is not None)
         checked.append(max(self._dens))
         priced.append(oden)
 
@@ -416,7 +432,7 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
         ((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((2, 1), 3), ((1, 2), 3),
         ((3 * h, 3 * h), 3), ((Fraction(2, 3), Fraction(1, 3)), 1),
     )
-    width = 2 * 2 + len(degenerate) + 1
+    width = 2 + len(degenerate) + 1
     for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (1, 2)):
         lp = LinearProgram(MAX, objective, inequalities=degenerate)
         res = solve(lp, (0, 0))
@@ -426,9 +442,9 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
         ((1, 1, 1), 6), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
         ((Fraction(1, 4), Fraction(1, 6), 0), 1),
     )
-    # the second equation is twice the first: its row is dropped, but the
-    # equation pivot before that already ran with its column in place
-    width = 2 * 3 + len(ineqs) + len(eqs) + 1
+    # the second equation is twice the first: its row is dropped when the
+    # start pivots reach it
+    width = 3 + len(ineqs) + 1
     lp = LinearProgram(MAX, (1, 2, 3), eqs, ineqs)
     res = solve(lp, (1, 1, 0))
     assert res.status == OPTIMAL and certify(lp, res)
