@@ -48,7 +48,6 @@ from .geometry import (
     format_linear,
     gale_pair_partition,
     is_gale,
-    slack_entry,
     slack_matrix,
     vertex,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "parse_rational",
     "rank_bound",
     "size_bound_2d",
-    "slack_entry",
     "slack_matrix",
     "solve",
     "trivial_factorization",

@@ -7,9 +7,11 @@ length r, the rank, with <alpha_i, beta_S> = M(i, S) exactly.
 Three constructions live here:
 
 - factorize_2d: for the degree-2 polytope the recursive lifted description
-  has O(log n) inequalities; its slack vectors and per-facet dual
-  multipliers (lifting.factorization_from_ef) give rank
-  <= 2*floor(log2(n-1)) + 2.
+  has O(log n) inequalities; its witness slack vectors and per-facet dual
+  multipliers give rank <= 2*floor(log2(n-1)) + 2. Each facet's
+  multipliers are composed along the lift's folds in closed form
+  (lifting.fold_factorization_2d); they are the unique LP duals that
+  lifting.factorization_from_ef would extract.
 - factorize_even (d = 2q): every facet splits into q two-element facets of
   the degree-2 polytope on the same interval, so M is an entrywise product
   of q column-rearranged copies of the degree-2 slack matrix, and
@@ -321,14 +323,16 @@ def factorize_2d(n: int) -> NonnegFactorization:
     """Degree-2 factorization with rank <= min(n, 2*floor(log2(n-1)) + 2).
 
     The recursive lifted description is built (up to n = 6 it is the facet
-    description itself) and its slack vectors and exact per-facet dual
-    multipliers are extracted (lifting.factorization_from_ef).
+    description itself); alpha holds its witness slack vectors, and each
+    facet's beta is pushed down the folds in O(log n) exact integer steps
+    with no LP solved (lifting.fold_factorization_2d). The result equals
+    lifting.factorization_from_ef on the same lift, entry for entry.
     """
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    from .lifting import build_ef_2d, factorization_from_ef
+    from .lifting import fold_factorization_2d
 
-    return factorization_from_ef(CyclicPolytope.standard(2, n), build_ef_2d(n))
+    return fold_factorization_2d(n)
 
 
 def factorize_even(n: int, q: int) -> NonnegFactorization:

@@ -223,16 +223,6 @@ def _slack_product(i: int, members: tuple[int, ...]) -> int:
     return s
 
 
-def slack_entry(P: CyclicPolytope, i: int, S) -> int:
-    """prod_{j in S} |j - i|; zero exactly when the vertex lies on the facet."""
-    if i not in P.interval:
-        raise DomainError(f"vertex index {i} outside the interval")
-    members = _members(S)
-    if not is_gale(members, P):
-        raise DomainError(f"{members} is not a facet of the polytope")
-    return _slack_product(i, members)
-
-
 @dataclass(frozen=True)
 class SlackMatrix:
     """Rows indexed by vertices (interval order), columns by facets

@@ -12,6 +12,8 @@ nonnegative slack-matrix factorizations are here as well:
 ef_from_factorization (rank-r factorization -> size-r lift) and
 factorization_from_ef (size-f lift -> rank-f factorization, with the
 beta vectors obtained as exact LP duals of the per-facet maximization).
+For build_ef_2d's lift, fold_factorization_2d composes those duals along
+the folds instead, with no LP.
 hull_ef builds the convex-hull lift directly, with no facet enumerated; it
 stands in for the lift of the trivial factorization where only the
 projection matters.
@@ -23,6 +25,7 @@ projection is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InternalError
@@ -112,6 +115,28 @@ class ExtendedFormulation:
         return self.lifted.size
 
 
+REFLECT, SHEAR = "reflect", "shear"
+
+
+def _fold(t1: int, t2: int):
+    """The halving step of the degree-2 lift on [t1, t2], or None where the
+    facet system of at most 6 points is used instead.
+
+    (REFLECT, c, (0, m)): an odd count c + [-m, m] folds at c onto [0, m].
+    (SHEAR, c, (1, k)): an even count c + [-k + 1, k] folds by t -> 1 - t
+    onto [1, k]. _build and _fold_duals both walk this one decision, so the
+    printed lift and its closed-form duals cannot disagree.
+    """
+    n = t2 - t1 + 1
+    if n <= 6:
+        return None
+    if n % 2:
+        m = (n - 1) // 2
+        return REFLECT, t1 + m, (0, m)
+    k = n // 2
+    return SHEAR, t1 + k - 1, (1, k)
+
+
 def _facet_system(t1: int, t2: int):
     P = CyclicPolytope(2, Interval(t1, t2))
     ineqs = [(f.a, f.b) for f in map(lambda S: facet_inequality(P, S), enumerate_facets(P))]
@@ -129,15 +154,14 @@ def _build(t1: int, t2: int, level: int):
     needed. Each level appends its two new inequalities ahead of the
     sub-system's.
     """
-    n = t2 - t1 + 1
-    if n <= 6:
+    fold = _fold(t1, t2)
+    if fold is None:
         return _facet_system(t1, t2)
-    if n % 2:
-        # odd count: fold [-m, m] at 0; the half interval keeps the second
-        # coordinate, so the sub-system's x2 picks up the centering terms
-        m = (n - 1) // 2
-        c = t1 + m
-        sub_vars, sub_eqs, sub_ineqs, sub_wits = _build(0, m, level + 1)
+    kind, c, (s1, s2) = fold
+    sub_vars, sub_eqs, sub_ineqs, sub_wits = _build(s1, s2, level + 1)
+    if kind == REFLECT:
+        # fold [-m, m] at 0; the half interval keeps the second coordinate,
+        # so the sub-system's x2 picks up the centering terms
         z = f"z{level}_1"
         variables = ["x1", "x2", z] + sub_vars[2:]
         nv = len(variables)
@@ -162,12 +186,9 @@ def _build(t1: int, t2: int, level: int):
             wits[t] = (t, t * t, u) + tuple(sub_wits[u][2:])
         return variables, eqs, ineqs, wits
 
-    # even count: fold [-k+1, k] by the reflection t -> 1 - t, which on the
-    # curve is a shear; (z1, z2) ranges over the half polytope and the pair
-    # (x1 + x2, x2 - x1) is pinned to it by one equation and two cuts
-    k = n // 2
-    c = t1 + k - 1
-    sub_vars, sub_eqs, sub_ineqs, sub_wits = _build(1, k, level + 1)
+    # the reflection t -> 1 - t is a shear on the curve; (z1, z2) ranges
+    # over the half polytope and the pair (x1 + x2, x2 - x1) is pinned to
+    # it by one equation and two cuts
     z1, z2 = f"z{level}_1", f"z{level}_2"
     variables = ["x1", "x2", z1, z2] + sub_vars[2:]
     nv = len(variables)
@@ -199,6 +220,90 @@ def build_ef_2d(n: int) -> ExtendedFormulation:
     variables, eqs, ineqs, wits = _build(1, n, 1)
     lifted = Polyhedron(tuple(variables), tuple(eqs), tuple(ineqs))
     return ExtendedFormulation(lifted, wits, CyclicPolytope.standard(2, n))
+
+
+_ZERO = Fraction(0)  # shared by every zero multiplier
+
+
+def _multiplier(x: int, den: int = 1) -> Fraction:
+    """max(x, 0) / den, with every zero the shared _ZERO."""
+    return Fraction(x, den) if x > 0 else _ZERO
+
+
+def _fold_duals(folds, base_facets, base_points, objective) -> tuple:
+    """The inequality duals of maximizing objective = (a1, a2) over the
+    lift that folds (kind, c) in turn down to the facet system on
+    base_points, in the lift's inequality order.
+
+    A fold centred at c sees the objective as alpha*(x1 - c) + beta*x2' on
+    the centred coordinates, alpha = a1 + 2c*a2 and beta = a2, so a2 never
+    changes. A reflection has alpha*u <= |alpha|*z tight on the side of
+    alpha's sign and hands (|alpha|, beta) to the half interval. A shear
+    puts s/2 on one of its two cuts of u + x2', s = alpha + beta, and hands
+    down (alpha, beta) from the upper cut or (-alpha - 2*beta, beta) from
+    the lower one.
+    """
+    a1, a2 = objective
+    duals = []
+    for kind, c in folds:
+        alpha = a1 + 2 * c * a2
+        if kind == REFLECT:
+            duals += (_multiplier(-alpha), _multiplier(alpha))
+            a1 = abs(alpha)
+        else:
+            s = alpha + a2
+            duals += (_multiplier(-s, 2), _multiplier(s, 2))
+            a1 = alpha if s >= 0 else -alpha - 2 * a2
+    return tuple(duals) + _base_duals(base_facets, base_points, a1, a2)
+
+
+def _base_duals(base_facets, points, a1, a2) -> tuple:
+    """(a1, a2) as a nonnegative combination of the normals of the facets
+    (members, a) tight at its optimal face: one multiplier on the optimal
+    edge, two on the optimal vertex's edges from their 2x2 system, none
+    for the zero objective (every point optimal). No three points of the
+    parabola are collinear, so a nonzero objective has at most two."""
+    values = [a1 * t + a2 * t * t for t in points]
+    top = max(values)
+    optimal = tuple(t for t, v in zip(points, values) if v == top)
+    duals = [_ZERO] * len(base_facets)
+    if len(optimal) == 2:
+        j, a = next((j, a) for j, (S, a) in enumerate(base_facets) if S == optimal)
+        duals[j] = Fraction(a1 * a[0] + a2 * a[1], a[0] * a[0] + a[1] * a[1])
+    elif len(optimal) == 1:
+        (p, ap), (q, aq) = [(j, a) for j, (S, a) in enumerate(base_facets) if optimal[0] in S]
+        det = ap[0] * aq[1] - ap[1] * aq[0]
+        duals[p] = Fraction(a1 * aq[1] - a2 * aq[0], det)
+        duals[q] = Fraction(ap[0] * a2 - ap[1] * a1, det)
+    return tuple(duals)
+
+
+def fold_factorization_2d(n: int) -> NonnegFactorization:
+    """factorization_from_ef(P, build_ef_2d(n)) for P = P^2_[1,n], with
+    every beta composed along the folds in O(log n) exact steps instead of
+    solved for by an LP.
+
+    alpha_i is the witness slack vector, as there. Each facet LP of this
+    lift has exactly one optimal dual (the kept equations and the
+    inequalities tight at both of the facet's witnesses are linearly
+    independent), so the composed multipliers are the LP's duals, entry
+    for entry. Not verified here, like factorization_from_ef.
+    """
+    P = CyclicPolytope.standard(2, n)
+    ef = build_ef_2d(n)
+    folds = []
+    t1, t2 = 1, n
+    while (fold := _fold(t1, t2)) is not None:
+        kind, c, (t1, t2) = fold
+        folds.append((kind, c))
+    base = CyclicPolytope(2, Interval(t1, t2))
+    base_facets = [(S.members, facet_inequality(base, S).a) for S in enumerate_facets(base)]
+    points = base.interval.indices()
+    facets = enumerate_facets(P)
+    betas = tuple(
+        _fold_duals(folds, base_facets, points, facet_inequality(P, S).a) for S in facets
+    )
+    return NonnegFactorization(ef.size, _witness_slacks(P, ef), betas, facets, P)
 
 
 def _unit(k: int, r: int, value=1) -> tuple:
@@ -321,7 +426,7 @@ class EfOptimizer:
         res = (solver.maximize if sense == MAX else solver.minimize)(coeffs)
         if res.status != OPTIMAL:
             return res
-        dual_eq = [0] * len(self.ef.lifted.equations)
+        dual_eq = [_ZERO] * len(self.ef.lifted.equations)
         for i, mu in zip(self._kept_at, res.dual_eq):
             dual_eq[i] = mu
         return replace(res, dual_eq=tuple(dual_eq))
@@ -338,6 +443,25 @@ class EfOptimizer:
 
     def minimize(self, objective):
         return self._optimum(objective, MIN)
+
+
+def _witness_slacks(P: CyclicPolytope, ef: ExtendedFormulation) -> tuple:
+    """Each vertex's witness slack vector in the lifted inequalities, in
+    interval order; a missing witness, one outside the lift or one that
+    does not project to its vertex is a DomainError."""
+    lifted = ef.lifted
+    alphas = []
+    for i in P.interval.indices():
+        if i not in ef.witnesses:
+            raise DomainError(f"no witness for vertex {i}")
+        w = ef.witnesses[i]
+        slacks = lifted.member_slacks(w) if len(w) == lifted.nvars else None
+        if slacks is None:
+            raise DomainError(f"witness for vertex {i} is not in the lifted polyhedron")
+        if tuple(w[: P.d]) != vertex(P, i):
+            raise DomainError(f"witness for vertex {i} does not project to it")
+        alphas.append(slacks)
+    return tuple(alphas)
 
 
 def factorization_from_ef(
@@ -359,18 +483,7 @@ def factorization_from_ef(
     """
     if ef.target != P:
         raise DomainError("lift targets a different polytope")
-    lifted = ef.lifted
-    alphas = []
-    for i in P.interval.indices():
-        if i not in ef.witnesses:
-            raise DomainError(f"no witness for vertex {i}")
-        w = ef.witnesses[i]
-        slacks = lifted.member_slacks(w) if len(w) == lifted.nvars else None
-        if slacks is None:
-            raise DomainError(f"witness for vertex {i} is not in the lifted polyhedron")
-        if tuple(w[: P.d]) != vertex(P, i):
-            raise DomainError(f"witness for vertex {i} does not project to it")
-        alphas.append(slacks)
+    alphas = _witness_slacks(P, ef)
     optimizer = EfOptimizer(ef)
     facets = enumerate_facets(P)
     betas = []
@@ -387,7 +500,7 @@ def factorization_from_ef(
                 f"maximum is {res.value}, boundary is at {f.b}"
             )
         betas.append(tuple(res.dual_ineq))
-    return NonnegFactorization(lifted.size, tuple(alphas), tuple(betas), facets, P)
+    return NonnegFactorization(ef.size, alphas, tuple(betas), facets, P)
 
 
 def ef_to_text(ef: ExtendedFormulation) -> str:

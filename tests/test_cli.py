@@ -268,16 +268,16 @@ def test_trivial_path_builds_slack_entries_once(capsys, monkeypatch, argv):
 
 
 def test_factorize_2d_output_is_gated(capsys, monkeypatch):
-    # the degree-2 extraction is no longer self-verified; the command's own
+    # the degree-2 closed form is not self-verified; the command's own
     # verification must catch a wrong beta entry
-    original = cyclift.lifting.factorization_from_ef
+    original = cyclift.lifting.fold_factorization_2d
 
-    def perturbed(P, ef):
-        F = original(P, ef)
+    def perturbed(n):
+        F = original(n)
         first = (F.beta[0][0] + 1,) + F.beta[0][1:]
         return replace(F, beta=(first,) + F.beta[1:])
 
-    monkeypatch.setattr(cyclift.lifting, "factorization_from_ef", perturbed)
+    monkeypatch.setattr(cyclift.lifting, "fold_factorization_2d", perturbed)
     rc, _, err = run(capsys, "factorize", "--n", "9", "--d", "2")
     assert rc == 1 and "verification: FAILED" in err
 

@@ -11,7 +11,6 @@ from cyclift.geometry import (
     format_linear,
     gale_pair_partition,
     is_gale,
-    slack_entry,
     slack_matrix,
     vertex,
 )
@@ -147,12 +146,6 @@ def test_facet_count_frozen_values():
 
 
 # ------------------------------------------------------------ slack values
-
-
-def test_slack_entry_values():
-    assert slack_entry(P(2, 1, 5), 4, GaleSet((1, 2))) == 6
-    assert slack_entry(P(3, 1, 6), 2, GaleSet((1, 5, 6))) == 12
-    assert slack_entry(P(2, 1, 5), 2, GaleSet((2, 3))) == 0
 
 
 def test_slack_matrix_small():

@@ -68,8 +68,9 @@ CASES = {
         (0, "aa89b0da2d54a5b5b16d79fa32d75729a487d193e403f663254cc6967fc67e57"),
     ("minimize-poly", "--coeffs", "196,-252,109,-18,1", "--n", "8"):
         (0, "0537d01fcbba54a236e58e84aeb829e1818f8c4f02cd37e5f2de4496218fe1c1"),
-    # degree-2 factorizations whose betas are LP duals of larger lifts:
-    # folds by shear (n = 128), by reflection (129) and by both (193)
+    # degree-2 factorizations whose betas are the unique facet duals of
+    # larger lifts: folds by shear (n = 128), by reflection (129) and by
+    # both (193)
     ("factorize", "--n", "128", "--d", "2"):
         (0, "1f84206c97ce0968a35478f8bdb3fc0c3ef4e824ee7fd3d9267382d4aa2257ef"),
     ("factorize", "--n", "129", "--d", "2"):
@@ -131,8 +132,9 @@ TAMPERED = {
 
 # factorize_2d(n) for n = 3..130, each document as json.dumps(...,
 # sort_keys=True) followed by a newline, hashed as one stream: the plain
-# facet systems and lifts of up to five odd and even folds, whose betas
-# depend on the simplex's ratio-test tie-breaks
+# facet systems and lifts of up to five odd and even folds. Each beta is the
+# one optimal dual of its facet LP over the lift, so it depends on no pivot
+# or tie-break; the digest pins the closed form to the LP's answer
 FACTORIZE_2D_SWEEP = (
     range(3, 131),
     "75c69873f786f4e7c11dd6efc04857d2bab1fac0aac5aaaeee3fc9a6b9854332",

@@ -149,6 +149,18 @@ def test_optimizer_duals_cover_every_lifted_equation():
     assert (res.value, res.dual_ineq) == (one_off.value, one_off.dual_ineq)
 
 
+def test_optimizer_results_are_fractions():
+    """Every entry of a solve's result is a Fraction, the dual of a dropped
+    equation included, as in ReoptimizingSolver's own results."""
+    P = CyclicPolytope.standard(3, 9)
+    ef = ef_from_factorization(P, factorize(9, 3))
+    assert len(independent_equations(ef.lifted.equations)) < len(ef.lifted.equations)
+    for sense in (MAX, MIN):
+        res = EfOptimizer(ef).solve((1, -2, 1), sense)
+        entries = (res.value,) + res.primal + res.dual_ineq + res.dual_eq
+        assert {type(x) for x in entries} == {Fraction}
+
+
 # largest n per degree, so that building the lifts stays cheap
 LIFT_N_CAP = {2: 40, 3: 14, 4: 12, 5: 11}
 
@@ -302,6 +314,33 @@ def test_facet_duals_do_not_depend_on_start(n):
         results = [s.maximize(objective) for s in solvers]
         assert results[0].status == OPTIMAL
         assert len({(r.value, r.dual_ineq) for r in results}) == 1
+        # and why: both of the facet's witnesses are optimal, so every
+        # optimal dual lives on the equations and on the inequalities tight
+        # at both; those rows are independent, so that dual is unique
+        i, j = (lifted.inequality_slacks(ef.witnesses[t]) for t in S)
+        tight = [
+            coeffs for (coeffs, _), si, sj in zip(lifted.inequalities, i, j) if si == sj == 0
+        ]
+        rows = [coeffs for coeffs, _ in eqs] + tight
+        assert _rank(rows) == len(rows)
+
+
+@pytest.mark.parametrize("n", list(range(3, 201)) + [256, 257, 513, 1025])
+def test_fold_factorization_matches_lp_duals(n):
+    """factorize_2d composes each beta along the folds; the LP extraction
+    over the same lift is the oracle, entry for entry."""
+    P = CyclicPolytope.standard(2, n)
+    assert factorize_2d(n) == factorization_from_ef(P, build_ef_2d(n))
+
+
+@pytest.mark.parametrize("n", [5, 33, 128, 129, 193])
+def test_factorize_2d_solves_no_lp(monkeypatch, n):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("factorize_2d built a simplex tableau")
+
+    monkeypatch.setattr(ReoptimizingSolver, "__init__", refuse)
+    F = factorize_2d(n)
+    assert verify(slack_matrix(F.target), F).ok
 
 
 def test_round_trip_rank_never_grows():
