@@ -170,7 +170,7 @@ def cmd_factorize(args) -> int:
         report.notes.append(f"even-dimension bound: {even_rank_bound(args.n, args.d)}")
     report.verification = "ok" if outcome.ok else f"FAILED at {outcome.first_mismatch}"
     with report.stage("serialize"):
-        _emit(json.dumps(F.to_json_dict(), indent=2) + "\n", args.out)
+        _emit(F.to_json_text() + "\n", args.out)
     report.emit()
     if args.report:
         _emit_comparison_table(args.d)

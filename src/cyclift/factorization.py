@@ -8,10 +8,10 @@ Three constructions live here:
 
 - factorize_2d: for the degree-2 polytope the recursive lifted description
   has O(log n) inequalities; its witness slack vectors and per-facet dual
-  multipliers give rank <= 2*floor(log2(n-1)) + 2. Each facet's
-  multipliers are composed along the lift's folds in closed form
-  (lifting.fold_factorization_2d); they are the unique LP duals that
-  lifting.factorization_from_ef would extract.
+  multipliers give rank <= 2*floor(log2(n-1)) + 2. Both are composed
+  along the lift's folds in closed form (lifting.fold_factorization_2d),
+  with no lift built; they are the witness slacks and the unique LP duals
+  that lifting.factorization_from_ef would read off the lift.
 - factorize_even (d = 2q): every facet splits into q two-element facets of
   the degree-2 polytope on the same interval, so M is an entrywise product
   of q column-rearranged copies of the degree-2 slack matrix, and
@@ -38,6 +38,7 @@ from .geometry import (
     Interval,
     SlackMatrix,
     enumerate_facets,
+    fold_chain,
     gale_pair_partition,
     is_gale,
     slack_matrix,
@@ -64,10 +65,10 @@ def rank_bound(n: int, d: int) -> int:
 
 
 def _size_2d(n: int) -> int:
-    # inequality count of the recursive degree-2 lift: halving costs 2
-    if n <= 6:
-        return n
-    return _size_2d((n + 1) // 2) + 2
+    # inequality count of the recursive degree-2 lift: two per fold, one per
+    # point of the facet system at the bottom
+    folds, (b1, b2) = fold_chain(1, n)
+    return 2 * len(folds) + b2 - b1 + 1
 
 
 def construction_rank(n: int, d: int) -> int:
@@ -139,17 +140,47 @@ class NonnegFactorization:
             else [list(S.members) for S in self.column_labels],
         }
 
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2), written directly.
+
+        The layout's separators are fixed and every entry is a
+        format_rational string (digits, "-" and "/": nothing to escape), so
+        each vector is one join, with no dict built and no pass of json's
+        pure-Python indenting encoder.
+        """
+        target = "null"
+        if self.target is not None:
+            t = self.target
+            target = (
+                f'{{\n    "d": {t.d},\n    "t1": {t.interval.t1},'
+                f'\n    "t2": {t.interval.t2}\n  }}'
+            )
+        columns = "null"
+        if self.column_labels is not None:
+            columns = _json_list(
+                [_json_list(list(map(str, S.members)), 3) for S in self.column_labels], 2
+            )
+        return (
+            f'{{\n  "target": {target},\n  "rank": {self.rank},'
+            f'\n  "alpha": {_json_vectors(self.alpha)},'
+            f'\n  "beta": {_json_vectors(self.beta)},'
+            f'\n  "columns": {columns}\n}}'
+        )
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "NonnegFactorization":
         """Inverse of to_json_dict; any malformed document is a DomainError.
 
         rank, the target fields and the column members are JSON integers;
-        a float, a string or a boolean in their place is malformed.
+        a float, a string or a boolean in their place is malformed. Each
+        distinct entry string is parsed once per document: a factorization
+        repeats a few hundred values across thousands of entries.
         """
         try:
             rank = _json_int(data["rank"])
-            alpha = tuple(tuple(parse_rational(x) for x in vec) for vec in data["alpha"])
-            beta = tuple(tuple(parse_rational(x) for x in vec) for vec in data["beta"])
+            entries = _ParsedEntries()
+            alpha = tuple(_parse_vector(vec, entries) for vec in data["alpha"])
+            beta = tuple(_parse_vector(vec, entries) for vec in data["beta"])
             raw_target = data.get("target")
             target = None
             if raw_target is not None:
@@ -173,6 +204,49 @@ class NonnegFactorization:
                     f"vector of length {len(vec)} does not match rank {rank}"
                 )
         return cls(rank, alpha, beta, columns, target)
+
+
+def _json_list(items: list, depth: int) -> str:
+    """A JSON list of encoded items as json.dumps(indent=2) lays it out at
+    this nesting depth (the top-level object's members are at depth 1)."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * depth
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * (depth - 1) + "]"
+
+
+def _json_vectors(vectors) -> str:
+    """The alpha or beta member: a list of lists of format_rational strings."""
+    quoted = '",\n      "'
+    return _json_list(
+        [
+            '[\n      "' + quoted.join(map(format_rational, vec)) + '"\n    ]' if vec else "[]"
+            for vec in vectors
+        ],
+        2,
+    )
+
+
+class _ParsedEntries(dict):
+    """One document's entry strings, each parsed on its first lookup."""
+
+    def __missing__(self, text):
+        value = self[text] = parse_rational(text)
+        return value
+
+
+def _parse_vector(vec, entries: _ParsedEntries) -> tuple:
+    """tuple(map(parse_rational, vec)), parsing each distinct string once.
+
+    parse_rational refuses anything but a string, so nothing else is ever
+    cached. An unhashable entry (or a vec that is not iterable) raises
+    TypeError in the lookup; parsing entry by entry then raises exactly
+    what it would have raised without the cache.
+    """
+    try:
+        return tuple(map(entries.__getitem__, vec))
+    except TypeError:
+        return tuple(map(parse_rational, vec))
 
 
 def _json_int(x) -> int:
@@ -322,11 +396,13 @@ def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
 def factorize_2d(n: int) -> NonnegFactorization:
     """Degree-2 factorization with rank <= min(n, 2*floor(log2(n-1)) + 2).
 
-    The recursive lifted description is built (up to n = 6 it is the facet
-    description itself); alpha holds its witness slack vectors, and each
-    facet's beta is pushed down the folds in O(log n) exact integer steps
-    with no LP solved (lifting.fold_factorization_2d). The result equals
-    lifting.factorization_from_ef on the same lift, entry for entry.
+    alpha holds the witness slack vectors of the recursive lifted
+    description (up to n = 6 the facet description itself), and each
+    facet's beta is pushed down its folds; both are composed in O(log n)
+    exact integer steps per vector, with no lift built, no lifted
+    inequality evaluated and no LP solved (lifting.fold_factorization_2d).
+    The result equals lifting.factorization_from_ef(P, build_ef_2d(n)),
+    entry for entry.
     """
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")

@@ -10,7 +10,9 @@ A cyclic polytope P^d_[t1,t2] is the convex hull of the moment-curve points
   vertices reproduce the slack-matrix column of S,
 - split an even-dimension facet into two-element facets of the degree-2
   polytope on the same interval (the pairing used by the tensor-product
-  factorization).
+  factorization),
+- halve an interval the way the degree-2 lift folds it (fold_chain), so
+  the lift, its factorization and the rank formulas walk one recursion.
 
 Everything is exact: vertices and slack entries are ints, inequality
 coefficients are ints or fractions.Fraction. No floating point.
@@ -303,6 +305,33 @@ def facet_inequality(P: CyclicPolytope, S) -> FacetInequality:
     a = tuple(-sigma * c for c in coeffs[1:])
     b = sigma * coeffs[0]
     return FacetInequality(a, b)
+
+
+REFLECT, SHEAR = "reflect", "shear"
+
+
+def fold_chain(t1: int, t2: int) -> tuple:
+    """The halvings of the degree-2 lift on [t1, t2], top down, and the
+    interval left at the bottom, where the facet system is used:
+    ((kind, c, s1, s2), ...), (b1, b2). Each fold maps [s1, s2] onto the
+    next interval down, in the coordinates centred at c.
+
+    (REFLECT, c, s1, s2): an odd count c + [-m, m] folds at c onto [0, m].
+    (SHEAR, c, s1, s2): an even count c + [-k + 1, k] folds by u -> 1 - u
+    onto [1, k]. Each fold costs the lift two inequalities, and the bottom
+    interval of at most 6 points costs one per point.
+    """
+    folds = []
+    while (n := t2 - t1 + 1) > 6:
+        if n % 2:
+            m = (n - 1) // 2
+            folds.append((REFLECT, t1 + m, t1, t2))
+            t1, t2 = 0, m
+        else:
+            k = n // 2
+            folds.append((SHEAR, t1 + k - 1, t1, t2))
+            t1, t2 = 1, k
+    return tuple(folds), (t1, t2)
 
 
 def gale_pair_partition(S, P: CyclicPolytope) -> tuple[GaleSet, ...]:

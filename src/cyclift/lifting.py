@@ -12,8 +12,9 @@ nonnegative slack-matrix factorizations are here as well:
 ef_from_factorization (rank-r factorization -> size-r lift) and
 factorization_from_ef (size-f lift -> rank-f factorization, with the
 beta vectors obtained as exact LP duals of the per-facet maximization).
-For build_ef_2d's lift, fold_factorization_2d composes those duals along
-the folds instead, with no LP.
+For build_ef_2d's lift, fold_factorization_2d composes the witness slacks
+and those duals along the folds instead (geometry.fold_chain, which
+build_ef_2d walks too), with no lift built and no LP.
 hull_ef builds the convex-hull lift directly, with no facet enumerated; it
 stands in for the lift of the trivial factorization where only the
 projection matters.
@@ -32,10 +33,12 @@ from .errors import DomainError, InternalError
 from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
 from .factorization import NonnegFactorization, verify
 from .geometry import (
+    REFLECT,
     CyclicPolytope,
     Interval,
     enumerate_facets,
     facet_inequality,
+    fold_chain,
     format_linear,
     slack_matrix,
     vertex,
@@ -115,28 +118,6 @@ class ExtendedFormulation:
         return self.lifted.size
 
 
-REFLECT, SHEAR = "reflect", "shear"
-
-
-def _fold(t1: int, t2: int):
-    """The halving step of the degree-2 lift on [t1, t2], or None where the
-    facet system of at most 6 points is used instead.
-
-    (REFLECT, c, (0, m)): an odd count c + [-m, m] folds at c onto [0, m].
-    (SHEAR, c, (1, k)): an even count c + [-k + 1, k] folds by t -> 1 - t
-    onto [1, k]. _build and _fold_duals both walk this one decision, so the
-    printed lift and its closed-form duals cannot disagree.
-    """
-    n = t2 - t1 + 1
-    if n <= 6:
-        return None
-    if n % 2:
-        m = (n - 1) // 2
-        return REFLECT, t1 + m, (0, m)
-    k = n // 2
-    return SHEAR, t1 + k - 1, (1, k)
-
-
 def _facet_system(t1: int, t2: int):
     P = CyclicPolytope(2, Interval(t1, t2))
     ineqs = [(f.a, f.b) for f in map(lambda S: facet_inequality(P, S), enumerate_facets(P))]
@@ -144,21 +125,19 @@ def _facet_system(t1: int, t2: int):
     return ["x1", "x2"], [], ineqs, wits
 
 
-def _build(t1: int, t2: int, level: int):
-    """System for P^2_[t1,t2] over variables (x1, x2, aux...).
+def _fold_system(fold, level: int, sub):
+    """The system on the interval fold[2:] from the system sub on the
+    interval the fold maps it onto.
 
     Folding works on the centered copy of the interval; the formulas below
     are those folds with the centering substitution x1 -> x1 - c,
     x2 -> x2 - 2c*x1 + c^2 already applied, so every level speaks the
     coordinates of its own interval and no final change of variables is
-    needed. Each level appends its two new inequalities ahead of the
+    needed. Each level puts its two new inequalities ahead of the
     sub-system's.
     """
-    fold = _fold(t1, t2)
-    if fold is None:
-        return _facet_system(t1, t2)
-    kind, c, (s1, s2) = fold
-    sub_vars, sub_eqs, sub_ineqs, sub_wits = _build(s1, s2, level + 1)
+    kind, c, t1, t2 = fold
+    sub_vars, sub_eqs, sub_ineqs, sub_wits = sub
     if kind == REFLECT:
         # fold [-m, m] at 0; the half interval keeps the second coordinate,
         # so the sub-system's x2 picks up the centering terms
@@ -212,14 +191,56 @@ def _build(t1: int, t2: int, level: int):
     return variables, eqs, ineqs, wits
 
 
+def _build(t1: int, t2: int):
+    """System for P^2_[t1,t2] over variables (x1, x2, aux...): the facet
+    system at the bottom of the fold chain, then the folds from the bottom
+    up, level 1 being the fold of [t1, t2] itself."""
+    folds, base = fold_chain(t1, t2)
+    system = _facet_system(*base)
+    for level in range(len(folds), 0, -1):
+        system = _fold_system(folds[level - 1], level, system)
+    return system
+
+
 def build_ef_2d(n: int) -> ExtendedFormulation:
     """Lifted description of P^2_[1,n] with at most 2*floor(log2(n-1)) + 2
     inequalities; n <= 6 keeps the plain n-facet description."""
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    variables, eqs, ineqs, wits = _build(1, n, 1)
+    variables, eqs, ineqs, wits = _build(1, n)
     lifted = Polyhedron(tuple(variables), tuple(eqs), tuple(ineqs))
     return ExtendedFormulation(lifted, wits, CyclicPolytope.standard(2, n))
+
+
+def _fold_alphas(folds, base, base_inequalities) -> tuple:
+    """The slack vector of each witness of the lift with these folds, in
+    the lift's inequality order and in interval order, composed from the
+    bottom up with one table per level (point -> slacks from that level
+    down); no lifted inequality is evaluated.
+
+    With u = t - c at a fold centred at c: a reflection's witness has
+    z = |u|, so its two cuts have slacks |u| + u and |u| - u, and the rest
+    are the slacks of the point |u| one level down. A shear's witness sits
+    on the cut of its side of the fold: u >= 1 folds to u with slacks
+    (4u - 2, 0), u <= 0 folds to 1 - u with slacks (0, 2 - 4u). At the
+    bottom a point s has the facet slacks b - a1*s - a2*s^2.
+    """
+    b1, b2 = base
+    slacks = {
+        s: tuple(f.b - f.a[0] * s - f.a[1] * s * s for f in base_inequalities)
+        for s in range(b1, b2 + 1)
+    }
+    for kind, c, t1, t2 in reversed(folds):
+        below, slacks = slacks, {}
+        for t in range(t1, t2 + 1):
+            u = t - c
+            if kind == REFLECT:
+                slacks[t] = (abs(u) + u, abs(u) - u) + below[abs(u)]
+            elif u >= 1:
+                slacks[t] = (4 * u - 2, 0) + below[u]
+            else:
+                slacks[t] = (0, 2 - 4 * u) + below[1 - u]
+    return tuple(slacks.values())
 
 
 _ZERO = Fraction(0)  # shared by every zero multiplier
@@ -227,13 +248,15 @@ _ZERO = Fraction(0)  # shared by every zero multiplier
 
 def _multiplier(x: int, den: int = 1) -> Fraction:
     """max(x, 0) / den, with every zero the shared _ZERO."""
-    return Fraction(x, den) if x > 0 else _ZERO
+    if x <= 0:
+        return _ZERO
+    return Fraction(x) if den == 1 else Fraction(x, den)
 
 
-def _fold_duals(folds, base_facets, base_points, objective) -> tuple:
-    """The inequality duals of maximizing objective = (a1, a2) over the
-    lift that folds (kind, c) in turn down to the facet system on
-    base_points, in the lift's inequality order.
+def _fold_duals(folds, base_facets, base_points):
+    """A function from a facet objective (a1, a2) to the inequality duals
+    of maximizing it over the lift with these folds, down to the facet
+    system on base_points, in the lift's inequality order.
 
     A fold centred at c sees the objective as alpha*(x1 - c) + beta*x2' on
     the centred coordinates, alpha = a1 + 2c*a2 and beta = a2, so a2 never
@@ -242,19 +265,35 @@ def _fold_duals(folds, base_facets, base_points, objective) -> tuple:
     puts s/2 on one of its two cuts of u + x2', s = alpha + beta, and hands
     down (alpha, beta) from the upper cut or (-alpha - 2*beta, beta) from
     the lower one.
+
+    The duals from each level down are memoized on (level, a1, a2): facets
+    whose objectives meet at a fold (a reflection maps mirror-image facets
+    to one objective) share that suffix and its Fractions.
     """
-    a1, a2 = objective
-    duals = []
-    for kind, c in folds:
-        alpha = a1 + 2 * c * a2
-        if kind == REFLECT:
-            duals += (_multiplier(-alpha), _multiplier(alpha))
-            a1 = abs(alpha)
+    memo = {}
+
+    def duals(level, a1, a2):
+        key = (level, a1, a2)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        if level == len(folds):
+            found = _base_duals(base_facets, base_points, a1, a2)
         else:
-            s = alpha + a2
-            duals += (_multiplier(-s, 2), _multiplier(s, 2))
-            a1 = alpha if s >= 0 else -alpha - 2 * a2
-    return tuple(duals) + _base_duals(base_facets, base_points, a1, a2)
+            kind, c = folds[level][:2]
+            alpha = a1 + 2 * c * a2
+            if kind == REFLECT:
+                head = (_multiplier(-alpha), _multiplier(alpha))
+                found = head + duals(level + 1, abs(alpha), a2)
+            else:
+                s = alpha + a2
+                head = (_multiplier(-s, 2), _multiplier(s, 2))
+                below = alpha if s >= 0 else -alpha - 2 * a2
+                found = head + duals(level + 1, below, a2)
+        memo[key] = found
+        return found
+
+    return lambda objective: duals(0, *objective)
 
 
 def _base_duals(base_facets, points, a1, a2) -> tuple:
@@ -279,31 +318,29 @@ def _base_duals(base_facets, points, a1, a2) -> tuple:
 
 
 def fold_factorization_2d(n: int) -> NonnegFactorization:
-    """factorization_from_ef(P, build_ef_2d(n)) for P = P^2_[1,n], with
-    every beta composed along the folds in O(log n) exact steps instead of
-    solved for by an LP.
+    """factorization_from_ef(P, build_ef_2d(n)) for P = P^2_[1,n], with no
+    lift built, no lifted inequality evaluated and no LP solved: alpha and
+    beta are both composed along the fold chain that build_ef_2d walks.
 
-    alpha_i is the witness slack vector, as there. Each facet LP of this
-    lift has exactly one optimal dual (the kept equations and the
+    alpha_i is the witness slack vector, as there (_fold_alphas); each
+    beta is composed in O(log n) exact steps (_fold_duals). Each facet LP
+    of this lift has exactly one optimal dual (the kept equations and the
     inequalities tight at both of the facet's witnesses are linearly
     independent), so the composed multipliers are the LP's duals, entry
     for entry. Not verified here, like factorization_from_ef.
     """
     P = CyclicPolytope.standard(2, n)
-    ef = build_ef_2d(n)
-    folds = []
-    t1, t2 = 1, n
-    while (fold := _fold(t1, t2)) is not None:
-        kind, c, (t1, t2) = fold
-        folds.append((kind, c))
-    base = CyclicPolytope(2, Interval(t1, t2))
-    base_facets = [(S.members, facet_inequality(base, S).a) for S in enumerate_facets(base)]
-    points = base.interval.indices()
+    folds, (b1, b2) = fold_chain(1, n)
+    base = CyclicPolytope(2, Interval(b1, b2))
+    base_sets = enumerate_facets(base)
+    base_inequalities = [facet_inequality(base, S) for S in base_sets]
+    alphas = _fold_alphas(folds, (b1, b2), base_inequalities)
+    base_facets = [(S.members, f.a) for S, f in zip(base_sets, base_inequalities)]
+    beta_of = _fold_duals(folds, base_facets, base.interval.indices())
     facets = enumerate_facets(P)
-    betas = tuple(
-        _fold_duals(folds, base_facets, points, facet_inequality(P, S).a) for S in facets
-    )
-    return NonnegFactorization(ef.size, _witness_slacks(P, ef), betas, facets, P)
+    betas = tuple(beta_of(facet_inequality(P, S).a) for S in facets)
+    rank = 2 * len(folds) + len(base_facets)
+    return NonnegFactorization(rank, alphas, betas, facets, P)
 
 
 def _unit(k: int, r: int, value=1) -> tuple:

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -33,8 +34,11 @@ from cyclift.geometry import (
     gale_pair_partition,
     slack_matrix,
 )
+from cyclift.lifting import build_ef_2d
+from cyclift.rational import parse_rational
 
 from oracles import first_mismatch, slack_product
+from test_cli import MALFORMED
 
 
 def test_bound_formulas():
@@ -59,6 +63,12 @@ def test_construction_rank_matches_builds():
         assert factorize_even(n, q).rank == construction_rank(n, 2 * q)
     for n, q in ((5, 1), (9, 2), (12, 1)):
         assert factorize_odd(n, q).rank == construction_rank(n, 2 * q + 1)
+
+
+def test_construction_rank_is_the_lift_size():
+    # construction_rank walks the same fold chain as build_ef_2d
+    for n in [*range(3, 601), 1024, 1025, 4096, 4097]:
+        assert construction_rank(n, 2) == build_ef_2d(n).size
 
 
 def test_trivial_wins_switch_points():
@@ -387,3 +397,80 @@ def test_json_rejects_malformed():
         NonnegFactorization.from_json_dict(
             {"rank": 2, "alpha": [["1"]], "beta": [["1", "2"]], "target": None}
         )
+
+
+# the JSON documents the writer and the reader are checked on: the
+# degree-2 sweep, a trivial degree-4 factorization (every entry an int),
+# one with neither target nor column labels, and rank 0 with empty vectors
+JSON_CASES = (
+    [factorize_2d(n) for n in range(3, 131)]
+    + [factorize(20, 4)]
+    + [replace(factorize_2d(9), target=None, column_labels=None)]
+    + [NonnegFactorization(0, ((), (), ()), ((), ())), NonnegFactorization(0, (), ())]
+)
+
+
+def test_json_text_is_json_dumps():
+    assert trivial_wins(20, 4)
+    for F in JSON_CASES:
+        assert F.to_json_text() == json.dumps(F.to_json_dict(), indent=2)
+
+
+class _EveryEntryParsed(dict):
+    """A parse cache that keeps nothing: from_json_dict with it parses
+    entry by entry, as it did before it had a cache."""
+
+    def __getitem__(self, text):
+        return parse_rational(text)
+
+
+def _read(data):
+    """(factorization with each entry's type, or the DomainError's text)."""
+    try:
+        F = NonnegFactorization.from_json_dict(data)
+    except DomainError as exc:
+        return str(exc)
+    return F, [[type(x) for x in vec] for vec in F.alpha + F.beta]
+
+
+def _read_both(monkeypatch, data):
+    with monkeypatch.context() as m:
+        m.setattr(cyclift.factorization, "_ParsedEntries", _EveryEntryParsed)
+        expected = _read(data)
+    return _read(data), expected
+
+
+def _edited(edit):
+    data = factorize_2d(9).to_json_dict()
+    edit(data)
+    return data
+
+
+READER_EDITS = dict(MALFORMED) | {
+    "entry is a list": lambda data: data["alpha"][2].__setitem__(1, ["1"]),
+    "vector is a number": lambda data: data["beta"].__setitem__(1, 7),
+    "one bad string in alpha and beta": lambda data: (
+        data["alpha"][1].__setitem__(0, "1/0"),
+        data["beta"][4].__setitem__(2, "1/0"),
+    ),
+    "4/2 is the int 2": lambda data: data["beta"][0].__setitem__(0, "4/2"),
+    "padded entry": lambda data: data["alpha"][0].__setitem__(0, " 7 "),
+}
+
+
+@pytest.mark.parametrize("edit", list(READER_EDITS))
+def test_json_reader_parses_as_entry_by_entry(monkeypatch, edit):
+    got, expected = _read_both(monkeypatch, _edited(READER_EDITS[edit]))
+    assert got == expected
+    assert isinstance(got, str) == (edit not in ("4/2 is the int 2", "padded entry"))
+
+
+def test_json_reader_cache_keeps_values_and_types(monkeypatch):
+    for F in JSON_CASES:
+        got, expected = _read_both(monkeypatch, json.loads(F.to_json_text()))
+        assert got == expected
+        assert got[0] == F
+    F, _ = _read(_edited(READER_EDITS["4/2 is the int 2"]))
+    assert type(F.beta[0][0]) is int and F.beta[0][0] == 2
+    F, _ = _read(_edited(READER_EDITS["padded entry"]))
+    assert F.alpha[0][0] == 7

@@ -28,6 +28,7 @@ from cyclift.lifting import (
     EfOptimizer,
     ExtendedFormulation,
     Polyhedron,
+    _witness_slacks,
     build_ef_2d,
     ef_from_factorization,
     ef_to_json_dict,
@@ -341,6 +342,28 @@ def test_factorize_2d_solves_no_lp(monkeypatch, n):
     monkeypatch.setattr(ReoptimizingSolver, "__init__", refuse)
     F = factorize_2d(n)
     assert verify(slack_matrix(F.target), F).ok
+
+
+@pytest.mark.parametrize("n", [5, 33, 128, 129, 193])
+def test_factorize_2d_evaluates_no_lifted_inequality(monkeypatch, n):
+    def refuse(self, point):
+        raise AssertionError("factorize_2d evaluated a lifted inequality")
+
+    monkeypatch.setattr(Polyhedron, "member_slacks", refuse)
+    monkeypatch.setattr(Polyhedron, "inequality_slacks", refuse)
+    F = factorize_2d(n)
+    assert verify(slack_matrix(F.target), F).ok
+
+
+@pytest.mark.parametrize("n", list(range(3, 201)) + [256, 257, 513, 1025])
+def test_fold_alphas_are_the_witness_slacks(n):
+    """factorize_2d composes alpha along the folds; the witness slacks of
+    build_ef_2d(n), each checked to lie in the lift, are the oracle, value
+    and type."""
+    P = CyclicPolytope.standard(2, n)
+    alpha = factorize_2d(n).alpha
+    assert alpha == _witness_slacks(P, build_ef_2d(n))
+    assert all(type(x) is int for row in alpha for x in row)
 
 
 def test_round_trip_rank_never_grows():
