@@ -212,11 +212,12 @@ def build_ef_2d(n: int) -> ExtendedFormulation:
     return ExtendedFormulation(lifted, wits, CyclicPolytope.standard(2, n))
 
 
-def _fold_alphas(folds, base, base_inequalities) -> tuple:
-    """The slack vector of each witness of the lift with these folds, in
-    the lift's inequality order and in interval order, composed from the
-    bottom up with one table per level (point -> slacks from that level
-    down); no lifted inequality is evaluated.
+def _fold_alphas(folds, base_inequalities, base_points) -> tuple:
+    """The slack vector of each witness of the lift with these folds down to
+    the facet system on base_points, in the lift's inequality order and in
+    interval order, composed from the bottom up with one table per level
+    (point -> slacks from that level down); no lifted inequality is
+    evaluated.
 
     With u = t - c at a fold centred at c: a reflection's witness has
     z = |u|, so its two cuts have slacks |u| + u and |u| - u, and the rest
@@ -225,10 +226,9 @@ def _fold_alphas(folds, base, base_inequalities) -> tuple:
     (4u - 2, 0), u <= 0 folds to 1 - u with slacks (0, 2 - 4u). At the
     bottom a point s has the facet slacks b - a1*s - a2*s^2.
     """
-    b1, b2 = base
     slacks = {
         s: tuple(f.b - f.a[0] * s - f.a[1] * s * s for f in base_inequalities)
-        for s in range(b1, b2 + 1)
+        for s in base_points
     }
     for kind, c, t1, t2 in reversed(folds):
         below, slacks = slacks, {}
@@ -332,11 +332,12 @@ def fold_factorization_2d(n: int) -> NonnegFactorization:
     P = CyclicPolytope.standard(2, n)
     folds, (b1, b2) = fold_chain(1, n)
     base = CyclicPolytope(2, Interval(b1, b2))
+    points = base.interval.indices()
     base_sets = enumerate_facets(base)
     base_inequalities = [facet_inequality(base, S) for S in base_sets]
-    alphas = _fold_alphas(folds, (b1, b2), base_inequalities)
+    alphas = _fold_alphas(folds, base_inequalities, points)
     base_facets = [(S.members, f.a) for S, f in zip(base_sets, base_inequalities)]
-    beta_of = _fold_duals(folds, base_facets, base.interval.indices())
+    beta_of = _fold_duals(folds, base_facets, points)
     facets = enumerate_facets(P)
     betas = tuple(beta_of(facet_inequality(P, S).a) for S in facets)
     rank = 2 * len(folds) + len(base_facets)
