@@ -89,7 +89,10 @@ class RunReport:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -242,7 +245,7 @@ def _check_ef(ef, rounds: int, seed: int) -> int:
 def cmd_verify(args) -> int:
     try:
         data = json.loads(Path(args.path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise DomainError(f"cannot load {args.path}: {exc}") from exc
     F = NonnegFactorization.from_json_dict(data)
     P = F.target
@@ -257,6 +260,15 @@ def cmd_verify(args) -> int:
         P = claimed
     if P is None:
         raise DomainError("file records no target polytope; pass --n and --d")
+    # verify's shape check from the counts alone, rows first: a wrong target
+    # must not enumerate its facets, nor count them when the rows already
+    # differ (facet_count takes seconds at d = 10^6)
+    shape = f"factorization is {F.n_rows}x{F.n_cols}"
+    if F.n_rows != P.n:
+        raise DomainError(f"{shape}, matrix has {P.n} rows")
+    m = facet_count(P)
+    if F.n_cols != m:
+        raise DomainError(f"{shape}, matrix is {P.n}x{m}")
     report = RunReport({"path": args.path, "n": P.n, "d": P.d})
     with report.stage("verify"):
         outcome = verify(slack_matrix(P), F)

@@ -40,7 +40,6 @@ from .geometry import (
     enumerate_facets,
     fold_chain,
     gale_pair_partition,
-    is_gale,
     slack_matrix,
 )
 from .rational import format_rational, parse_rational, reduce_rows, scaled_ints
@@ -438,12 +437,12 @@ def factorize_even(n: int, q: int) -> NonnegFactorization:
 def factorize_odd(n: int, q: int) -> NonnegFactorization:
     """Dimension 2q + 1 from two scaled copies of the even construction.
 
-    A facet either contains 1 with the rest a facet on [2, n], or contains
-    n with the rest a facet on [1, n-1] (sets qualifying for both go to the
-    first block). Block-1 entries equal (i - 1) times the dimension-(2q)
-    slack on [2, n], block-2 entries (n - i) times the slack on [1, n-1];
-    translating [2, n] down by one lets a single factorization on [1, n-1]
-    serve both blocks. Concatenation on disjoint coordinates adds ranks.
+    Every facet that contains 1 is 1 plus a facet on [2, n] (block 1); the
+    others contain n and are a facet on [1, n-1] plus n (block 2). Block-1
+    entries equal (i - 1) times the dimension-(2q) slack on [2, n], block-2
+    entries (n - i) times the slack on [1, n-1]; translating [2, n] down by
+    one lets a single factorization on [1, n-1] serve both blocks.
+    Concatenation on disjoint coordinates adds ranks.
     """
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
@@ -451,8 +450,6 @@ def factorize_odd(n: int, q: int) -> NonnegFactorization:
     P = CyclicPolytope.standard(d, n)
     fe = factorize_even(n - 1, q)
     r = fe.rank
-    p_left = CyclicPolytope(2 * q, Interval(2, n))
-    p_right = CyclicPolytope(2 * q, Interval(1, n - 1))
     col_of = {S: k for k, S in enumerate(fe.column_labels)}
     zero = (0,) * r
     alphas = []
@@ -463,9 +460,9 @@ def factorize_odd(n: int, q: int) -> NonnegFactorization:
     facets = enumerate_facets(P)
     betas = []
     for S in facets:
-        if 1 in S and is_gale(S.without(1), p_left):
+        if S.members[0] == 1:
             betas.append(fe.beta[col_of[S.without(1).shifted(-1)]] + zero)
-        elif n in S and is_gale(S.without(n), p_right):
+        elif S.members[-1] == n:
             betas.append(zero + fe.beta[col_of[S.without(n)]])
         else:
             raise InternalError(f"facet {S.members} fits neither endpoint block")

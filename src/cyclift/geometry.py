@@ -3,14 +3,15 @@
 A cyclic polytope P^d_[t1,t2] is the convex hull of the moment-curve points
 (i, i^2, ..., i^d) for the integers i in [t1, t2]. This module knows how to:
 
-- enumerate facets via Gale's evenness condition (runs of consecutive
-  members; interior runs must have even length),
+- test, enumerate and count facets from one pair decomposition (Gale's
+  evenness condition): an even-degree facet is d/2 facets of the degree-2
+  polytope, adjacent pairs {p, p + 1} or {t1, t2}, and an odd-degree
+  facet is an endpoint plus an even-degree facet of the rest,
 - evaluate the slack matrix exactly: entry (i, S) is prod_{j in S} |j - i|,
 - turn a facet S into a valid inequality <a, x> <= b whose slacks at the
   vertices reproduce the slack-matrix column of S,
-- split an even-dimension facet into two-element facets of the degree-2
-  polytope on the same interval (the pairing used by the tensor-product
-  factorization),
+- split an even-dimension facet into those pairs (the pairing used by
+  the tensor-product factorization),
 - halve an interval the way the degree-2 lift folds it (fold_chain), so
   the lift, its factorization and the rank formulas walk one recursion.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .errors import DomainError, InternalError
@@ -129,25 +131,35 @@ def _members(S) -> tuple[int, ...]:
     return tuple(sorted(S))
 
 
-def _runs(members: tuple[int, ...]) -> list[list[int]]:
-    """Maximal runs of consecutive integers, left to right."""
-    runs: list[list[int]] = []
-    for m in members:
-        if runs and m == runs[-1][-1] + 1:
-            runs[-1].append(m)
-        else:
-            runs.append([m])
-    return runs
+def _split(members: tuple[int, ...], t1: int, t2: int):
+    """The pairs of a sorted member tuple on [t1, t2], or None when it is
+    not a facet: adjacent pairs {p, p + 1}, and (t1, t2) first when the run
+    at t1 is odd. An odd count drops t1 if it is a member (the rest is then
+    a facet of [t1 + 1, t2] exactly when the set is one), else t2, and
+    splits the rest."""
+    if len(members) % 2:
+        if members[0] == t1:
+            return _split(members[1:], t1 + 1, t2)
+        if members[-1] == t2:
+            return _split(members[:-1], t1, t2 - 1)
+        return None
+    pairs = []
+    if members[0] == t1 and members[-1] == t2:
+        a = 1  # length of the run at t1
+        while a < len(members) and members[a] == t1 + a:
+            a += 1
+        if a % 2:
+            pairs.append((t1, t2))
+            members = members[1:-1]
+    for k in range(0, len(members), 2):
+        lo, hi = members[k], members[k + 1]
+        if hi != lo + 1:
+            return None
+        pairs.append((lo, hi))
+    return pairs
 
 
-def is_gale(S, P: CyclicPolytope) -> bool:
-    """Gale's evenness condition: every run of members of S that touches
-    neither endpoint of the interval must have even length.
-
-    Equivalently, any two non-members enclose an even number of members;
-    the run form is what the code checks, the two-point form is what the
-    tests check it against.
-    """
+def _checked_members(S, P: CyclicPolytope) -> tuple[int, ...]:
     members = _members(S)
     if len(members) != P.d:
         raise DomainError(f"expected {P.d} members, got {len(members)}")
@@ -156,60 +168,52 @@ def is_gale(S, P: CyclicPolytope) -> bool:
     t1, t2 = P.interval.t1, P.interval.t2
     if members[0] < t1 or members[-1] > t2:
         raise DomainError(f"members {members} leave the interval [{t1}, {t2}]")
-    for run in _runs(members):
-        if run[0] != t1 and run[-1] != t2 and len(run) % 2 == 1:
-            return False
-    return True
+    return members
 
 
-def _interior_blocks(lo: int, hi: int, m: int):
-    """Yield the ways to place runs of even length >= 2 summing to m inside
-    [lo, hi], with at least one gap between runs. Each placement is a list
-    of (start, length) in increasing position."""
-    if m == 0:
-        yield []
-        return
-    # first block starts at p, has even length 2b, rest recurses after a gap
-    for p in range(lo, hi + 1):
-        b = 1
-        while 2 * b <= m and p + 2 * b - 1 <= hi:
-            for rest in _interior_blocks(p + 2 * b + 1, hi, m - 2 * b):
-                yield [(p, 2 * b)] + rest
-            b += 1
+def is_gale(S, P: CyclicPolytope) -> bool:
+    """Gale's evenness condition: S is a facet of P.
+
+    The code checks the pair form (_split); the tests check it against the
+    two-point form, where any two non-members enclose an even number of
+    members.
+    """
+    return _split(_checked_members(S, P), P.interval.t1, P.interval.t2) is not None
+
+
+def _pair_unions(lo: int, hi: int, q: int):
+    """Unions of q disjoint adjacent pairs {p, p + 1} inside [lo, hi], as
+    sorted tuples: the k-th pair starts at c_k + k for c_0 < ... < c_{q-1}."""
+    for cs in combinations(range(lo, hi - q + 1), q):
+        yield tuple(m for k, c in enumerate(cs) for m in (c + k, c + k + 1))
 
 
 def enumerate_facets(P: CyclicPolytope) -> tuple[GaleSet, ...]:
     """All facets of P, as GaleSets in lexicographic order of their members.
 
-    Walks the run structure directly (prefix run at t1, suffix run at t2,
-    even interior runs) instead of filtering all d-subsets, so degree-2
-    instances with a thousand points stay cheap.
+    Generates _split's pair decomposition instead of filtering d-subsets,
+    one family per term of facet_count. Even d: unions of d/2 adjacent
+    pairs, and {t1, t2} around d/2 - 1 inner pairs. Odd d: t1 plus pairs
+    in [t1 + 1, t2], and pairs in [t1, t2 - 1] plus t2.
     """
-    d = P.d
+    d, q = P.d, P.d // 2
     t1, t2 = P.interval.t1, P.interval.t2
-    out: list[GaleSet] = []
-    for a in range(d + 1):
-        for z in range(d - a + 1):
-            m = d - a - z
-            if m % 2:
-                continue
-            prefix = list(range(t1, t1 + a))
-            suffix = list(range(t2 - z + 1, t2 + 1))
-            if a and z and suffix[0] - prefix[-1] < 2:
-                continue  # prefix and suffix would merge into one run
-            lo, hi = t1 + a + 1, t2 - z - 1
-            for blocks in _interior_blocks(lo, hi, m):
-                members = list(prefix)
-                for start, length in blocks:
-                    members.extend(range(start, start + length))
-                members.extend(suffix)
-                out.append(GaleSet(tuple(members)))
-    out.sort(key=lambda g: g.members)
-    return tuple(out)
+    if d % 2 == 0:
+        out = list(_pair_unions(t1, t2, q))
+        out.extend((t1,) + u + (t2,) for u in _pair_unions(t1 + 1, t2 - 1, q - 1))
+    else:
+        out = [(t1,) + u for u in _pair_unions(t1 + 1, t2, q)]
+        out.extend(u + (t2,) for u in _pair_unions(t1, t2 - 1, q))
+    out.sort()
+    return tuple(map(GaleSet, out))
 
 
 def facet_count(P: CyclicPolytope) -> int:
     """Number of facets, by the closed-form count of Gale subsets.
+
+    With q = d // 2, the two terms count the two families enumerate_facets
+    generates: C(n - (d+1)//2, q) facets whose run at t1 is even, and
+    C(n - 1 - q, (d-1)//2) whose run at t1 is odd.
 
     Cross-checked against enumerate_facets in the tests; used by reports so
     they do not need to enumerate when only the count matters.
@@ -336,36 +340,16 @@ def fold_chain(t1: int, t2: int) -> tuple:
 
 def gale_pair_partition(S, P: CyclicPolytope) -> tuple[GaleSet, ...]:
     """Split an even-dimension facet into d/2 two-element facets of the
-    degree-2 polytope on the same interval.
-
-    Interior runs have even length and pair up left to right. The runs
-    holding the endpoints have equal parity (the total is even); when that
-    parity is odd the pair {t1, t2} is emitted first and the leftovers of
-    both runs pair left to right.
+    degree-2 polytope on the same interval: the pair {t1, t2} first when
+    the run at t1 is odd, then adjacent pairs left to right (_split).
     """
     if P.d % 2:
         raise DomainError(f"pair partition needs even dimension, got d={P.d}")
-    members = _members(S)
-    if not is_gale(members, P):
+    members = _checked_members(S, P)
+    pairs = _split(members, P.interval.t1, P.interval.t2)
+    if pairs is None:
         raise DomainError(f"{members} is not a facet of the polytope")
-    t1, t2 = P.interval.t1, P.interval.t2
-    runs = _runs(members)
-    prefix_len = len(runs[0]) if runs and runs[0][0] == t1 else 0
-    suffix_len = len(runs[-1]) if runs and runs[-1][-1] == t2 else 0
-    if prefix_len % 2 != suffix_len % 2:
-        raise InternalError(f"endpoint runs of {members} disagree in parity")
-    pairs: list[GaleSet] = []
-    leftovers = [list(run) for run in runs]
-    if prefix_len % 2 == 1:
-        pairs.append(GaleSet((t1, t2)))
-        leftovers[0].remove(t1)
-        leftovers[-1].remove(t2)
-    for run in leftovers:
-        if len(run) % 2:
-            raise InternalError(f"odd leftover run {run} while pairing {members}")
-        for k in range(0, len(run), 2):
-            pairs.append(GaleSet((run[k], run[k + 1])))
-    return tuple(pairs)
+    return tuple(map(GaleSet, pairs))
 
 
 def format_linear(coeffs, names, rhs, relation: str) -> str:

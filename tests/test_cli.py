@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,62 @@ def test_verify_malformed_json_is_usage_error(capsys, tmp_path, defect):
 def test_verify_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert rc == 2 and "cannot load" in err
+
+
+def test_verify_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert f"error: cannot load {path}:" in err
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        # 10^7 points: refused from the row count, with no facet enumerated
+        ({"t2": 10**7}, "9x9, matrix has 10000000 rows"),
+        # C(10^6, 5 * 10^5) would take seconds to compute; the rows differ
+        ({"d": 10**6, "t2": 15 * 10**5}, "9x9, matrix has 1500000 rows"),
+        ({"d": 3}, "9x9, matrix is 9x14"),
+    ],
+    ids=["t2=10^7", "d=10^6", "d=3"],
+)
+def test_verify_compares_shapes_before_building_the_matrix(
+    capsys, monkeypatch, tmp_path, target, message
+):
+    path = tmp_path / "f.json"
+    run(capsys, "factorize", "--n", "9", "--d", "2", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["target"].update(target)
+    path.write_text(json.dumps(data))
+
+    def refuse(P):
+        raise AssertionError("slack_matrix was built")
+
+    monkeypatch.setattr(cyclift.cli, "slack_matrix", refuse)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert f"error: factorization is {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("facets", "--n", "5", "--d", "2"),
+        ("slack", "--n", "5", "--d", "2"),
+        ("factorize", "--n", "9", "--d", "2"),
+        ("ef", "--n", "9", "--d", "2"),
+        ("minimize-poly", "--coeffs", "9,-6,1", "--n", "6"),
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("target", ["missing parent", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    out_path = tmp_path / "absent" / "x.json" if target == "missing parent" else tmp_path
+    rc, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert rc == 2 and out == ""
+    assert f"error: cannot write {out_path}:" in err
 
 
 def test_factorize_report_table(capsys):
@@ -375,10 +433,14 @@ def test_public_names_resolve():
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same cyclift as this process, installed or not
+    src = str(Path(cyclift.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "cyclift", "facets", "--n", "5", "--d", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,2\n1,5\n2,3\n3,4\n4,5\n"

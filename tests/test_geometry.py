@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclift.errors import DomainError
 from cyclift.geometry import (
@@ -250,6 +252,52 @@ def test_gale_pair_partition_properties(d, n):
             a, b = g.members
             assert (a, b) == (1, n) or b == a + 1
             assert is_gale(g, p2)
+
+
+# ------------------------------------------------ random-interval properties
+
+
+@st.composite
+def polytopes(draw, even=False):
+    d = draw(st.integers(1, 4).map(lambda q: 2 * q) if even else st.integers(2, 8))
+    t1 = draw(st.integers(-20, 20))
+    n = draw(st.integers(d + 1, d + 8))
+    return P(d, t1, t1 + n - 1)
+
+
+@settings(deadline=None)
+@given(polytopes())
+def test_enumeration_and_count_match_subset_filter(p):
+    got = [S.members for S in enumerate_facets(p)]
+    assert got == gale_subsets(p.d, p.interval.t1, p.interval.t2)
+    assert facet_count(p) == len(got)
+
+
+@settings(deadline=None)
+@given(polytopes(), st.data())
+def test_is_gale_matches_definition_on_random_subsets(p, data):
+    t1, t2 = p.interval.t1, p.interval.t2
+    S = data.draw(
+        st.lists(st.integers(t1, t2), min_size=p.d, max_size=p.d, unique=True)
+    )
+    assert is_gale(S, p) == gale_ok(S, t1, t2)
+
+
+@settings(deadline=None)
+@given(polytopes(even=True))
+def test_gale_pair_partition_on_random_intervals(p):
+    t1, t2 = p.interval.t1, p.interval.t2
+    p2 = P(2, t1, t2)
+    for S in enumerate_facets(p):
+        pairs = [g.members for g in gale_pair_partition(S, p)]
+        assert sorted(m for g in pairs for m in g) == list(S.members)
+        assert all(is_gale(g, p2) for g in pairs)
+        run_at_t1 = next(k for k in range(p.d + 1) if t1 + k not in S)
+        if run_at_t1 % 2:
+            assert pairs[0] == (t1, t2)
+            pairs = pairs[1:]
+        assert all(b == a + 1 for a, b in pairs)
+        assert all(x[1] < y[0] for x, y in zip(pairs, pairs[1:]))
 
 
 def test_gale_pair_partition_rejects_odd_dimension():
