@@ -13,18 +13,28 @@ each vertex), so there is no phase 1 and no infeasible status. The
 objective is one more integer row over its own denominator: each solve
 prices out the basic columns with the same row update a pivot applies,
 and every pivot keeps it current. Bland's smallest-index rule takes the
-first negative entry of that row (so degenerate instances terminate), and
-at the optimum the row's rhs entry is the objective value and its slack
-entries are the inequality duals. No tolerances anywhere; every
-comparison is exact.
+first negative entry of that row, and at the optimum the row's rhs entry
+is the objective value and its slack entries are the inequality duals. No
+tolerances anywhere; every comparison is exact.
+
+Pivot rule. The ratio test reads only the rows basic in a slack. A row
+basic in a free variable's u_j or w_j bounds nothing, because that
+variable has no sign to protect: its basic value may go negative, and it
+never leaves the basis. Every kept equation row is such a row, at level 0
+from the start, so it never blocks a step as a ratio-0 candidate. The rule
+terminates: Bland's rule scans the u and w labels first, each free
+variable enters at most once and then stays basic (its reduced cost stays
+0), and after the last one has entered Bland's rule runs over the slack
+columns and the slack-basic rows alone, where it cannot cycle.
 
 Stored columns. A row holds one column per variable, one slack per
 inequality and the rhs. Each free variable is x_j = shift_j + u_j - w_j,
 and w_j's column, always the negative of u_j's, is not stored: basis
-labels number u_j as j, w_j as nvars + j and slack k as 2 * nvars + k, and
-Bland's rule scans them in that order. Equation rows have no column of
-their own; their duals are solved from stationarity at the optimum, through
-the inverse of the kept equations' pivot block (see ReoptimizingSolver).
+labels number u_j as j, w_j as nvars + j and slack k as 2 * nvars + k;
+Bland's rule scans them in that order, and the labels below 2 * nvars are
+the free ones. Equation rows have no column of their own; their duals are
+solved from stationarity at the optimum, through the inverse of the kept
+equations' pivot block (see ReoptimizingSolver).
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. For a maximization the certificate
@@ -159,13 +169,17 @@ class ReoptimizingSolver:
     basis and reads the value and the inequality duals from that row at the
     optimum.
 
-    Each free variable is split as x_j = shift_j + u_j - w_j with
-    u_j, w_j >= 0, but only u_j is stored: w_j's column is always the
-    negative of u_j's. A row holds nvars + (inequality count) + 1 integers:
+    Each free variable is split as x_j = shift_j + u_j - w_j (both 0 while
+    nonbasic), but only u_j is stored: w_j's column is always the negative
+    of u_j's. A row holds nvars + (inequality count) + 1 integers:
     u, one slack per inequality, and the rhs. Basis labels number the
     virtual columns: u_j is j, w_j is nvars + j and slack k is
     2 * nvars + k; a row basic in w_j holds -den at column u_j. Bland's
-    rule scans the labels in that order.
+    rule scans the labels in that order. The ratio test skips a row basic
+    in u_j or w_j: the variable is free, so it enters at most once, never
+    leaves, and reads x_j = shift_j + u_j (or - w_j) whatever the sign of
+    its basic value. The remaining pivots are Bland's rule over the slack
+    columns and slack-basic rows, which cannot cycle.
 
     The equation duals mu are not tracked through the pivots. At an
     optimum every u_j has reduced cost 0, so E_K^T mu = c - G^T beta for
@@ -296,21 +310,23 @@ class ReoptimizingSolver:
         return None
 
     def _simplex(self) -> str:
-        """Bland's rule on the objective row until optimal or unbounded."""
+        """Bland's rule on the objective row until optimal or unbounded.
+        A row basic in u_j or w_j (label < 2 * nvars) bounds nothing: its
+        variable is free, so the ratio test skips it and it never leaves."""
         rows, basis = self._rows, self._basis
-        rhs = self._rhs
+        rhs, free = self._rhs, 2 * self._nv
         while True:
             label = self._entering()
             if label is None:
                 return OPTIMAL
             col, sign = self._column(label)
-            # smallest ratio row[rhs] / v over rows with v = sign * row[col]
-            # > 0, compared by cross-multiplying; ties go to the smaller
-            # basis label
+            # smallest ratio row[rhs] / v over the slack-basic rows with
+            # v = sign * row[col] > 0, compared by cross-multiplying; ties
+            # go to the smaller basis label
             best = None
             for i, row in enumerate(rows):
                 v = sign * row[col]
-                if v > 0:
+                if v > 0 and basis[i] >= free:
                     if best is None:
                         best, best_v, best_rhs = i, v, row[rhs]
                         continue

@@ -234,20 +234,23 @@ class TrackerSolver:
         self._basis[pi] = pc
 
     def _simplex(self) -> str:
-        """Bland's rule on the objective row until optimal or unbounded."""
+        """Bland's rule on the objective row until optimal or unbounded.
+        A row basic in a u or w column (label < 2 * nvars) holds a free
+        variable, which the ratio test skips."""
         rows, basis = self._rows, self._basis
-        rhs = self._rhs
+        rhs, free = self._rhs, 2 * self._nv
         while True:
             obj = self._obj
             pc = next((j for j in range(self._track0) if obj[j] < 0), None)
             if pc is None:
                 return OPTIMAL
-            # smallest ratio row[rhs] / row[pc] over rows with row[pc] > 0,
-            # compared by cross-multiplying; ties go to the smaller basis var
+            # smallest ratio row[rhs] / row[pc] over the rows with
+            # row[pc] > 0 whose basic variable is not free, compared by
+            # cross-multiplying; ties go to the smaller basis var
             best = None
             for i, row in enumerate(rows):
                 v = row[pc]
-                if v > 0:
+                if v > 0 and basis[i] >= free:
                     if best is None:
                         best, best_v, best_rhs = i, v, row[rhs]
                         continue

@@ -313,10 +313,11 @@ def _stored(label, nvars):
 
 
 class FractionKeySolver(ReoptimizingSolver):
-    """The ratio test as the key (Fraction(rhs, entry), basis label), the
-    reference for the solver's integer cross-multiplication. The entering
-    label is the first negative entry of the objective row written out over
-    every label: u_j, then w_j = -u_j, then the slacks."""
+    """The ratio test as the key (Fraction(rhs, entry), basis label) over
+    the rows basic in a slack, the reference for the solver's integer
+    cross-multiplication. The entering label is the first negative entry of
+    the objective row written out over every label: u_j, then w_j = -u_j,
+    then the slacks."""
 
     def _simplex(self):
         rows, basis, rhs, nv = self._rows, self._basis, self._rhs, self._nv
@@ -330,7 +331,7 @@ class FractionKeySolver(ReoptimizingSolver):
             keys = [
                 ((Fraction(row[rhs], sign * row[col]), basis[i]), i)
                 for i, row in enumerate(rows)
-                if sign * row[col] > 0
+                if sign * row[col] > 0 and basis[i] >= 2 * nv
             ]
             if not keys:
                 return UNBOUNDED
@@ -349,6 +350,34 @@ def test_ratio_test_matches_fraction_key(system, data):
     for objective in data.draw(st.lists(vec, min_size=1, max_size=4)):
         assert solver.maximize(objective) == reference.maximize(objective)
         assert solver._basis == reference._basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(), st.data())
+def test_free_variables_never_leave_the_basis(system, data):
+    """No pivot takes out a row basic in u_j or w_j (label < 2 * nvars):
+    start-basis pivots replace an unlabelled equation row, and simplex
+    pivots a row basic in a slack. Warm maxima and minima still certify."""
+    nvars, eqs, ineqs, x0 = system
+    left = []
+    original = ReoptimizingSolver._pivot
+
+    def recording(self, pi, label):
+        left.append(self._basis[pi])
+        original(self, pi, label)
+
+    query = st.tuples(
+        st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
+    )
+    queries = data.draw(st.lists(query, min_size=1, max_size=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReoptimizingSolver, "_pivot", recording)
+        solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+        for objective, sense in queries:
+            res = solver.maximize(objective) if sense == MAX else solver.minimize(objective)
+            if res.status == OPTIMAL:
+                assert certify(LinearProgram(sense, tuple(objective), eqs, ineqs), res)
+    assert all(b is None or b >= 2 * nvars for b in left)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,10 +14,13 @@ from fractions import Fraction
 import pytest
 
 from cyclift.cli import main
+from cyclift.exact_lp import LinearProgram, ReoptimizingSolver, certify
 from cyclift.factorization import factorize, factorize_2d
 from cyclift.geometry import CyclicPolytope
-from cyclift.lifting import EfOptimizer, ef_from_factorization, hull_ef
+from cyclift.lifting import EfOptimizer, ef_from_factorization, hull_ef, lift_objective
 from cyclift.rational import format_rational
+
+from oracles import vertex_maximum
 
 CASES = {
     ("facets", "--n", "7", "--d", "3"):
@@ -151,7 +154,12 @@ EF_SOLVE_CASES = (
     (3, 65, "factorization", [(2 * t0, -1, 0) for t0 in range(1, 66)]),
     (4, 37, "hull", [(-9, 5, -8, 1)]),
 )
-EF_SOLVE_DIGEST = "aaec61a972cb4f92afd145cbc5e7ba77096c9e90d1c62b5055404ea18d468ccc"
+EF_SOLVE_DIGEST = "53a69f7693d01275891b63180a7982bcac329b55b2a76dc2ce06c9a79f968668"
+
+# the simplex pivots of the 130 solves of the first EF_SOLVE_CASES lift,
+# start-basis pivots excluded: a ceiling, so that a pivot rule that walks
+# further fails here before the benchmark sees it
+EF_SOLVE_PIVOT_CEILING = 2226
 
 
 def _sha256(text: str) -> str:
@@ -214,3 +222,45 @@ def test_ef_solve_digest():
                 h.update(_render_result(optimizer.solve(objective, sense)).encode())
                 h.update(b"\n")
     assert h.hexdigest() == EF_SOLVE_DIGEST
+
+
+def _ef_solve_lift(d, n, lift):
+    P = CyclicPolytope.standard(d, n)
+    return ef_from_factorization(P, factorize(n, d)) if lift == "factorization" else hull_ef(P)
+
+
+def test_ef_solve_cases_certify_and_match_vertex_scan():
+    """Every solve the digest pins is an optimum: it certifies against the
+    lift's own program, and its value is the extreme over the vertices."""
+    for d, n, lift, objectives in EF_SOLVE_CASES:
+        ef = _ef_solve_lift(d, n, lift)
+        lifted = ef.lifted
+        optimizer = EfOptimizer(ef)
+        for objective in objectives:
+            for sense in ("max", "min"):
+                res = optimizer.solve(objective, sense)
+                lp = LinearProgram(
+                    sense, lift_objective(ef, objective), lifted.equations, lifted.inequalities
+                )
+                assert certify(lp, res)
+                if sense == "max":
+                    assert res.value == vertex_maximum(objective, d, 1, n)
+                else:
+                    assert res.value == -vertex_maximum([-c for c in objective], d, 1, n)
+
+
+def test_ef_solve_pivot_ceiling(monkeypatch):
+    d, n, lift, objectives = EF_SOLVE_CASES[0]
+    optimizer = EfOptimizer(_ef_solve_lift(d, n, lift))
+    pivots = []
+    original = ReoptimizingSolver._pivot
+
+    def counting(self, pi, label):
+        pivots.append(label)
+        original(self, pi, label)
+
+    monkeypatch.setattr(ReoptimizingSolver, "_pivot", counting)
+    for objective in objectives:
+        for sense in ("max", "min"):
+            optimizer.solve(objective, sense)
+    assert 0 < len(pivots) <= EF_SOLVE_PIVOT_CEILING

@@ -242,6 +242,53 @@ def test_hull_ef_optima_match_vertex_scan_and_certify(query):
     assert certify(lp, res)
 
 
+@st.composite
+def warm_lift_queries(draw):
+    """(kind, d, t1, t2, objectives): a convex-hull lift over a random
+    interval, negative ones included, or a factorization lift or the
+    degree-2 fold lift on [1, n], with 1 to 4 objectives for one warm
+    optimizer."""
+    kind = draw(st.sampled_from(("hull", "factorization", "fold")))
+    d = 2 if kind == "fold" else draw(st.integers(2, 5))
+    if kind == "hull":
+        t1 = draw(st.integers(-20, 20))
+        t2 = t1 + draw(st.integers(d, d + 8))
+    else:
+        t1, t2 = 1, draw(st.integers(d + 1, LIFT_N_CAP[d]))
+    objective = st.lists(st.integers(-9, 9), min_size=d, max_size=d).map(tuple)
+    return kind, d, t1, t2, draw(st.lists(objective, min_size=1, max_size=4))
+
+
+@settings(deadline=None)
+@given(warm_lift_queries())
+def test_warm_lift_optima_match_vertex_scan_and_certify(query):
+    """One optimizer per lift maximizes and then minimizes each objective:
+    every value is the extreme over the vertices, and every result
+    certifies against the lift's own program."""
+    kind, d, t1, t2, objectives = query
+    P = CyclicPolytope(d, Interval(t1, t2))
+    if kind == "hull":
+        ef = hull_ef(P)
+    elif kind == "fold":
+        ef = build_ef_2d(t2)
+    else:
+        ef = ef_from_factorization(P, factorize(t2, d))
+    lifted = ef.lifted
+    optimizer = EfOptimizer(ef)
+    for objective in objectives:
+        for sense in (MAX, MIN):
+            res = optimizer.solve(objective, sense)
+            assert res.status == OPTIMAL
+            if sense == MAX:
+                assert res.value == vertex_maximum(objective, d, t1, t2)
+            else:
+                assert res.value == -vertex_maximum([-c for c in objective], d, t1, t2)
+            lp = LinearProgram(
+                sense, lift_objective(ef, objective), lifted.equations, lifted.inequalities
+            )
+            assert certify(lp, res)
+
+
 # ------------------------------------------------- factorization -> lift
 
 
