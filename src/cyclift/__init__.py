@@ -17,6 +17,7 @@ from .exact_lp import (
     LPResult,
     ReoptimizingSolver,
     certify,
+    independent_equations,
     solve,
 )
 from .factorization import (
@@ -61,7 +62,6 @@ from .lifting import (
     ef_to_text,
     factorization_from_ef,
     hull_ef,
-    independent_equations,
     lift_objective,
 )
 from .rational import format_rational, parse_rational

@@ -261,11 +261,15 @@ def cmd_verify(args) -> int:
     if P is None:
         raise DomainError("file records no target polytope; pass --n and --d")
     # verify's shape check from the counts alone, rows first: a wrong target
-    # must not enumerate its facets, nor count them when the rows already
-    # differ (facet_count takes seconds at d = 10^6)
+    # must not enumerate its facets, nor run math.comb (seconds at d = 10^6)
+    # when the rows differ or facet_count's first term C(n - (d+1)//2, d//2)
+    # >= 2^k already outgrows F.n_cols; such a count can be too long to print
     shape = f"factorization is {F.n_rows}x{F.n_cols}"
     if F.n_rows != P.n:
         raise DomainError(f"{shape}, matrix has {P.n} rows")
+    k = min(P.d // 2, P.n - P.d)
+    if k >= F.n_cols.bit_length():
+        raise DomainError(f"{shape}, matrix has at least 2^{k} columns")
     m = facet_count(P)
     if F.n_cols != m:
         raise DomainError(f"{shape}, matrix is {P.n}x{m}")

@@ -36,6 +36,10 @@ the free ones. Equation rows have no column of their own; their duals are
 solved from stationarity at the optimum, through the inverse of the kept
 equations' pivot block (see ReoptimizingSolver).
 
+Equation reduction. independent_equations picks the positions of the
+first maximal independent subset of a program's equations, and only those
+get a tableau row; a dropped equation's dual is 0.
+
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. For a maximization the certificate
 returned with an optimal result is
@@ -60,8 +64,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError
-from .rational import scaled_ints
+from .errors import DomainError, InternalError
+from .rational import reduce_rows, scaled_ints
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -144,6 +148,25 @@ def _pivot_rows(rows, dens, pi, col, sign=1):
     return p, support
 
 
+def independent_equations(equations) -> tuple:
+    """The positions, in order, of the first maximal independent subset.
+
+    Each (coeffs, rhs) row is cleared to integers and eliminated against
+    the rows kept so far (rational.reduce_rows, pivoting on coefficient
+    columns only); a row is kept when a coefficient survives. A dropped row
+    must be implied exactly: a contradictory one is an InternalError.
+    """
+    rows = [scaled_ints(tuple(coeffs) + (rhs,))[0] for coeffs, rhs in equations]
+    width = len(rows[0]) - 1 if rows else 0
+    kept = []
+    for at, (pivot, residual) in enumerate(reduce_rows(rows, width)):
+        if pivot is not None:
+            kept.append(at)
+        elif residual[-1] != 0:
+            raise InternalError("dependent equation with nonzero residual")
+    return tuple(kept)
+
+
 def _inverse(m):
     """(rows, dens) with rows[i] / dens[i] row i of the inverse of the
     square integer matrix m, by Gauss-Jordan on [m | I] with no row
@@ -161,10 +184,11 @@ class ReoptimizingSolver:
 
     The system is translated so that `feasible_point` becomes the origin:
     every inequality row then has nonnegative rhs and starts with its slack
-    variable basic, and every equation row sits at level 0. Each equation
-    row is pivoted on its first nonzero variable column, which moves no
-    basic value; a row with none is a combination of the rows before it and
-    is dropped. The starting basis is therefore feasible, with no phase 1.
+    variable basic, and every equation row sits at level 0. Only the
+    equations independent_equations keeps get a row and are checked at the
+    point: it has shown each dropped one implied by them, or refused it.
+    Each kept row is pivoted on its first nonzero variable column, which
+    moves no basic value, so the start is feasible with no phase 1.
     Each maximize writes its objective as a row priced against the current
     basis and reads the value and the inequality duals from that row at the
     optimum.
@@ -187,7 +211,7 @@ class ReoptimizingSolver:
     duals beta. On the columns J the kept equations were pivoted on,
     M = E_K[:, J] is invertible, and mu = (M^-1)^T (c - G^T beta)_J, with
     M^-1 computed once when the solver is built. A dropped equation's
-    dual is 0.
+    dual is 0, so dual_eq has one entry per equation given.
     """
 
     def __init__(self, nvars, equations, inequalities, feasible_point):
@@ -197,17 +221,21 @@ class ReoptimizingSolver:
         _check_rows(inequalities, nvars, "inequality")
         if len(feasible_point) != nvars:
             raise DomainError("feasible point has the wrong dimension")
+        try:
+            self._kept_eqs = kept = independent_equations(equations)
+        except InternalError as exc:  # no point satisfies the equations
+            raise DomainError("feasible point violates an equation") from exc
         self._nv = nv = nvars
         self._shift = tuple(Fraction(x) for x in feasible_point)
         self._shift_ints, self._sden = shift, sden = scaled_ints(self._shift)
-        self._me = me = len(equations)
+        self._me, mk = len(equations), len(kept)
         self._rhs = rhs_col = nv + len(inequalities)
 
-        coefs = []  # (coefficient ints, den) of each row as given
+        coefs = []  # (coefficient ints, den) of each tableau row
         rows: list[list[int]] = []
         dens: list[int] = []
         basis: list = []  # None: an equation row not pivoted yet
-        for r_idx, (coeffs, rhs) in enumerate(equations + inequalities):
+        for r_idx, (coeffs, rhs) in enumerate([equations[k] for k in kept] + inequalities):
             ints, den = scaled_ints(coeffs)
             coefs.append((ints, den))
             # the start residual rhs - <coeffs, shift>, over rd * den * sden
@@ -215,7 +243,7 @@ class ReoptimizingSolver:
             num = rn * den * sden - rd * sum(c * z for c, z in zip(ints, shift) if c)
             row = ints + [0] * (rhs_col + 1 - nv)
             label = None
-            if r_idx < me:
+            if r_idx < mk:
                 if num != 0:
                     raise DomainError("feasible point violates an equation")
             else:
@@ -227,7 +255,7 @@ class ReoptimizingSolver:
                 if row_den != den:
                     row = [c * (row_den // den) for c in row]
                     den = row_den
-                k = r_idx - me
+                k = r_idx - mk
                 row[nv + k] = den
                 row[rhs_col] = residual.numerator * (den // residual.denominator)
                 label = 2 * nv + k
@@ -240,25 +268,16 @@ class ReoptimizingSolver:
         self._basis = basis
         self._obj = [0] * (rhs_col + 1)  # each maximize writes its own
         self._oden = 1
-        self._kept_eqs = []  # the index of each equation row kept
-        i = 0
-        for r_idx in range(me):
-            pc = next((j for j in range(nv) if rows[i][j]), None)
-            if pc is None:
-                del rows[i], dens[i], basis[i]
-            else:
-                self._pivot(i, pc)
-                self._kept_eqs.append(r_idx)
-                i += 1
+        for i in range(mk):
+            self._pivot(i, next(j for j in range(nv) if rows[i][j]))
 
         # For the equation duals: M is E_K[:, J] with each row l scaled by
         # its den d_l to integers, so E_K[:, J]^-1 is M^-1 with column l
         # times d_l. It is stored transposed, as (q, entry) pairs per kept
         # equation over one common den, and G's entries in the columns J
         # as (slack column, entry) pairs over another.
-        cols = basis[: len(self._kept_eqs)]
-        kept = [coefs[r] for r in self._kept_eqs]
-        inv, inv_dens = _inverse([[ints[j] for j in cols] for ints, _ in kept])
+        cols = basis[:mk]
+        inv, inv_dens = _inverse([[ints[j] for j in cols] for ints, _ in coefs[:mk]])
         self._tden = tden = lcm(*inv_dens)
         self._minv_t = [
             [
@@ -266,9 +285,9 @@ class ReoptimizingSolver:
                 for q, (inv_row, d) in enumerate(zip(inv, inv_dens))
                 if inv_row[l]
             ]
-            for l, (_, d_l) in enumerate(kept)
+            for l, (_, d_l) in enumerate(coefs[:mk])
         ]
-        ineq_coefs = coefs[me:]
+        ineq_coefs = coefs[mk:]
         self._gden = gden = lcm(*(d for _, d in ineq_coefs))
         self._g_at_eq = [
             (j, [(nv + k, c[j] * (gden // d)) for k, (c, d) in enumerate(ineq_coefs) if c[j]])
@@ -367,7 +386,7 @@ class ReoptimizingSolver:
             -res.value,
             res.primal,
             res.dual_ineq,
-            tuple(-m for m in res.dual_eq),
+            tuple(-m if m else _ZERO for m in res.dual_eq),
         )
 
     def _extract(self, objective, cden) -> LPResult:

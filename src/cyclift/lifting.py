@@ -18,6 +18,8 @@ build_ef_2d walks too), with no lift built and no LP.
 hull_ef builds the convex-hull lift directly, with no facet enumerated; it
 stands in for the lift of the trivial factorization where only the
 projection matters.
+EfOptimizer hands a lift's equations to exact_lp.ReoptimizingSolver, which
+keeps the independent ones (independent_equations, re-exported here).
 A lift with a coordinate projection and a slack-matrix factorization are the
 same object (Yannakakis's factorization theorem), so no other kind of
 projection is needed.
@@ -25,12 +27,13 @@ projection is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
+from .exact_lp import independent_equations  # noqa: F401 (re-exported)
 from .factorization import NonnegFactorization, verify
 from .geometry import (
     REFLECT,
@@ -43,7 +46,7 @@ from .geometry import (
     slack_matrix,
     vertex,
 )
-from .rational import format_rational, reduce_rows, scaled_ints
+from .rational import format_rational
 
 
 @dataclass(frozen=True)
@@ -396,27 +399,6 @@ def hull_ef(P: CyclicPolytope) -> ExtendedFormulation:
     return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P)
 
 
-def independent_equations(equations) -> tuple:
-    """The first maximal independent subset, original rows untouched.
-
-    Each (coeffs, rhs) row is cleared to integers and eliminated against
-    the rows kept so far (rational.reduce_rows, pivoting on coefficient
-    columns only); a row is kept when a coefficient survives. Dependent
-    rows must be implied exactly (a feasible point exists for every system
-    handled here, so a contradictory dependent row means the caller's data
-    is corrupt, not merely redundant).
-    """
-    rows = [scaled_ints(tuple(coeffs) + (rhs,))[0] for coeffs, rhs in equations]
-    width = len(rows[0]) - 1 if rows else 0
-    kept = []
-    for (coeffs, rhs), (pivot, residual) in zip(equations, reduce_rows(rows, width)):
-        if pivot is not None:
-            kept.append((coeffs, rhs))
-        elif residual[-1] != 0:
-            raise InternalError("dependent equation with nonzero residual")
-    return tuple(kept)
-
-
 def lift_objective(ef: ExtendedFormulation, objective) -> tuple:
     """Pull an objective on the target's coordinates back through the
     projection: the same coefficients on the first target.d lifted
@@ -434,8 +416,8 @@ class EfOptimizer:
 
     One simplex tableau serves every objective. It starts at the first
     witness, a known feasible point, and each solve reoptimizes from the
-    previous basis. Objectives are given in the coordinates of the target
-    polytope.
+    previous basis. The solver gets every lifted equation and reduces them
+    itself. Objectives are given in the coordinates of the target polytope.
     """
 
     def __init__(self, ef: ExtendedFormulation):
@@ -443,12 +425,8 @@ class EfOptimizer:
         if not ef.witnesses:
             raise DomainError("lifted system has no witnesses to start from")
         start = ef.witnesses[min(ef.witnesses)]
-        kept = independent_equations(ef.lifted.equations)
-        # kept is an order-preserving subsequence of the lifted equations
-        rows = iter(enumerate(ef.lifted.equations))
-        self._kept_at = [next(i for i, row in rows if row == k) for k in kept]
         self._solver = ReoptimizingSolver(
-            ef.lifted.nvars, kept, ef.lifted.inequalities, feasible_point=start
+            ef.lifted.nvars, ef.lifted.equations, ef.lifted.inequalities, start
         )
 
     def solve(self, objective, sense=MAX) -> LPResult:
@@ -461,13 +439,7 @@ class EfOptimizer:
             raise DomainError(f"unknown sense {sense!r}")
         coeffs = lift_objective(self.ef, objective)
         solver = self._solver
-        res = (solver.maximize if sense == MAX else solver.minimize)(coeffs)
-        if res.status != OPTIMAL:
-            return res
-        dual_eq = [_ZERO] * len(self.ef.lifted.equations)
-        for i, mu in zip(self._kept_at, res.dual_eq):
-            dual_eq[i] = mu
-        return replace(res, dual_eq=tuple(dual_eq))
+        return (solver.maximize if sense == MAX else solver.minimize)(coeffs)
 
     def _optimum(self, objective, sense):
         res = self.solve(objective, sense)

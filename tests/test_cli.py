@@ -201,6 +201,24 @@ def test_verify_compares_shapes_before_building_the_matrix(
     assert f"error: factorization is {message}" in err
 
 
+def test_verify_refuses_a_huge_claimed_facet_count_before_counting(
+    capsys, monkeypatch, tmp_path
+):
+    # the rows match the claimed target, but its facet count has more than
+    # 4300 digits, and math.comb would take seconds at a larger d
+    path = tmp_path / "f.json"
+    target = {"d": 20000, "t1": 1, "t2": 30000}
+    path.write_text(json.dumps({"rank": 0, "alpha": [[]] * 30000, "beta": [], "target": target}))
+
+    def refuse(P):
+        raise AssertionError("facet_count was called")
+
+    monkeypatch.setattr(cyclift.cli, "facet_count", refuse)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert "error: factorization is 30000x0, matrix has at least 2^10000 columns" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

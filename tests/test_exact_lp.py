@@ -202,6 +202,18 @@ def test_feasible_point_must_be_feasible():
         ReoptimizingSolver(1, (), ineqs, feasible_point=(0, 0))
 
 
+def test_violated_dependent_equation_is_domain_error():
+    """2x = 1 depends on x = 0 and contradicts it, so the point 0 violates
+    it; the solver builds no row for it, and refuses the system as it
+    refuses a point that violates a kept equation."""
+    eqs = (((1,), 0), ((2,), 1))
+    ineqs = (((1,), 5),)
+    with pytest.raises(DomainError):
+        ReoptimizingSolver(1, eqs, ineqs, (0,))
+    with pytest.raises(DomainError):
+        solve(LinearProgram(MAX, (1,), eqs, ineqs), (0,))
+
+
 def test_objective_length_checked():
     solver = ReoptimizingSolver(2, (), (((1, 1), 4),), (0, 0))
     with pytest.raises(DomainError):

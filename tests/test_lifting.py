@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclift
+import cyclift.exact_lp
+import cyclift.lifting
 from cyclift.errors import DomainError, InternalError
 from cyclift.exact_lp import MAX, MIN, OPTIMAL, LinearProgram, ReoptimizingSolver, certify, solve
 from cyclift.factorization import (
@@ -143,7 +146,7 @@ def test_optimizer_duals_cover_every_lifted_equation():
     assert certify(lp, res)
     kept = independent_equations(ef.lifted.equations)
     assert len(kept) < 14
-    dropped = [mu for row, mu in zip(ef.lifted.equations, res.dual_eq) if row not in kept]
+    dropped = [mu for k, mu in enumerate(res.dual_eq) if k not in kept]
     assert dropped and all(mu == 0 for mu in dropped)
     one_off = solve(lp, ef.witnesses[1])
     assert certify(lp, one_off)
@@ -160,6 +163,28 @@ def test_optimizer_results_are_fractions():
         res = EfOptimizer(ef).solve((1, -2, 1), sense)
         entries = (res.value,) + res.primal + res.dual_ineq + res.dual_eq
         assert {type(x) for x in entries} == {Fraction}
+
+
+def test_optimizer_reduces_the_lifted_equations_once(monkeypatch):
+    """The solver owns the equation reduction: building an optimizer runs
+    independent_equations once, on every lifted equation, and a minimum's
+    zero duals (the dropped rows' among them) share one Fraction."""
+    reduce = cyclift.exact_lp.independent_equations
+    assert cyclift.lifting.independent_equations is reduce
+    assert cyclift.independent_equations is reduce
+    ef = ef_from_factorization(CyclicPolytope.standard(3, 65), factorize(65, 3))
+    calls = []
+
+    def counting(equations):
+        calls.append(len(equations))
+        return reduce(equations)
+
+    monkeypatch.setattr(cyclift.exact_lp, "independent_equations", counting)
+    opt = EfOptimizer(ef)
+    assert calls == [len(ef.lifted.equations)] == [126]
+    res = opt.solve((2 * 30, -1, 0), MIN)
+    zeros = [mu for mu in res.dual_eq if mu == 0]
+    assert len(zeros) >= 126 - 16 and len({id(mu) for mu in zeros}) == 1
 
 
 # largest n per degree, so that building the lifts stays cheap
@@ -352,7 +377,7 @@ def test_facet_duals_do_not_depend_on_start(n):
     reflection folds."""
     ef = build_ef_2d(n)
     lifted = ef.lifted
-    eqs = independent_equations(lifted.equations)
+    eqs = [lifted.equations[k] for k in independent_equations(lifted.equations)]
     solvers = [
         ReoptimizingSolver(lifted.nvars, eqs, lifted.inequalities, ef.witnesses[i])
         for i in (1, n // 2, n)
@@ -520,8 +545,7 @@ def test_factorization_from_ef_rejects_loose_lift():
 
 def test_independent_equations():
     eqs = (((1, 1), 2), ((2, 2), 4), ((1, 0), 1), ((0, 1), 1))
-    kept = independent_equations(eqs)
-    assert kept == (((1, 1), 2), ((1, 0), 1))
+    assert independent_equations(eqs) == (0, 2)
     with pytest.raises(InternalError):
         independent_equations((((1, 1), 2), ((2, 2), 5)))
     assert independent_equations(()) == ()
@@ -555,8 +579,7 @@ def planted_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(planted_systems())
 def test_independent_equations_matches_fraction_oracle(rows):
-    kept = independent_equations(rows)
-    assert kept == tuple(rows[k] for k in independent_rows(rows))
+    assert independent_equations(rows) == tuple(independent_rows(rows))
 
 
 @settings(max_examples=100, deadline=None)
