@@ -18,23 +18,25 @@ is the objective value and its slack entries are the inequality duals. No
 tolerances anywhere; every comparison is exact.
 
 Pivot rule. The ratio test reads only the rows basic in a slack. A row
-basic in a free variable's u_j or w_j bounds nothing, because that
-variable has no sign to protect: its basic value may go negative, and it
-never leaves the basis. Every kept equation row is such a row, at level 0
-from the start, so it never blocks a step as a ratio-0 candidate. The rule
-terminates: Bland's rule scans the u and w labels first, each free
-variable enters at most once and then stays basic (its reduced cost stays
-0), and after the last one has entered Bland's rule runs over the slack
-columns and the slack-basic rows alone, where it cannot cycle.
+basic in a free variable bounds nothing, because that variable has no
+sign to protect: its basic value may go negative, and it never leaves the
+basis. Every kept equation row is such a row, at level 0 from the start,
+so it never blocks a step as a ratio-0 candidate. A free variable may
+enter in either direction: Bland's rule first takes a variable whose
+increase helps, then one whose decrease helps, then a slack. The rule
+terminates: each free variable enters at most once and then stays basic
+(its reduced cost stays 0), and after the last one has entered Bland's
+rule runs over the slack columns and the slack-basic rows alone, where it
+cannot cycle.
 
 Stored columns. A row holds one column per variable, one slack per
-inequality and the rhs. Each free variable is x_j = shift_j + u_j - w_j,
-and w_j's column, always the negative of u_j's, is not stored: basis
-labels number u_j as j, w_j as nvars + j and slack k as 2 * nvars + k;
-Bland's rule scans them in that order, and the labels below 2 * nvars are
-the free ones. Equation rows have no column of their own; their duals are
-solved from stationarity at the optimum, through the inverse of the kept
-equations' pivot block (see ReoptimizingSolver).
+inequality and the rhs, and a basis label is the stored column: variable
+j is j and slack k is nvars + k, so the labels below nvars are the free
+ones. A basic column reads 1 whichever way its variable entered, so a row
+basic in x_j reads x_j = shift_j + rhs / den. Equation rows have no column
+of their own; their duals are solved from stationarity at the optimum,
+through the inverse of the kept equations' pivot block (see
+ReoptimizingSolver).
 
 Equation reduction. independent_equations picks the positions of the
 first maximal independent subset of a program's equations, and only those
@@ -127,24 +129,24 @@ def _eliminate(row, den, f, p, support):
     return row, den
 
 
-def _pivot_rows(rows, dens, pi, col, sign=1):
-    """Pivot on row pi at the column that stores sign * rows[.][col]: the
-    pivot row is divided by its content and signed so that its entry there
-    is positive, which becomes its den (the basic column reads 1), and the
-    column is cleared from every other row. Returns (that entry, the pivot
-    row's nonzero (column, value) pairs)."""
+def _pivot_rows(rows, dens, pi, col):
+    """Pivot on row pi at column col: the pivot row is divided by its
+    content and signed so that its entry there is positive, which becomes
+    its den (the basic column reads 1), and the column is cleared from
+    every other row. Returns (that entry, the pivot row's nonzero (column,
+    value) pairs)."""
     prow = rows[pi]
     g = gcd(*prow)
-    if sign * prow[col] < 0:
+    if prow[col] < 0:
         g = -g
     if g != 1:
         prow = rows[pi] = [x // g for x in prow]
-    p = dens[pi] = sign * prow[col]
+    p = dens[pi] = prow[col]
     support = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != pi:
-            rows[i], dens[i] = _eliminate(row, dens[i], sign * f, p, support)
+            rows[i], dens[i] = _eliminate(row, dens[i], f, p, support)
     return p, support
 
 
@@ -193,23 +195,22 @@ class ReoptimizingSolver:
     basis and reads the value and the inequality duals from that row at the
     optimum.
 
-    Each free variable is split as x_j = shift_j + u_j - w_j (both 0 while
-    nonbasic), but only u_j is stored: w_j's column is always the negative
-    of u_j's. A row holds nvars + (inequality count) + 1 integers:
-    u, one slack per inequality, and the rhs. Basis labels number the
-    virtual columns: u_j is j, w_j is nvars + j and slack k is
-    2 * nvars + k; a row basic in w_j holds -den at column u_j. Bland's
-    rule scans the labels in that order. The ratio test skips a row basic
-    in u_j or w_j: the variable is free, so it enters at most once, never
-    leaves, and reads x_j = shift_j + u_j (or - w_j) whatever the sign of
-    its basic value. The remaining pivots are Bland's rule over the slack
-    columns and slack-basic rows, which cannot cycle.
+    Each variable is free and is one column, holding x_j - shift_j (0
+    while nonbasic). A row holds nvars + (inequality count) + 1 integers:
+    one column per variable, one slack per inequality, and the rhs; a
+    basis label is the column, variable j as j and slack k as nvars + k.
+    A free variable enters upward or downward (see _entering), and the
+    direction only signs the ratio test. The ratio test skips a row basic
+    in a variable: it is free, so it enters at most once, never leaves,
+    and reads x_j = shift_j + rhs / den whatever the sign of its basic
+    value. The remaining pivots are Bland's rule over the slack columns
+    and slack-basic rows, which cannot cycle.
 
     The equation duals mu are not tracked through the pivots. At an
-    optimum every u_j has reduced cost 0, so E_K^T mu = c - G^T beta for
-    the kept equation rows E_K, the inequality rows G and the inequality
-    duals beta. On the columns J the kept equations were pivoted on,
-    M = E_K[:, J] is invertible, and mu = (M^-1)^T (c - G^T beta)_J, with
+    optimum every variable column has reduced cost 0, so
+    E_K^T mu = c - G^T beta for the kept equation rows E_K, the inequality
+    rows G and the inequality duals beta. On the columns J the kept
+    equations were pivoted on, M = E_K[:, J] is invertible, and mu = (M^-1)^T (c - G^T beta)_J, with
     M^-1 computed once when the solver is built. A dropped equation's
     dual is 0, so dual_eq has one entry per equation given.
     """
@@ -258,7 +259,7 @@ class ReoptimizingSolver:
                 k = r_idx - mk
                 row[nv + k] = den
                 row[rhs_col] = residual.numerator * (den // residual.denominator)
-                label = 2 * nv + k
+                label = nv + k
             rows.append(row)
             dens.append(den)
             basis.append(label)
@@ -296,56 +297,50 @@ class ReoptimizingSolver:
 
     # -- tableau mechanics ------------------------------------------------
 
-    def _column(self, label):
-        """(stored column, sign) of a basis label."""
-        nv = self._nv
-        if label < nv:
-            return label, 1
-        if label < 2 * nv:
-            return label - nv, -1
-        return label - nv, 1
-
-    def _pivot(self, pi: int, label: int) -> None:
-        col, sign = self._column(label)
-        p, support = _pivot_rows(self._rows, self._dens, pi, col, sign)
+    def _pivot(self, pi: int, col: int) -> None:
+        p, support = _pivot_rows(self._rows, self._dens, pi, col)
         f = self._obj[col]
         if f:
-            self._obj, self._oden = _eliminate(self._obj, self._oden, sign * f, p, support)
-        self._basis[pi] = label
+            self._obj, self._oden = _eliminate(self._obj, self._oden, f, p, support)
+        self._basis[pi] = col
 
     def _entering(self):
-        """Bland's rule: the smallest label with a negative reduced cost, or
-        None. u_j's reduced cost is obj[j], w_j's is -obj[j]."""
+        """Bland's rule as (column, direction), or None at the optimum: the
+        first variable whose increase helps (obj[j] < 0, direction +1),
+        else the first whose decrease helps (obj[j] > 0, direction -1),
+        else the first slack with obj[j] < 0 (+1)."""
         obj, nv = self._obj, self._nv
         for j in range(nv):
             if obj[j] < 0:
-                return j
+                return j, 1
         for j in range(nv):
             if obj[j] > 0:
-                return nv + j
+                return j, -1
         for j in range(nv, self._rhs):
             if obj[j] < 0:
-                return nv + j
+                return j, 1
         return None
 
     def _simplex(self) -> str:
         """Bland's rule on the objective row until optimal or unbounded.
-        A row basic in u_j or w_j (label < 2 * nvars) bounds nothing: its
-        variable is free, so the ratio test skips it and it never leaves."""
+        A row basic in a variable column (below nvars) bounds nothing: the
+        variable is free, so the ratio test skips it and it never leaves.
+        Its entering direction only signs the ratio test; the pivot makes
+        the basic entry positive either way."""
         rows, basis = self._rows, self._basis
-        rhs, free = self._rhs, 2 * self._nv
+        rhs, nv = self._rhs, self._nv
         while True:
-            label = self._entering()
-            if label is None:
+            entering = self._entering()
+            if entering is None:
                 return OPTIMAL
-            col, sign = self._column(label)
+            col, direction = entering
             # smallest ratio row[rhs] / v over the slack-basic rows with
-            # v = sign * row[col] > 0, compared by cross-multiplying; ties
-            # go to the smaller basis label
+            # v = direction * row[col] > 0, compared by cross-multiplying;
+            # ties go to the smaller basis label
             best = None
             for i, row in enumerate(rows):
-                v = sign * row[col]
-                if v > 0 and basis[i] >= free:
+                v = direction * row[col]
+                if v > 0 and basis[i] >= nv:
                     if best is None:
                         best, best_v, best_rhs = i, v, row[rhs]
                         continue
@@ -354,7 +349,7 @@ class ReoptimizingSolver:
                         best, best_v, best_rhs = i, v, row[rhs]
             if best is None:
                 return UNBOUNDED
-            self._pivot(best, label)
+            self._pivot(best, col)
 
     # -- public solves ----------------------------------------------------
 
@@ -367,11 +362,10 @@ class ReoptimizingSolver:
         obj = [-c for c in ints] + [0] * (self._rhs + 1 - self._nv)
         den = cden
         for row, p, b in zip(self._rows, self._dens, self._basis):
-            col, sign = self._column(b)
-            f = obj[col]
+            f = obj[b]
             if f:
                 support = [(j, v) for j, v in enumerate(row) if v]
-                obj, den = _eliminate(obj, den, sign * f, p, support)
+                obj, den = _eliminate(obj, den, f, p, support)
         self._obj, self._oden = obj, den
         if self._simplex() == UNBOUNDED:
             return LPResult(UNBOUNDED)
@@ -392,18 +386,18 @@ class ReoptimizingSolver:
     def _extract(self, objective, cden) -> LPResult:
         """The optimal result, each entry one Fraction built from ints.
 
-        objective / cden is the objective maximized. x = shift + u - w,
-        where at most one of u_j and w_j is basic, and the value is the
-        objective row's rhs plus the objective at the shift.
+        objective / cden is the objective maximized. A row basic in
+        variable j reads x_j = shift_j + row[rhs] / den; a nonbasic x_j is
+        shift_j. The value is the objective row's rhs plus the objective at
+        the shift.
         """
         nv, rhs = self._nv, self._rhs
         obj, den = self._obj, self._oden
         shift, sden = self._shift_ints, self._sden
         x = list(self._shift)
-        for row, rden, b in zip(self._rows, self._dens, self._basis):
-            if b < 2 * nv:
-                j, t = (b, row[rhs]) if b < nv else (b - nv, -row[rhs])
-                x[j] = Fraction(t * sden + shift[j] * rden, rden * sden)
+        for row, rden, j in zip(self._rows, self._dens, self._basis):
+            if j < nv:
+                x[j] = Fraction(row[rhs] * sden + shift[j] * rden, rden * sden)
         at_shift = sum(c * z for c, z in zip(objective, shift) if c)
         value = Fraction(obj[rhs] * cden * sden + at_shift * den, den * cden * sden)
         dual_ineq = tuple(Fraction(v, den) if v else _ZERO for v in obj[nv:rhs])

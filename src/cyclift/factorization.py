@@ -450,7 +450,7 @@ def factorize_odd(n: int, q: int) -> NonnegFactorization:
     P = CyclicPolytope.standard(d, n)
     fe = factorize_even(n - 1, q)
     r = fe.rank
-    col_of = {S: k for k, S in enumerate(fe.column_labels)}
+    col_of = {S.members: k for k, S in enumerate(fe.column_labels)}
     zero = (0,) * r
     alphas = []
     for i in range(1, n + 1):
@@ -461,9 +461,9 @@ def factorize_odd(n: int, q: int) -> NonnegFactorization:
     betas = []
     for S in facets:
         if S.members[0] == 1:
-            betas.append(fe.beta[col_of[S.without(1).shifted(-1)]] + zero)
+            betas.append(fe.beta[col_of[tuple(m - 1 for m in S.members[1:])]] + zero)
         elif S.members[-1] == n:
-            betas.append(zero + fe.beta[col_of[S.without(n)]])
+            betas.append(zero + fe.beta[col_of[S.members[:-1]]])
         else:
             raise InternalError(f"facet {S.members} fits neither endpoint block")
     return NonnegFactorization(2 * r, tuple(alphas), tuple(betas), facets, P)

@@ -98,14 +98,6 @@ class GaleSet:
     def __contains__(self, j) -> bool:
         return j in self.members
 
-    def without(self, j: int) -> "GaleSet":
-        if j not in self.members:
-            raise DomainError(f"{j} is not a member of {self.members}")
-        return GaleSet(tuple(m for m in self.members if m != j))
-
-    def shifted(self, c: int) -> "GaleSet":
-        return GaleSet(tuple(m + c for m in self.members))
-
 
 @dataclass(frozen=True)
 class FacetInequality:

@@ -107,6 +107,22 @@ def test_free_variables():
     assert res.value == -5 and certify(lp, res)
 
 
+def test_free_variable_entering_downward():
+    """A free variable whose decrease helps enters downward: -3 <= x <= 5
+    from x = 0, maximizing -x, moves x down to -3."""
+    ineqs = (((-1,), 3), ((1,), 5))
+    res = ReoptimizingSolver(1, (), ineqs, (0,)).maximize((-1,))
+    assert res.status == OPTIMAL and res.value == 3 and res.primal == (-3,)
+    assert res == TrackerSolver(1, (), ineqs, (0,)).maximize((-1,))
+    assert certify(LinearProgram(MAX, (-1,), inequalities=ineqs), res)
+    res = ReoptimizingSolver(1, (), ineqs, (0,)).minimize((1,))
+    assert res.status == OPTIMAL and res.value == -3 and res.primal == (-3,)
+    assert certify(LinearProgram(MIN, (1,), inequalities=ineqs), res)
+    # nothing bounds x below
+    below = ReoptimizingSolver(1, (), (((1,), 5),), (0,)).maximize((-1,))
+    assert below.status == UNBOUNDED
+
+
 def test_max_over_cyclic_polytope_hits_vertices():
     lp = LinearProgram(MAX, (0, 1), inequalities=facet_system(2, 1, 5))
     res = solve(lp, (1, 1))
@@ -289,12 +305,17 @@ def test_random_rational_lps_certify(system, data):
 @given(feasible_systems(), st.data())
 def test_solver_matches_tracker_layout(system, data):
     """Warm solves give the same results, entry types included, and leave
-    the same basis labels as the reference layout (oracles.TrackerSolver)
-    after every solve: the same pivots and the same equation duals."""
+    the same basis as the reference layout (oracles.TrackerSolver, its
+    labels mapped to stored columns) after every solve: the same pivots and
+    the same equation duals."""
     nvars, eqs, ineqs, x0 = system
     solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
     reference = TrackerSolver(nvars, eqs, ineqs, x0)
-    assert solver._basis == reference._basis
+
+    def reference_basis():
+        return [_stored(b, nvars)[0] for b in reference._basis]
+
+    assert solver._basis == reference_basis()
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
@@ -310,13 +331,14 @@ def test_solver_matches_tracker_layout(system, data):
                 (ref.primal, ref.dual_ineq, ref.dual_eq),
             ):
                 assert list(map(type, vec)) == list(map(type, ref_vec))
-        assert solver._basis == reference._basis
+        assert solver._basis == reference_basis()
 
 
 def _stored(label, nvars):
-    """(stored column, sign) of a basis label: u_j is column j, w_j is the
-    negative of column j, and slack k (label 2 * nvars + k) is column
-    nvars + k."""
+    """(stored column, sign) of a label in the u/w numbering of
+    oracles.TrackerSolver and of FractionKeySolver's Bland scan: u_j is
+    column j, w_j is the negative of column j, and slack k (label
+    2 * nvars + k) is column nvars + k."""
     if label < nvars:
         return label, 1
     if label < 2 * nvars:
@@ -329,7 +351,8 @@ class FractionKeySolver(ReoptimizingSolver):
     the rows basic in a slack, the reference for the solver's integer
     cross-multiplication. The entering label is the first negative entry of
     the objective row written out over every label: u_j, then w_j = -u_j,
-    then the slacks."""
+    then the slacks, the reference for _entering; the pivot is at its
+    stored column."""
 
     def _simplex(self):
         rows, basis, rhs, nv = self._rows, self._basis, self._rhs, self._nv
@@ -343,11 +366,11 @@ class FractionKeySolver(ReoptimizingSolver):
             keys = [
                 ((Fraction(row[rhs], sign * row[col]), basis[i]), i)
                 for i, row in enumerate(rows)
-                if sign * row[col] > 0 and basis[i] >= 2 * nv
+                if sign * row[col] > 0 and basis[i] >= nv
             ]
             if not keys:
                 return UNBOUNDED
-            self._pivot(min(keys)[1], label)
+            self._pivot(min(keys)[1], col)
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,7 +390,7 @@ def test_ratio_test_matches_fraction_key(system, data):
 @settings(max_examples=200, deadline=None)
 @given(feasible_systems(), st.data())
 def test_free_variables_never_leave_the_basis(system, data):
-    """No pivot takes out a row basic in u_j or w_j (label < 2 * nvars):
+    """No pivot takes out a row basic in a variable (label < nvars):
     start-basis pivots replace an unlabelled equation row, and simplex
     pivots a row basic in a slack. Warm maxima and minima still certify."""
     nvars, eqs, ineqs, x0 = system
@@ -389,7 +412,7 @@ def test_free_variables_never_leave_the_basis(system, data):
             res = solver.maximize(objective) if sense == MAX else solver.minimize(objective)
             if res.status == OPTIMAL:
                 assert certify(LinearProgram(sense, tuple(objective), eqs, ineqs), res)
-    assert all(b is None or b >= 2 * nvars for b in left)
+    assert all(b is None or b >= nvars for b in left)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,13 +480,12 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
             assert den > 0 and gcd(den, *row) == 1
             assert all(type(x) is int for x in row)
             assert len(row) == width
-        col, sign = _stored(pc, self._nv)
-        assert sign * self._rows[pi][col] == self._dens[pi]  # basic column reads 1
+        assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
         obj, oden = self._obj, self._oden
         assert oden > 0 and gcd(oden, *obj) == 1
         assert all(type(x) is int for x in obj)
         assert len(obj) == width
-        assert all(obj[_stored(b, self._nv)[0]] == 0 for b in self._basis if b is not None)
+        assert all(obj[b] == 0 for b in self._basis if b is not None)
         checked.append(max(self._dens))
         priced.append(oden)
 
