@@ -9,6 +9,7 @@ human-readable run reports and timings go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -424,8 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built on the first main call and reused by
+    every later one in the process: parse_args reads it and writes only the
+    fresh namespace it returns."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -17,24 +17,32 @@ first negative entry of that row, and at the optimum the row's rhs entry
 is the objective value and its slack entries are the inequality duals. No
 tolerances anywhere; every comparison is exact.
 
-Pivot rule. The ratio test reads only the rows basic in a slack. A row
-basic in a free variable bounds nothing, because that variable has no
-sign to protect: its basic value may go negative, and it never leaves the
-basis. Every kept equation row is such a row, at level 0 from the start,
-so it never blocks a step as a ratio-0 candidate. A free variable may
-enter in either direction: Bland's rule first takes a variable whose
-increase helps, then one whose decrease helps, then a slack. The rule
-terminates: each free variable enters at most once and then stays basic
-(its reduced cost stays 0), and after the last one has entered Bland's
-rule runs over the slack columns and the slack-basic rows alone, where it
-cannot cycle.
+Pivot rule. A row basic in a free variable bounds nothing, because that
+variable has no sign to protect: its basic value may go negative, and it
+never leaves the basis. So the tableau holds only the rows basic in a
+slack (and, while the starting basis is built, the equation rows not yet
+pivoted), and the ratio test reads all of them. A free variable may enter
+in either direction: Bland's rule first takes a variable whose increase
+helps, then one whose decrease helps, then a slack. The rule terminates:
+each free variable enters at most once and then stays basic (its reduced
+cost stays 0), and after the last one has entered Bland's rule runs over
+the slack columns and the slack-basic rows alone, where it cannot cycle.
 
 Stored columns. A row holds one column per variable, one slack per
 inequality and the rhs, and a basis label is the stored column: variable
 j is j and slack k is nvars + k, so the labels below nvars are the free
-ones. A basic column reads 1 whichever way its variable entered, so a row
-basic in x_j reads x_j = shift_j + rhs / den. Equation rows have no column
-of their own; their duals are solved from stationarity at the optimum,
+ones. When a free variable enters, at a start-basis equation pivot or a
+simplex pivot, its column is cleared from every tableau row and from the
+objective row, and its pivot row leaves the tableau: it is set aside as
+it stands then, as (column, den, nonzero (column, value) pairs), and no
+later pivot updates it. Its basic column reads 1 whichever way the
+variable entered. A set-aside row stays an exact identity on the affine
+hull, so it still prices an objective (the set-aside rows in entry order,
+then the tableau rows) and yields x_j - shift_j by back-substitution in
+reverse entry order, because it can mention only slacks and variables
+that entered after it. Every pivot and result is the one a tableau that
+kept and updated those rows would give. Equation rows have no column of
+their own; their duals are solved from stationarity at the optimum,
 through the inverse of the kept equations' pivot block (see
 ReoptimizingSolver).
 
@@ -200,17 +208,19 @@ class ReoptimizingSolver:
     one column per variable, one slack per inequality, and the rhs; a
     basis label is the column, variable j as j and slack k as nvars + k.
     A free variable enters upward or downward (see _entering), and the
-    direction only signs the ratio test. The ratio test skips a row basic
-    in a variable: it is free, so it enters at most once, never leaves,
-    and reads x_j = shift_j + rhs / den whatever the sign of its basic
-    value. The remaining pivots are Bland's rule over the slack columns
-    and slack-basic rows, which cannot cycle.
+    direction only signs the ratio test. Once entered it never leaves, so
+    its pivot row leaves the tableau for the set-aside list, in entry
+    order and never updated again; maximize prices with it and _extract
+    back-substitutes it. The tableau keeps only the slack-basic rows, all
+    of which the ratio test reads, and Bland's rule over the slack columns
+    and those rows cannot cycle.
 
     The equation duals mu are not tracked through the pivots. At an
     optimum every variable column has reduced cost 0, so
     E_K^T mu = c - G^T beta for the kept equation rows E_K, the inequality
     rows G and the inequality duals beta. On the columns J the kept
-    equations were pivoted on, M = E_K[:, J] is invertible, and mu = (M^-1)^T (c - G^T beta)_J, with
+    equations were pivoted on (the first columns of the set-aside list),
+    M = E_K[:, J] is invertible, and mu = (M^-1)^T (c - G^T beta)_J, with
     M^-1 computed once when the solver is built. A dropped equation's
     dual is 0, so dual_eq has one entry per equation given.
     """
@@ -267,17 +277,18 @@ class ReoptimizingSolver:
         self._rows = rows
         self._dens = dens
         self._basis = basis
+        self._aside = []  # (column, den, support) of each row set aside
         self._obj = [0] * (rhs_col + 1)  # each maximize writes its own
         self._oden = 1
-        for i in range(mk):
-            self._pivot(i, next(j for j in range(nv) if rows[i][j]))
+        for _ in range(mk):  # each pivot sets the first row aside
+            self._pivot(0, next(j for j in range(nv) if rows[0][j]))
 
         # For the equation duals: M is E_K[:, J] with each row l scaled by
         # its den d_l to integers, so E_K[:, J]^-1 is M^-1 with column l
         # times d_l. It is stored transposed, as (q, entry) pairs per kept
         # equation over one common den, and G's entries in the columns J
         # as (slack column, entry) pairs over another.
-        cols = basis[:mk]
+        cols = [col for col, _, _ in self._aside]
         inv, inv_dens = _inverse([[ints[j] for j in cols] for ints, _ in coefs[:mk]])
         self._tden = tden = lcm(*inv_dens)
         self._minv_t = [
@@ -298,11 +309,16 @@ class ReoptimizingSolver:
     # -- tableau mechanics ------------------------------------------------
 
     def _pivot(self, pi: int, col: int) -> None:
-        p, support = _pivot_rows(self._rows, self._dens, pi, col)
+        rows, dens, basis = self._rows, self._dens, self._basis
+        p, support = _pivot_rows(rows, dens, pi, col)
         f = self._obj[col]
         if f:
             self._obj, self._oden = _eliminate(self._obj, self._oden, f, p, support)
-        self._basis[pi] = col
+        if col < self._nv:  # a free variable never leaves: its row is set aside
+            del rows[pi], dens[pi], basis[pi]
+            self._aside.append((col, p, support))
+        else:
+            basis[pi] = col
 
     def _entering(self):
         """Bland's rule as (column, direction), or None at the optimum: the
@@ -323,24 +339,23 @@ class ReoptimizingSolver:
 
     def _simplex(self) -> str:
         """Bland's rule on the objective row until optimal or unbounded.
-        A row basic in a variable column (below nvars) bounds nothing: the
-        variable is free, so the ratio test skips it and it never leaves.
-        Its entering direction only signs the ratio test; the pivot makes
-        the basic entry positive either way."""
-        rows, basis = self._rows, self._basis
-        rhs, nv = self._rhs, self._nv
+        Every tableau row is basic in a slack: a row basic in a variable
+        bounds nothing, because the variable is free, so it was set aside
+        when the variable entered. The entering direction only signs the
+        ratio test; the pivot makes the basic entry positive either way."""
+        rows, basis, rhs = self._rows, self._basis, self._rhs
         while True:
             entering = self._entering()
             if entering is None:
                 return OPTIMAL
             col, direction = entering
-            # smallest ratio row[rhs] / v over the slack-basic rows with
-            # v = direction * row[col] > 0, compared by cross-multiplying;
-            # ties go to the smaller basis label
+            # smallest ratio row[rhs] / v over the rows with v =
+            # direction * row[col] > 0, compared by cross-multiplying; ties
+            # go to the smaller basis label
             best = None
             for i, row in enumerate(rows):
                 v = direction * row[col]
-                if v > 0 and basis[i] >= nv:
+                if v > 0:
                     if best is None:
                         best, best_v, best_rhs = i, v, row[rhs]
                         continue
@@ -354,6 +369,11 @@ class ReoptimizingSolver:
     # -- public solves ----------------------------------------------------
 
     def maximize(self, objective) -> LPResult:
+        """Maximize from the current basis. The objective row -c is priced
+        out against the set-aside rows in entry order (each clears its
+        column and can bring in only columns that entered later or are
+        slacks), then against the tableau rows; a priced row is unique in
+        lowest terms, so it is the one a fully updated tableau gives."""
         if len(objective) != self._nv:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
@@ -361,6 +381,10 @@ class ReoptimizingSolver:
         ints, cden = scaled_ints(objective)
         obj = [-c for c in ints] + [0] * (self._rhs + 1 - self._nv)
         den = cden
+        for col, p, support in self._aside:
+            f = obj[col]
+            if f:
+                obj, den = _eliminate(obj, den, f, p, support)
         for row, p, b in zip(self._rows, self._dens, self._basis):
             f = obj[b]
             if f:
@@ -386,18 +410,38 @@ class ReoptimizingSolver:
     def _extract(self, objective, cden) -> LPResult:
         """The optimal result, each entry one Fraction built from ints.
 
-        objective / cden is the objective maximized. A row basic in
-        variable j reads x_j = shift_j + row[rhs] / den; a nonbasic x_j is
-        shift_j. The value is the objective row's rhs plus the objective at
-        the shift.
+        objective / cden is the objective maximized. A tableau row gives
+        its basic slack the value row[rhs] / den. The set-aside rows are
+        back-substituted in reverse entry order: each reads its variable's
+        value x_j - shift_j from the values of its other columns, which are
+        slacks and variables that entered later (its own column reads 0
+        until then), and a column with no value is nonbasic at 0. Each
+        step works in integers over the lcm of the dens it reads, and a
+        nonbasic x_j is shift_j. The value is the objective row's rhs plus
+        the objective at the shift.
         """
         nv, rhs = self._nv, self._rhs
         obj, den = self._obj, self._oden
         shift, sden = self._shift_ints, self._sden
+        # each column's value (x_j - shift_j for a variable) is
+        # num[j] / zden[j]; the rhs column reads -1, so a stored row sums
+        # to 0 over its support, and a column with no value yet reads 0
+        num, zden = [0] * (rhs + 1), [1] * (rhs + 1)
+        num[rhs] = -1
+        for row, rden, b in zip(self._rows, self._dens, self._basis):
+            if row[rhs]:
+                num[b], zden[b] = row[rhs], rden
         x = list(self._shift)
-        for row, rden, j in zip(self._rows, self._dens, self._basis):
-            if j < nv:
-                x[j] = Fraction(row[rhs] * sden + shift[j] * rden, rden * sden)
+        for col, p, support in reversed(self._aside):
+            common = 1
+            for j, _ in support:
+                common = lcm(common, zden[j])
+            t = -sum(v * num[j] * (common // zden[j]) for j, v in support)
+            if t:
+                d = common * p
+                g = gcd(t, d)
+                num[col], zden[col] = t // g, d // g
+                x[col] = Fraction(t * sden + shift[col] * d, d * sden)
         at_shift = sum(c * z for c, z in zip(objective, shift) if c)
         value = Fraction(obj[rhs] * cden * sden + at_shift * den, den * cden * sden)
         dual_ineq = tuple(Fraction(v, den) if v else _ZERO for v in obj[nv:rhs])

@@ -245,6 +245,22 @@ def test_factorize_report_table(capsys):
     assert "even-dimension bound: 64" in err
 
 
+def test_back_to_back_calls_leak_no_state(capsys):
+    """main parses with one parser per process; a flag given to one call
+    does not carry over to the next."""
+    rc, reported, err = run(capsys, "factorize", "--n", "9", "--d", "4", "--report")
+    assert rc == 0 and "guaranteed bound vs facet description" in err
+    rc, plain, err = run(capsys, "factorize", "--n", "9", "--d", "4")
+    assert rc == 0 and plain == reported
+    assert "guaranteed bound vs facet description" not in err
+    rc, checked, err = run(capsys, "ef", "--n", "17", "--d", "2", "--check", "2")
+    assert rc == 0 and "check 1:" in err and "verification: ok" in err
+    rc, out, err = run(capsys, "ef", "--n", "17", "--d", "2")
+    assert rc == 0 and out == checked
+    assert "check 0:" not in err and "verification" not in err
+    assert cyclift.cli._parser() is cyclift.cli._parser()
+
+
 def _count_calls(monkeypatch, names):
     """Wrap each named function in every cyclift module that binds it;
     returns {name: number of calls}."""

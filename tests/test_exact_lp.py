@@ -1,6 +1,7 @@
 """Exact simplex: frozen instances, status detection, duals, certificates,
 warm restarts, and randomized cross-checks against vertex enumeration."""
 
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -307,15 +308,21 @@ def test_solver_matches_tracker_layout(system, data):
     """Warm solves give the same results, entry types included, and leave
     the same basis as the reference layout (oracles.TrackerSolver, its
     labels mapped to stored columns) after every solve: the same pivots and
-    the same equation duals."""
+    the same equation duals. The tableau rows carry the reference's
+    slack-basic labels in its row order, and the set-aside rows its
+    free-basic ones."""
     nvars, eqs, ineqs, x0 = system
     solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
     reference = TrackerSolver(nvars, eqs, ineqs, x0)
 
-    def reference_basis():
-        return [_stored(b, nvars)[0] for b in reference._basis]
+    def layout():
+        return solver._basis, sorted(col for col, _, _ in solver._aside)
 
-    assert solver._basis == reference_basis()
+    def reference_layout():
+        stored = [_stored(b, nvars)[0] for b in reference._basis]
+        return [c for c in stored if c >= nvars], sorted(c for c in stored if c < nvars)
+
+    assert layout() == reference_layout()
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
@@ -331,7 +338,7 @@ def test_solver_matches_tracker_layout(system, data):
                 (ref.primal, ref.dual_ineq, ref.dual_eq),
             ):
                 assert list(map(type, vec)) == list(map(type, ref_vec))
-        assert solver._basis == reference_basis()
+        assert layout() == reference_layout()
 
 
 def _stored(label, nvars):
@@ -415,6 +422,78 @@ def test_free_variables_never_leave_the_basis(system, data):
     assert all(b is None or b >= nvars for b in left)
 
 
+def _row_holds(support, nvars, x0, ineqs, x):
+    """A stored row, read as sum v * column = rhs over the point x: a
+    variable column holds x_j - x0_j and slack k holds rhs_k - <g_k, x>."""
+    rhs_col = nvars + len(ineqs)
+    total = Fraction(0)
+    for j, v in support:
+        if j < nvars:
+            total += v * (x[j] - x0[j])
+        elif j < rhs_col:
+            coeffs, rhs = ineqs[j - nvars]
+            total += v * (rhs - _dot(coeffs, x))
+        else:
+            total -= v
+    return total == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(), st.data())
+def test_set_aside_rows_stay_fixed(system, data):
+    """After every pivot no tableau row is basic in a variable column, each
+    variable is set aside at most once, and every set-aside row stays
+    bit-identical to the row that left. Each holds as an equation at every
+    optimum, which is what _extract back-substitutes."""
+    nvars, eqs, ineqs, x0 = system
+    left = []
+    original = ReoptimizingSolver._pivot
+
+    def recording(self, pi, col):
+        original(self, pi, col)
+        assert all(b is None or b >= nvars for b in self._basis)
+        if col < nvars:
+            left.append(copy.deepcopy(self._aside[-1]))
+        assert self._aside == left
+
+    query = st.tuples(
+        st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
+    )
+    queries = data.draw(st.lists(query, min_size=1, max_size=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReoptimizingSolver, "_pivot", recording)
+        solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+        for objective, sense in queries:
+            res = solver.maximize(objective) if sense == MAX else solver.minimize(objective)
+            assert solver._aside == left
+            cols = [col for col, _, _ in left]
+            assert len(set(cols)) == len(cols)
+            if res.status == OPTIMAL:
+                for _, _, support in left:
+                    assert _row_holds(support, nvars, x0, ineqs, res.primal)
+
+
+def test_back_substitution_reads_later_entries():
+    """x enters first, on x + y = 1, and its set-aside row reads y; y
+    enters next, on 3y + 2z = 0, and its row reads z, which enters only in
+    the simplex. _extract resolves z, then y, then x."""
+    eqs = (((1, 1, 0), 1), ((0, 3, 2), 0))
+    ineqs = (((0, 0, 1), 4), ((0, 0, -1), 4))
+    solver = ReoptimizingSolver(3, eqs, ineqs, (1, 0, 0))
+    reference = TrackerSolver(3, eqs, ineqs, (1, 0, 0))
+    res = solver.maximize((0, 0, 1))
+    assert [col for col, _, _ in solver._aside] == [0, 1, 2]
+    (_, _, x_row), (_, _, y_row), _ = solver._aside
+    assert dict(x_row)[1] and dict(y_row)[2]
+    assert res.primal == (Fraction(11, 3), Fraction(-8, 3), 4) and res.value == 4
+    assert res == reference.maximize((0, 0, 1))
+    assert certify(LinearProgram(MAX, (0, 0, 1), eqs, ineqs), res)
+    res = solver.minimize((0, 0, 1))
+    assert res.primal == (Fraction(-5, 3), Fraction(8, 3), -4) and res.value == -4
+    assert res == reference.minimize((0, 0, 1))
+    assert certify(LinearProgram(MIN, (0, 0, 1), eqs, ineqs), res)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(-6, 3),
@@ -463,30 +542,44 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
 
 def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     """Every pivot of small degenerate programs, with equations and
-    fractional coefficients, leaves each row, the objective row included,
-    with a positive denominator and gcd(den, *row) == 1, and with one
-    column per variable and per inequality handed to the solver, plus the
-    rhs. The objective row stays priced out: it is 0 at every basic column
-    (an equation row not pivoted yet has none)."""
+    fractional coefficients, leaves each tableau row, the set-aside row and
+    the objective row with a positive denominator and gcd(den, *row) == 1,
+    and with one column per variable and per inequality handed to the
+    solver, plus the rhs. The pivot row's basic column reads 1. The
+    objective row stays priced out: it is 0 at every basic column, the
+    set-aside ones included (an equation row not pivoted yet has none)."""
     checked = []
     priced = []
     original = ReoptimizingSolver._pivot
     width = None
 
     def checking(self, pi, pc):
+        aside = len(self._aside)
         original(self, pi, pc)
         assert len(self._rows) == len(self._dens) == len(self._basis)
         for row, den in zip(self._rows, self._dens):
             assert den > 0 and gcd(den, *row) == 1
             assert all(type(x) is int for x in row)
             assert len(row) == width
-        assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
+        if pc < self._nv:  # the pivot row was set aside as it stands
+            assert len(self._aside) == aside + 1
+            col, den, support = self._aside[-1]
+            row = dict(support)
+            assert col == pc and den > 0 and gcd(den, *row.values()) == 1
+            assert all(type(x) is int and x for x in row.values())
+            assert list(row) == sorted(row) and max(row) < width
+            assert row[pc] == den  # basic column reads 1
+        else:
+            assert len(self._aside) == aside
+            assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
+            den = self._dens[pi]
         obj, oden = self._obj, self._oden
         assert oden > 0 and gcd(oden, *obj) == 1
         assert all(type(x) is int for x in obj)
         assert len(obj) == width
         assert all(obj[b] == 0 for b in self._basis if b is not None)
-        checked.append(max(self._dens))
+        assert all(obj[col] == 0 for col, _, _ in self._aside)
+        checked.append(max(self._dens + [den]))
         priced.append(oden)
 
     monkeypatch.setattr(ReoptimizingSolver, "_pivot", checking)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclift import exact_lp
 from cyclift.cli import main
 from cyclift.exact_lp import LinearProgram, ReoptimizingSolver, certify
 from cyclift.factorization import factorize, factorize_2d
@@ -161,6 +162,12 @@ EF_SOLVE_DIGEST = "53a69f7693d01275891b63180a7982bcac329b55b2a76dc2ce06c9a79f968
 # further fails here before the benchmark sees it
 EF_SOLVE_PIVOT_CEILING = 2226
 
+# the row updates (exact_lp._eliminate calls: tableau rows, the objective
+# row and the pricing of each new objective) over the same 130 solves: a
+# ceiling, so that a layout that updates rows the simplex never reads
+# again fails here
+EF_SOLVE_ROW_UPDATE_CEILING = 30330
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -264,3 +271,20 @@ def test_ef_solve_pivot_ceiling(monkeypatch):
         for sense in ("max", "min"):
             optimizer.solve(objective, sense)
     assert 0 < len(pivots) <= EF_SOLVE_PIVOT_CEILING
+
+
+def test_ef_solve_row_update_ceiling(monkeypatch):
+    d, n, lift, objectives = EF_SOLVE_CASES[0]
+    optimizer = EfOptimizer(_ef_solve_lift(d, n, lift))
+    updates = []
+    original = exact_lp._eliminate
+
+    def counting(row, den, f, p, support):
+        updates.append(p)
+        return original(row, den, f, p, support)
+
+    monkeypatch.setattr(exact_lp, "_eliminate", counting)
+    for objective in objectives:
+        for sense in ("max", "min"):
+            optimizer.solve(objective, sense)
+    assert 0 < len(updates) <= EF_SOLVE_ROW_UPDATE_CEILING
