@@ -28,20 +28,30 @@ each free variable enters at most once and then stays basic (its reduced
 cost stays 0), and after the last one has entered Bland's rule runs over
 the slack columns and the slack-basic rows alone, where it cannot cycle.
 
-Stored columns. A row holds one column per variable, one slack per
-inequality and the rhs, and a basis label is the stored column: variable
-j is j and slack k is nvars + k, so the labels below nvars are the free
-ones. When a free variable enters, at a start-basis equation pivot or a
-simplex pivot, its column is cleared from every tableau row and from the
-objective row, and its pivot row leaves the tableau: it is set aside as
-it stands then, as (column, den, nonzero (column, value) pairs), and no
-later pivot updates it. Its basic column reads 1 whichever way the
+Stored columns. A column is named by its id: variable j is j, slack k
+is nvars + k and the rhs is nvars + (inequality count), and a basis label
+is a column id, so the labels below nvars are the free ones. A stored row
+holds the columns from an offset on, which is 0 at first, and ends with
+the rhs. When a free variable enters, at a start-basis equation pivot or
+a simplex pivot, its column is cleared from every tableau row and from
+the objective row, and its pivot row leaves the tableau: it is set aside
+as it stands then, as (column, den, nonzero (column id, value) pairs),
+and no later pivot updates it. Its basic column reads 1 whichever way the
 variable entered. A set-aside row stays an exact identity on the affine
 hull, so it still prices an objective (the set-aside rows in entry order,
 then the tableau rows) and yields x_j - shift_j by back-substitution in
 reverse entry order, because it can mention only slacks and variables
-that entered after it. Every pivot and result is the one a tableau that
-kept and updated those rows would give. Equation rows have no column of
+that entered after it. Once every variable has been set aside, the
+variable columns are 0 in every tableau row for good, and the next solve
+drops them: the offset becomes nvars, once per solver, and slack k is
+then stored at position k. Positions keep the order of the columns, so
+Bland's rule reads them unchanged. The drop is made once, not column by
+column as each variable enters: that would move the positions at every
+entry, and translating the set-aside supports between positions and
+column ids costs a solver that solves once (minimize-poly builds one per
+job) more than its narrower rows save. A one-shot solver reaches the
+drop only if its equations alone fix every variable. Every pivot and result is the one a tableau that kept and
+updated every row and column would give. Equation rows have no column of
 their own; their duals are solved from stationarity at the optimum,
 through the inverse of the kept equations' pivot block (see
 ReoptimizingSolver).
@@ -51,7 +61,9 @@ first maximal independent subset of a program's equations, and only those
 get a tableau row; a dropped equation's dual is 0.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
-<c, x> <= rhs over free variables. For a maximization the certificate
+<c, x> <= rhs over free variables. Each of its numbers is an int or a
+Fraction; anything else is a DomainError, found in the pass that scales
+its row (or the objective) to integers. For a maximization the certificate
 returned with an optimal result is
 
     objective = E^T mu + G^T beta,   beta >= 0,
@@ -110,12 +122,44 @@ class LPResult:
     dual_eq: tuple | None = None
 
 
+def _check_exact(values, what):
+    """Refuse an entry that is not an int or a Fraction, naming it: a
+    float or a str has no exact numerator and denominator."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise DomainError(f"{what} entry {x!r} is not an int or a Fraction")
+
+
+def _exact_ints(vec, what):
+    """rational.scaled_ints(vec) for a program's numbers, refusing in the
+    same pass an entry that is not an int or a Fraction (_check_exact).
+    A vector of plain ints is returned as the same ints."""
+    den = 1
+    plain = True
+    for x in vec:
+        if type(x) is not int:
+            if type(x) is not Fraction:
+                _check_exact((x,), what)  # bool and other subclasses pass
+            plain = False
+            d = x.denominator
+            if d != 1:
+                den = lcm(den, d)
+    if plain:
+        return list(vec), 1
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
 def _check_rows(rows, nvars, what):
-    for coeffs, _ in rows:
+    """Each row's length and its rhs; its coefficients are checked where
+    they are scaled (_exact_ints)."""
+    for coeffs, rhs in rows:
         if len(coeffs) != nvars:
             raise DomainError(
                 f"{what} row has {len(coeffs)} coefficients, expected {nvars}"
             )
+        _check_exact((rhs,), what)
 
 
 def _eliminate(row, den, f, p, support):
@@ -164,9 +208,10 @@ def independent_equations(equations) -> tuple:
     Each (coeffs, rhs) row is cleared to integers and eliminated against
     the rows kept so far (rational.reduce_rows, pivoting on coefficient
     columns only); a row is kept when a coefficient survives. A dropped row
-    must be implied exactly: a contradictory one is an InternalError.
+    must be implied exactly: a contradictory one is an InternalError. An
+    entry that is not an int or a Fraction is a DomainError.
     """
-    rows = [scaled_ints(tuple(coeffs) + (rhs,))[0] for coeffs, rhs in equations]
+    rows = [_exact_ints(tuple(coeffs) + (rhs,), "equation")[0] for coeffs, rhs in equations]
     width = len(rows[0]) - 1 if rows else 0
     kept = []
     for at, (pivot, residual) in enumerate(reduce_rows(rows, width)):
@@ -204,16 +249,20 @@ class ReoptimizingSolver:
     optimum.
 
     Each variable is free and is one column, holding x_j - shift_j (0
-    while nonbasic). A row holds nvars + (inequality count) + 1 integers:
-    one column per variable, one slack per inequality, and the rhs; a
-    basis label is the column, variable j as j and slack k as nvars + k.
-    A free variable enters upward or downward (see _entering), and the
-    direction only signs the ratio test. Once entered it never leaves, so
-    its pivot row leaves the tableau for the set-aside list, in entry
-    order and never updated again; maximize prices with it and _extract
-    back-substitutes it. The tableau keeps only the slack-basic rows, all
-    of which the ratio test reads, and Bland's rule over the slack columns
-    and those rows cannot cycle.
+    while nonbasic). A row holds one column per variable, one slack per
+    inequality, and the rhs, from the stored offset on: nvars +
+    (inequality count) + 1 integers at first, and (inequality count) + 1
+    once the variable columns are dropped. A basis label is the column id,
+    variable j as j and slack k as nvars + k, and a column id c is stored
+    at position c - offset. A free variable enters upward or downward (see
+    _entering), and the direction only signs the ratio test. Once entered
+    it never leaves, so its pivot row leaves the tableau for the set-aside
+    list, in entry order, in column ids and never updated again; maximize
+    prices with it and _extract back-substitutes it. The tableau keeps
+    only the slack-basic rows, all of which the ratio test reads, and
+    Bland's rule over the slack columns and those rows cannot cycle. When
+    every variable has been set aside, maximize drops the variable
+    columns from the tableau, once (see the module docstring).
 
     The equation duals mu are not tracked through the pivots. At an
     optimum every variable column has reduced cost 0, so
@@ -247,7 +296,7 @@ class ReoptimizingSolver:
         dens: list[int] = []
         basis: list = []  # None: an equation row not pivoted yet
         for r_idx, (coeffs, rhs) in enumerate([equations[k] for k in kept] + inequalities):
-            ints, den = scaled_ints(coeffs)
+            ints, den = _exact_ints(coeffs, "equation" if r_idx < mk else "inequality")
             coefs.append((ints, den))
             # the start residual rhs - <coeffs, shift>, over rd * den * sden
             rn, rd = rhs.numerator, rhs.denominator
@@ -278,6 +327,7 @@ class ReoptimizingSolver:
         self._dens = dens
         self._basis = basis
         self._aside = []  # (column, den, support) of each row set aside
+        self._off = 0  # the column a stored row starts at: 0, then nvars
         self._obj = [0] * (rhs_col + 1)  # each maximize writes its own
         self._oden = 1
         for _ in range(mk):  # each pivot sets the first row aside
@@ -310,8 +360,9 @@ class ReoptimizingSolver:
 
     def _pivot(self, pi: int, col: int) -> None:
         rows, dens, basis = self._rows, self._dens, self._basis
-        p, support = _pivot_rows(rows, dens, pi, col)
-        f = self._obj[col]
+        at = col - self._off
+        p, support = _pivot_rows(rows, dens, pi, at)
+        f = self._obj[at]
         if f:
             self._obj, self._oden = _eliminate(self._obj, self._oden, f, p, support)
         if col < self._nv:  # a free variable never leaves: its row is set aside
@@ -324,17 +375,21 @@ class ReoptimizingSolver:
         """Bland's rule as (column, direction), or None at the optimum: the
         first variable whose increase helps (obj[j] < 0, direction +1),
         else the first whose decrease helps (obj[j] > 0, direction -1),
-        else the first slack with obj[j] < 0 (+1)."""
-        obj, nv = self._obj, self._nv
+        else the first slack with obj[j] < 0 (+1). The scan runs over stored
+        positions, which keep the order of the columns, and returns column
+        ids: a variable is stored only while the offset is 0, and once the
+        variable columns are dropped the scan reads the slacks alone."""
+        obj, off = self._obj, self._off
+        nv = self._nv - off
         for j in range(nv):
             if obj[j] < 0:
                 return j, 1
         for j in range(nv):
             if obj[j] > 0:
                 return j, -1
-        for j in range(nv, self._rhs):
+        for j in range(nv, self._rhs - off):
             if obj[j] < 0:
-                return j, 1
+                return j + off, 1
         return None
 
     def _simplex(self) -> str:
@@ -342,19 +397,24 @@ class ReoptimizingSolver:
         Every tableau row is basic in a slack: a row basic in a variable
         bounds nothing, because the variable is free, so it was set aside
         when the variable entered. The entering direction only signs the
-        ratio test; the pivot makes the basic entry positive either way."""
-        rows, basis, rhs = self._rows, self._basis, self._rhs
+        ratio test; the pivot makes the basic entry positive either way.
+        The entering column and the rhs are read at their stored positions
+        (column id minus the offset); the offset does not change within a
+        solve."""
+        rows, basis, off = self._rows, self._basis, self._off
+        rhs = self._rhs - off
         while True:
             entering = self._entering()
             if entering is None:
                 return OPTIMAL
             col, direction = entering
+            at = col - off
             # smallest ratio row[rhs] / v over the rows with v =
-            # direction * row[col] > 0, compared by cross-multiplying; ties
+            # direction * row[at] > 0, compared by cross-multiplying; ties
             # go to the smaller basis label
             best = None
             for i, row in enumerate(rows):
-                v = direction * row[col]
+                v = direction * row[at]
                 if v > 0:
                     if best is None:
                         best, best_v, best_rhs = i, v, row[rhs]
@@ -369,24 +429,37 @@ class ReoptimizingSolver:
     # -- public solves ----------------------------------------------------
 
     def maximize(self, objective) -> LPResult:
-        """Maximize from the current basis. The objective row -c is priced
-        out against the set-aside rows in entry order (each clears its
-        column and can bring in only columns that entered later or are
-        slacks), then against the tableau rows; a priced row is unique in
-        lowest terms, so it is the one a fully updated tableau gives."""
+        """Maximize from the current basis. The first solve that finds
+        every variable set aside drops the variable columns from the
+        tableau rows, which are 0 there for good. The objective row -c is
+        priced out at full width against the set-aside rows in entry order
+        (each clears its column and can bring in only columns that entered
+        later or are slacks), cut at the stored offset (what it cuts is 0
+        by then), and priced against the tableau rows; a priced row is
+        unique in lowest terms, so it is the one a fully updated tableau
+        gives. An objective entry that is not an int or a Fraction is a
+        DomainError."""
         if len(objective) != self._nv:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
-        ints, cden = scaled_ints(objective)
-        obj = [-c for c in ints] + [0] * (self._rhs + 1 - self._nv)
+        ints, cden = _exact_ints(objective, "objective")
+        nv, off = self._nv, self._off
+        if off != nv and len(self._aside) == nv:
+            # every variable has entered: its column is 0 in every tableau
+            # row for good, so the rows drop the variable columns, once
+            self._rows = [row[nv:] for row in self._rows]
+            self._off = off = nv
+        obj = [-c for c in ints] + [0] * (self._rhs + 1 - nv)
         den = cden
         for col, p, support in self._aside:
             f = obj[col]
             if f:
                 obj, den = _eliminate(obj, den, f, p, support)
+        if off:
+            obj = obj[off:]
         for row, p, b in zip(self._rows, self._dens, self._basis):
-            f = obj[b]
+            f = obj[b - off]
             if f:
                 support = [(j, v) for j, v in enumerate(row) if v]
                 obj, den = _eliminate(obj, den, f, p, support)
@@ -396,6 +469,7 @@ class ReoptimizingSolver:
         return self._extract(ints, cden)
 
     def minimize(self, objective) -> LPResult:
+        _check_exact(objective, "objective")  # before the negation
         res = self.maximize([-c for c in objective])
         if res.status != OPTIMAL:
             return res
@@ -411,7 +485,9 @@ class ReoptimizingSolver:
         """The optimal result, each entry one Fraction built from ints.
 
         objective / cden is the objective maximized. A tableau row gives
-        its basic slack the value row[rhs] / den. The set-aside rows are
+        its basic slack the value of its last entry, the rhs, over its den,
+        and the objective row's slack entries (from stored position
+        nvars - offset) are the inequality duals. The set-aside rows are
         back-substituted in reverse entry order: each reads its variable's
         value x_j - shift_j from the values of its other columns, which are
         slacks and variables that entered later (its own column reads 0
@@ -424,13 +500,13 @@ class ReoptimizingSolver:
         obj, den = self._obj, self._oden
         shift, sden = self._shift_ints, self._sden
         # each column's value (x_j - shift_j for a variable) is
-        # num[j] / zden[j]; the rhs column reads -1, so a stored row sums
-        # to 0 over its support, and a column with no value yet reads 0
+        # num[j] / zden[j]; the rhs column reads -1, so a set-aside row
+        # sums to 0 over its support, and a column with no value yet reads 0
         num, zden = [0] * (rhs + 1), [1] * (rhs + 1)
         num[rhs] = -1
         for row, rden, b in zip(self._rows, self._dens, self._basis):
-            if row[rhs]:
-                num[b], zden[b] = row[rhs], rden
+            if row[-1]:
+                num[b], zden[b] = row[-1], rden
         x = list(self._shift)
         for col, p, support in reversed(self._aside):
             common = 1
@@ -443,8 +519,9 @@ class ReoptimizingSolver:
                 num[col], zden[col] = t // g, d // g
                 x[col] = Fraction(t * sden + shift[col] * d, d * sden)
         at_shift = sum(c * z for c, z in zip(objective, shift) if c)
-        value = Fraction(obj[rhs] * cden * sden + at_shift * den, den * cden * sden)
-        dual_ineq = tuple(Fraction(v, den) if v else _ZERO for v in obj[nv:rhs])
+        value = Fraction(obj[-1] * cden * sden + at_shift * den, den * cden * sden)
+        slacks = obj[nv - self._off : -1]
+        dual_ineq = tuple(Fraction(v, den) if v else _ZERO for v in slacks)
         return LPResult(
             OPTIMAL, value, tuple(x), dual_ineq, self._equation_duals(objective, cden)
         )
@@ -454,9 +531,9 @@ class ReoptimizingSolver:
         nonzero entry; 0 for a dropped equation. With beta_k the objective
         row's slack entry over its den, r_q below is (c - G^T beta) at
         column J_q over cden * oden * gden."""
-        obj, oden, gden = self._obj, self._oden, self._gden
+        obj, oden, gden, off = self._obj, self._oden, self._gden, self._off
         r = [
-            objective[j] * oden * gden - cden * sum(obj[col] * g for col, g in gcol)
+            objective[j] * oden * gden - cden * sum(obj[col - off] * g for col, g in gcol)
             for j, gcol in self._g_at_eq
         ]
         den = self._tden * cden * oden * gden

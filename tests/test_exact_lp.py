@@ -3,11 +3,12 @@ warm restarts, and randomized cross-checks against vertex enumeration."""
 
 import copy
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cyclift.errors import DomainError
@@ -339,6 +340,9 @@ def test_solver_matches_tracker_layout(system, data):
             ):
                 assert list(map(type, vec)) == list(map(type, ref_vec))
         assert layout() == reference_layout()
+    # the drop happens at the first solve that finds every variable set
+    # aside: `pytest --hypothesis-show-statistics` shows how often
+    event("variable columns dropped" if solver._off == nvars else "variable columns kept")
 
 
 def _stored(label, nvars):
@@ -359,21 +363,23 @@ class FractionKeySolver(ReoptimizingSolver):
     cross-multiplication. The entering label is the first negative entry of
     the objective row written out over every label: u_j, then w_j = -u_j,
     then the slacks, the reference for _entering; the pivot is at its
-    stored column."""
+    stored column. A stored row starts at column solver._off: once the
+    variable columns are dropped, they read 0 here."""
 
     def _simplex(self):
         rows, basis, rhs, nv = self._rows, self._basis, self._rhs, self._nv
+        off = self._off
         while True:
-            obj = self._obj
+            obj = [0] * off + self._obj
             reduced = obj[:nv] + [-v for v in obj[:nv]] + obj[nv:rhs]
             label = next((j for j, v in enumerate(reduced) if v < 0), None)
             if label is None:
                 return OPTIMAL
             col, sign = _stored(label, nv)
             keys = [
-                ((Fraction(row[rhs], sign * row[col]), basis[i]), i)
+                ((Fraction(row[rhs - off], sign * row[col - off]), basis[i]), i)
                 for i, row in enumerate(rows)
-                if sign * row[col] > 0 and basis[i] >= nv
+                if sign * row[col - off] > 0 and basis[i] >= nv
             ]
             if not keys:
                 return UNBOUNDED
@@ -444,17 +450,24 @@ def test_set_aside_rows_stay_fixed(system, data):
     """After every pivot no tableau row is basic in a variable column, each
     variable is set aside at most once, and every set-aside row stays
     bit-identical to the row that left. Each holds as an equation at every
-    optimum, which is what _extract back-substitutes."""
+    optimum, which is what _extract back-substitutes. _pivot takes a
+    column id, stored or dropped layout alike, so col < nvars is a
+    variable entering; none enters once the variable columns are dropped,
+    and every stored row is then nvars integers narrower."""
     nvars, eqs, ineqs, x0 = system
     left = []
     original = ReoptimizingSolver._pivot
 
     def recording(self, pi, col):
+        dropped = self._off == nvars > 0
         original(self, pi, col)
         assert all(b is None or b >= nvars for b in self._basis)
         if col < nvars:
+            assert not dropped
             left.append(copy.deepcopy(self._aside[-1]))
         assert self._aside == left
+        width = nvars + len(ineqs) + 1 - self._off
+        assert all(len(row) == width for row in self._rows) and len(self._obj) == width
 
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
@@ -543,44 +556,57 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
 def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     """Every pivot of small degenerate programs, with equations and
     fractional coefficients, leaves each tableau row, the set-aside row and
-    the objective row with a positive denominator and gcd(den, *row) == 1,
-    and with one column per variable and per inequality handed to the
-    solver, plus the rhs. The pivot row's basic column reads 1. The
+    the objective row with a positive denominator and gcd(den, *row) == 1.
+    A stored row holds one column per variable and per inequality handed
+    to the solver, plus the rhs, from the stored offset on: the width is
+    nvars - offset + len(ineqs) + 1, where the offset is 0 until every
+    variable has been set aside and nvars after. A set-aside row keeps its
+    support in column ids. The pivot row's basic column reads 1. The
     objective row stays priced out: it is 0 at every basic column, the
-    set-aside ones included (an equation row not pivoted yet has none)."""
+    set-aside ones included while they are stored (an equation row not
+    pivoted yet has none). Each system is solved once per objective and
+    then warm, every objective on one solver, so that the checks also run
+    after the variable columns are dropped."""
     checked = []
     priced = []
+    dropped = []
     original = ReoptimizingSolver._pivot
-    width = None
+    nvars = nineqs = None
 
     def checking(self, pi, pc):
         aside = len(self._aside)
         original(self, pi, pc)
+        off = self._off
+        assert off in (0, nvars) and (off == 0 or len(self._aside) == nvars)
+        width = nvars - off + nineqs + 1
         assert len(self._rows) == len(self._dens) == len(self._basis)
         for row, den in zip(self._rows, self._dens):
             assert den > 0 and gcd(den, *row) == 1
             assert all(type(x) is int for x in row)
             assert len(row) == width
         if pc < self._nv:  # the pivot row was set aside as it stands
+            assert not off  # no variable enters after the drop
             assert len(self._aside) == aside + 1
             col, den, support = self._aside[-1]
             row = dict(support)
             assert col == pc and den > 0 and gcd(den, *row.values()) == 1
             assert all(type(x) is int and x for x in row.values())
-            assert list(row) == sorted(row) and max(row) < width
+            assert list(row) == sorted(row) and max(row) < nvars + nineqs + 1
             assert row[pc] == den  # basic column reads 1
         else:
             assert len(self._aside) == aside
-            assert self._rows[pi][pc] == self._dens[pi]  # basic column reads 1
+            assert self._rows[pi][pc - off] == self._dens[pi]  # basic column reads 1
             den = self._dens[pi]
         obj, oden = self._obj, self._oden
         assert oden > 0 and gcd(oden, *obj) == 1
         assert all(type(x) is int for x in obj)
         assert len(obj) == width
-        assert all(obj[b] == 0 for b in self._basis if b is not None)
-        assert all(obj[col] == 0 for col, _, _ in self._aside)
+        assert all(obj[b - off] == 0 for b in self._basis if b is not None)
+        assert all(obj[col - off] == 0 for col, _, _ in self._aside if col >= off)
         checked.append(max(self._dens + [den]))
         priced.append(oden)
+        if off:
+            dropped.append(pc)
 
     monkeypatch.setattr(ReoptimizingSolver, "_pivot", checking)
     h = Fraction(1, 2)
@@ -588,11 +614,19 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
         ((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((2, 1), 3), ((1, 2), 3),
         ((3 * h, 3 * h), 3), ((Fraction(2, 3), Fraction(1, 3)), 1),
     )
-    width = 2 + len(degenerate) + 1
+    nvars, nineqs = 2, len(degenerate)
     for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (1, 2)):
         lp = LinearProgram(MAX, objective, inequalities=degenerate)
         res = solve(lp, (0, 0))
         assert certify(lp, res)
+    # boxed below too, so that objectives pointing down stay bounded
+    boxed = degenerate + (((-1, 0), 2), ((0, -1), 2))
+    nineqs = len(boxed)
+    warm = ReoptimizingSolver(nvars, (), boxed, (0, 0))
+    for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (-1, -2), (2, -1), (-1, 3), (1, 2)):
+        res = warm.maximize(objective)
+        assert certify(LinearProgram(MAX, objective, inequalities=boxed), res)
+    assert warm._off == nvars and dropped
     eqs = (((Fraction(3, 2), -1, Fraction(1, 3)), Fraction(1, 2)), ((3, -2, Fraction(2, 3)), 1))
     ineqs = (
         ((1, 1, 1), 6), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
@@ -600,9 +634,152 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     )
     # the second equation is twice the first: its row is dropped when the
     # start pivots reach it
-    width = 3 + len(ineqs) + 1
+    nvars, nineqs = 3, len(ineqs)
     lp = LinearProgram(MAX, (1, 2, 3), eqs, ineqs)
     res = solve(lp, (1, 1, 0))
     assert res.status == OPTIMAL and certify(lp, res)
+    dropped.clear()
+    warm = ReoptimizingSolver(nvars, eqs, ineqs, (1, 1, 0))
+    for objective in ((1, 2, 3), (3, 1, 0), (0, -1, 1), (-1, -1, -1), (1, 0, Fraction(1, 2))):
+        res = warm.maximize(objective)
+        assert res.status == OPTIMAL
+        assert certify(LinearProgram(MAX, objective, eqs, ineqs), res)
+    assert warm._off == nvars and dropped
     assert checked and max(checked) > 1
     assert max(priced) > 1
+
+
+# x in [-4, 4], y <= 3, x + y <= 5: the first maximum brings both variables
+# into the basis, so the next solve drops the variable columns
+_WARM_INEQS = (((1, 0), 4), ((-1, 0), 4), ((0, 1), 3), ((1, 1), 5))
+
+
+def _warm_pair(ineqs):
+    """A solver and the reference layout over the same system, after a
+    first maximum of x + y that sets both variables aside."""
+    solver = ReoptimizingSolver(2, (), ineqs, (0, 0))
+    reference = TrackerSolver(2, (), ineqs, (0, 0))
+    res = solver.maximize((1, 1))
+    assert res == reference.maximize((1, 1))
+    assert sorted(col for col, _, _ in solver._aside) == [0, 1] and solver._off == 0
+    return solver, reference
+
+
+def _same_and_certified(solver, reference, objective, sense, ineqs):
+    if sense == MAX:
+        res, ref = solver.maximize(objective), reference.maximize(objective)
+    else:
+        res, ref = solver.minimize(objective), reference.minimize(objective)
+    assert res == ref
+    if res.status == OPTIMAL:
+        assert certify(LinearProgram(sense, objective, inequalities=ineqs), res)
+    return res
+
+
+def test_unbounded_after_the_drop():
+    """Every variable has entered; the next objective, min y, is unbounded
+    (nothing bounds y below), and the solve that finds it is the one that
+    drops the variable columns. Later solves go on from that basis."""
+    solver, reference = _warm_pair(_WARM_INEQS)
+    res = _same_and_certified(solver, reference, (0, 1), MIN, _WARM_INEQS)
+    assert res.status == UNBOUNDED and solver._off == 2
+    assert all(len(row) == len(_WARM_INEQS) + 1 for row in solver._rows)
+    for objective, sense in (((1, 0), MAX), ((1, 1), MAX), ((1, -1), MIN), ((1, 0), MIN)):
+        res = _same_and_certified(solver, reference, objective, sense, _WARM_INEQS)
+        assert res.status == OPTIMAL
+    assert res.value == -4 and res.primal[0] == -4
+
+
+def test_negative_optimum_after_the_drop():
+    """Every variable has entered; the next optimum, with y >= -3 added,
+    puts both variables at negative values, read by back-substitution
+    from slack-only tableau rows."""
+    ineqs = _WARM_INEQS + (((0, -1), 3),)
+    solver, reference = _warm_pair(ineqs)
+    res = _same_and_certified(solver, reference, (1, 1), MIN, ineqs)
+    assert solver._off == 2
+    assert res.status == OPTIMAL and res.value == -7 and res.primal == (-4, -3)
+    res = _same_and_certified(solver, reference, (-1, -2), MAX, ineqs)
+    assert res.value == 10 and res.primal == (-4, -3)
+    res = _same_and_certified(solver, reference, (Fraction(1, 3), -1), MAX, ineqs)
+    assert res.primal == (4, -3) and res.value == Fraction(13, 3)
+
+
+def test_unconstrained_variable_keeps_the_columns():
+    """z's column is 0 in every constraint, so z never enters: an
+    objective that reads z is unbounded before any pivot, and every other
+    one leaves z at its start value. Not every variable is set aside, so
+    the solver never drops the variable columns, and its results still
+    match the reference layout."""
+    eqs = (((1, -1, 0), 0),)  # x = y
+    ineqs = (((1, 1, 0), 6), ((-1, 0, 0), 2))
+    start = (1, 1, Fraction(5, 2))
+    solver = ReoptimizingSolver(3, eqs, ineqs, start)
+    reference = TrackerSolver(3, eqs, ineqs, start)
+    queries = (((1, 0, 0), MAX), ((0, 0, 1), MAX), ((0, 1, 0), MIN), ((1, 2, -1), MIN), ((2, 1, 0), MAX))
+    for objective, sense in queries:
+        if sense == MAX:
+            res, ref = solver.maximize(objective), reference.maximize(objective)
+        else:
+            res, ref = solver.minimize(objective), reference.minimize(objective)
+        assert res == ref
+        if objective[2]:
+            assert res.status == UNBOUNDED
+        else:
+            assert res.status == OPTIMAL and res.primal[2] == Fraction(5, 2)
+            assert certify(LinearProgram(sense, objective, eqs, ineqs), res)
+        assert 2 not in [col for col, _, _ in solver._aside] and solver._off == 0
+    assert sorted(col for col, _, _ in solver._aside) == [0, 1]
+    assert all(len(row) == 3 + len(ineqs) + 1 for row in solver._rows)
+
+
+_INEXACT = (1.5, 2.0, "1", "1/2", None)
+
+
+@pytest.mark.parametrize("bad", _INEXACT, ids=repr)
+@pytest.mark.parametrize(
+    "where",
+    ["objective", "equation coefficient", "equation rhs", "inequality coefficient", "inequality rhs"],
+)
+def test_inexact_number_is_domain_error(where, bad):
+    """A number of the program that is not an int or a Fraction is a
+    DomainError that names it, through solve and through the solver, for
+    a maximum and a minimum; a solver that refused an objective still
+    solves the next one."""
+    objective = [1, 1]
+    eqs = [[[1, -1], 0]]
+    ineqs = [[[1, 1], 4], [[-1, 0], 0]]
+    row, at = {
+        "objective": (objective, 0),
+        "equation coefficient": (eqs[0][0], 1),
+        "equation rhs": (eqs[0], 1),
+        "inequality coefficient": (ineqs[1][0], 0),
+        "inequality rhs": (ineqs[0], 1),
+    }[where]
+    row[at] = bad
+    eqs = tuple((tuple(c), r) for c, r in eqs)
+    ineqs = tuple((tuple(c), r) for c, r in ineqs)
+    named = re.escape(repr(bad))
+    for sense in (MAX, MIN):
+        with pytest.raises(DomainError, match=named):
+            solve(LinearProgram(sense, tuple(objective), eqs, ineqs), (0, 0))
+    if where == "objective":
+        solver = ReoptimizingSolver(2, eqs, ineqs, (0, 0))
+        for call in (solver.maximize, solver.minimize):
+            with pytest.raises(DomainError, match=named):
+                call(objective)
+        assert solver.maximize((1, 1)).value == 4
+    else:
+        with pytest.raises(DomainError, match=named):
+            ReoptimizingSolver(2, eqs, ineqs, (0, 0))
+
+
+def test_exact_numbers_of_every_kind_are_accepted():
+    """ints, bools and Fractions are exact; the feasible point is read
+    through Fraction(), which converts a float exactly."""
+    eqs = (((1, -1), 0),)
+    ineqs = (((1, True), 4), ((Fraction(-1), 0), Fraction(0)))
+    lp = LinearProgram(MAX, (True, Fraction(1)), eqs, ineqs)
+    res = solve(lp, (0.5, 0.5))
+    assert res.status == OPTIMAL and res.value == 4 and res.primal == (2, 2)
+    assert certify(lp, res)

@@ -168,6 +168,12 @@ EF_SOLVE_PIVOT_CEILING = 2226
 # again fails here
 EF_SOLVE_ROW_UPDATE_CEILING = 30330
 
+# the integers those row updates pass through (len(row) summed over the
+# exact_lp._eliminate calls of the same 130 solves): a ceiling, so that a
+# tableau that keeps columns which are 0 in every row for good (the
+# variable columns, once every variable has entered) fails here
+EF_SOLVE_ROW_CELL_CEILING = 809334
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -288,3 +294,20 @@ def test_ef_solve_row_update_ceiling(monkeypatch):
         for sense in ("max", "min"):
             optimizer.solve(objective, sense)
     assert 0 < len(updates) <= EF_SOLVE_ROW_UPDATE_CEILING
+
+
+def test_ef_solve_row_cell_ceiling(monkeypatch):
+    d, n, lift, objectives = EF_SOLVE_CASES[0]
+    optimizer = EfOptimizer(_ef_solve_lift(d, n, lift))
+    cells = []
+    original = exact_lp._eliminate
+
+    def counting(row, den, f, p, support):
+        cells.append(len(row))
+        return original(row, den, f, p, support)
+
+    monkeypatch.setattr(exact_lp, "_eliminate", counting)
+    for objective in objectives:
+        for sense in ("max", "min"):
+            optimizer.solve(objective, sense)
+    assert 0 < sum(cells) <= EF_SOLVE_ROW_CELL_CEILING

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,19 @@ def test_optimizer_rejects_unknown_sense(sense):
         opt.solve((1, 0), sense)
     assert opt.solve((1, 0), MAX).value == 9
     assert opt.solve((1, 0), MIN).value == 1
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1"], ids=repr)
+def test_optimizer_rejects_inexact_objective(bad):
+    """An objective entry that is not an int or a Fraction is a DomainError
+    that names it, through every query; the optimizer still answers the
+    next objective."""
+    opt = EfOptimizer(build_ef_2d(9))
+    queries = (opt.maximize, opt.minimize, lambda c: opt.solve(c, MAX), lambda c: opt.solve(c, MIN))
+    for query in queries:
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            query((bad, 0))
+    assert opt.solve((1, 0), MAX).value == 9
 
 
 def test_optimizer_duals_cover_every_lifted_equation():
