@@ -62,9 +62,9 @@ get a tableau row; a dropped equation's dual is 0.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. Each of its numbers is an int or a
-Fraction; anything else is a DomainError, found in the pass that scales
-its row (or the objective) to integers. For a maximization the certificate
-returned with an optimal result is
+Fraction; anything else is a DomainError, checked once per row when the
+solver is built and once per objective, never per pivot. For a
+maximization the certificate returned with an optimal result is
 
     objective = E^T mu + G^T beta,   beta >= 0,
     value     = <mu, eq rhs> + <beta, ineq rhs>,
@@ -122,44 +122,29 @@ class LPResult:
     dual_eq: tuple | None = None
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _check_exact(values, what):
     """Refuse an entry that is not an int or a Fraction, naming it: a
-    float or a str has no exact numerator and denominator."""
+    float or a str has no exact numerator and denominator. The types are
+    collected in one pass first; only a row with another type (a bool or
+    a subclass passes too) is walked entry by entry."""
+    if set(map(type, values)) <= _EXACT_TYPES:
+        return
     for x in values:
         if not isinstance(x, (int, Fraction)):
             raise DomainError(f"{what} entry {x!r} is not an int or a Fraction")
 
 
-def _exact_ints(vec, what):
-    """rational.scaled_ints(vec) for a program's numbers, refusing in the
-    same pass an entry that is not an int or a Fraction (_check_exact).
-    A vector of plain ints is returned as the same ints."""
-    den = 1
-    plain = True
-    for x in vec:
-        if type(x) is not int:
-            if type(x) is not Fraction:
-                _check_exact((x,), what)  # bool and other subclasses pass
-            plain = False
-            d = x.denominator
-            if d != 1:
-                den = lcm(den, d)
-    if plain:
-        return list(vec), 1
-    if den == 1:
-        return [x.numerator for x in vec], 1
-    return [x.numerator * (den // x.denominator) for x in vec], den
-
-
 def _check_rows(rows, nvars, what):
-    """Each row's length and its rhs; its coefficients are checked where
-    they are scaled (_exact_ints)."""
+    """Each row's length, and each of its numbers (_check_exact)."""
     for coeffs, rhs in rows:
         if len(coeffs) != nvars:
             raise DomainError(
                 f"{what} row has {len(coeffs)} coefficients, expected {nvars}"
             )
-        _check_exact((rhs,), what)
+        _check_exact(coeffs + (rhs,), what)
 
 
 def _eliminate(row, den, f, p, support):
@@ -208,10 +193,9 @@ def independent_equations(equations) -> tuple:
     Each (coeffs, rhs) row is cleared to integers and eliminated against
     the rows kept so far (rational.reduce_rows, pivoting on coefficient
     columns only); a row is kept when a coefficient survives. A dropped row
-    must be implied exactly: a contradictory one is an InternalError. An
-    entry that is not an int or a Fraction is a DomainError.
+    must be implied exactly: a contradictory one is an InternalError.
     """
-    rows = [_exact_ints(tuple(coeffs) + (rhs,), "equation")[0] for coeffs, rhs in equations]
+    rows = [scaled_ints(tuple(coeffs) + (rhs,))[0] for coeffs, rhs in equations]
     width = len(rows[0]) - 1 if rows else 0
     kept = []
     for at, (pivot, residual) in enumerate(reduce_rows(rows, width)):
@@ -296,7 +280,7 @@ class ReoptimizingSolver:
         dens: list[int] = []
         basis: list = []  # None: an equation row not pivoted yet
         for r_idx, (coeffs, rhs) in enumerate([equations[k] for k in kept] + inequalities):
-            ints, den = _exact_ints(coeffs, "equation" if r_idx < mk else "inequality")
+            ints, den = scaled_ints(coeffs)
             coefs.append((ints, den))
             # the start residual rhs - <coeffs, shift>, over rd * den * sden
             rn, rd = rhs.numerator, rhs.denominator
@@ -443,7 +427,8 @@ class ReoptimizingSolver:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
-        ints, cden = _exact_ints(objective, "objective")
+        _check_exact(objective, "objective")
+        ints, cden = scaled_ints(objective)
         nv, off = self._nv, self._off
         if off != nv and len(self._aside) == nv:
             # every variable has entered: its column is 0 in every tableau
@@ -469,7 +454,9 @@ class ReoptimizingSolver:
         return self._extract(ints, cden)
 
     def minimize(self, objective) -> LPResult:
-        _check_exact(objective, "objective")  # before the negation
+        # refused before the negation, so the error names the entry given
+        # (-"1" is no DomainError); maximize checks the negated entries again
+        _check_exact(objective, "objective")
         res = self.maximize([-c for c in objective])
         if res.status != OPTIMAL:
             return res

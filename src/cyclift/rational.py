@@ -51,15 +51,21 @@ def parse_rational(text: str):
 
 def scaled_ints(vec):
     """(integer list, positive denominator) with vec == ints / den exactly;
-    den is the least common denominator of the ints and Fractions in vec."""
+    den is the least common denominator of the ints and Fractions in vec.
+    A vector of ints is returned as the same ints, in one pass."""
     den = 1
+    plain = True
     for x in vec:
-        d = x.denominator
-        if d != 1:
-            den = lcm(den, d)
+        if type(x) is not int:
+            plain = False
+            d = x.denominator
+            if d != 1:
+                den = lcm(den, d)
+    # the ints themselves, not equal copies: verify holds a whole
+    # factorization this way, and fresh ints would double its memory
+    if plain:
+        return list(vec), 1
     if den == 1:
-        # the ints themselves, not equal copies: verify holds a whole
-        # factorization this way, and fresh ints would double its memory
         return [x.numerator for x in vec], 1
     return [x.numerator * (den // x.denominator) for x in vec], den
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cyclift.errors import DomainError
-from cyclift.rational import format_rational, parse_rational
+from cyclift.rational import format_rational, parse_rational, scaled_ints
 
 
 def test_format():
@@ -50,3 +50,18 @@ def test_round_trip():
 def test_parse_rejects(bad):
     with pytest.raises(DomainError):
         parse_rational(bad)
+
+
+def test_scaled_ints():
+    """A vector of ints comes back as the same ints in a fresh list; a
+    bool or a whole Fraction becomes its int, and Fractions share the
+    least common denominator."""
+    big = 10**30
+    vec = (big, -3, 0)
+    ints, den = scaled_ints(vec)
+    assert (ints, den) == ([big, -3, 0], 1) and ints[0] is big
+    ints, den = scaled_ints((True, Fraction(4, 2), 5))
+    assert (ints, den) == ([1, 2, 5], 1)
+    assert all(type(x) is int for x in ints)
+    assert scaled_ints((Fraction(1, 2), -1, Fraction(2, 3))) == ([3, -6, 4], 6)
+    assert scaled_ints(()) == ([], 1)
