@@ -16,7 +16,7 @@ import pytest
 from cyclift import exact_lp
 from cyclift.cli import main
 from cyclift.exact_lp import LinearProgram, ReoptimizingSolver, certify
-from cyclift.factorization import factorize, factorize_2d
+from cyclift.factorization import factorize, factorize_2d, factorize_even, factorize_odd
 from cyclift.geometry import CyclicPolytope
 from cyclift.lifting import EfOptimizer, ef_from_factorization, hull_ef, lift_objective
 from cyclift.rational import format_rational
@@ -151,6 +151,17 @@ FACTORIZE_2D_SWEEP = (
 # depend on which optimal basis Bland's rule reaches. The lifts are the
 # degree-3 lift of the lift_queries benchmark workload under (2 t0, -1, 0)
 # for t0 = 1..65, and the convex-hull lift of minimize-poly's trivial route.
+# factorize_even(n, d // 2) or factorize_odd(n, d // 2) at (d, n) for
+# d = 3..7 over the sizes below, each as repr((rank, alpha, beta,
+# column_labels, target)) followed by a newline, hashed as one stream. repr
+# tells an int entry from a Fraction of equal value, so the digest pins
+# every entry's type as well as its value. Every factorize --d >= 3 case of
+# the stdout corpus takes the trivial route, so nothing else pins these.
+FACTORIZE_TENSOR_SWEEP = (
+    {3: range(4, 41), 4: range(5, 21), 5: range(6, 15), 6: range(7, 12), 7: range(8, 11)},
+    "ae14f4611f5d8bb245bd101a18c3621ad4b16977ed18f188e08fbdbe305873fb",
+)
+
 EF_SOLVE_CASES = (
     (3, 65, "factorization", [(2 * t0, -1, 0) for t0 in range(1, 66)]),
     (4, 37, "hull", [(-9, 5, -8, 1)]),
@@ -214,6 +225,18 @@ def test_factorize_2d_sweep_digest():
     for n in sizes:
         h.update(json.dumps(factorize_2d(n).to_json_dict(), sort_keys=True).encode())
         h.update(b"\n")
+    assert h.hexdigest() == digest
+
+
+def test_factorize_tensor_sweep_digest():
+    sizes, digest = FACTORIZE_TENSOR_SWEEP
+    h = hashlib.sha256()
+    for d, ns in sizes.items():
+        build = factorize_odd if d % 2 else factorize_even
+        for n in ns:
+            F = build(n, d // 2)
+            h.update(repr((F.rank, F.alpha, F.beta, F.column_labels, F.target)).encode())
+            h.update(b"\n")
     assert h.hexdigest() == digest
 
 
