@@ -23,7 +23,6 @@ from .exact_lp import (
 from .factorization import (
     NonnegFactorization,
     VerificationReport,
-    column_select,
     construction_rank,
     even_rank_bound,
     factorize,
@@ -46,8 +45,8 @@ from .geometry import (
     enumerate_facets,
     facet_count,
     facet_inequality,
+    facet_pairs,
     format_linear,
-    gale_pair_partition,
     is_gale,
     slack_matrix,
     vertex,
@@ -90,7 +89,6 @@ __all__ = [
     "VerificationReport",
     "build_ef_2d",
     "certify",
-    "column_select",
     "construction_rank",
     "ef_from_factorization",
     "ef_to_json_dict",
@@ -99,6 +97,7 @@ __all__ = [
     "even_rank_bound",
     "facet_count",
     "facet_inequality",
+    "facet_pairs",
     "factorization_from_ef",
     "factorize",
     "factorize_2d",
@@ -106,7 +105,6 @@ __all__ = [
     "factorize_odd",
     "format_linear",
     "format_rational",
-    "gale_pair_partition",
     "hadamard_combine",
     "hull_ef",
     "independent_equations",

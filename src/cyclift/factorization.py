@@ -4,7 +4,7 @@ A factorization of the slack matrix M is a pair of nonnegative families
 alpha_i (one vector per vertex) and beta_S (one per facet) of a common
 length r, the rank, with <alpha_i, beta_S> = M(i, S) exactly.
 
-Three constructions live here:
+Two constructions live here:
 
 - factorize_2d: for the degree-2 polytope the recursive lifted description
   has O(log n) inequalities; its witness slack vectors and per-facet dual
@@ -12,14 +12,17 @@ Three constructions live here:
   along the lift's folds in closed form (lifting.fold_factorization_2d),
   with no lift built; they are the witness slacks and the unique LP duals
   that lifting.factorization_from_ef would read off the lift.
-- factorize_even (d = 2q): every facet splits into q two-element facets of
-  the degree-2 polytope on the same interval, so M is an entrywise product
-  of q column-rearranged copies of the degree-2 slack matrix, and
-  factorizations multiply through entrywise products: rank r2**q.
-- factorize_odd (d = 2q + 1): every facet keeps an interval endpoint;
-  removing it leaves a facet one degree down on one fewer point. Two
-  suitably row-scaled copies of the even construction, concatenated on
-  disjoint coordinates, cover the two endpoint blocks: rank 2 * r_even.
+- the tensor construction, d >= 3 (factorize_even, factorize_odd): each
+  facet is d // 2 pairs, facets of the degree-2 polytope, plus for odd d
+  an endpoint (geometry.facet_pairs), and its slack is the product of
+  theirs. Factorizations multiply through such entrywise products
+  (hadamard_combine), so beta_S is the Kronecker product of the degree-2
+  betas of S's pairs, in order, and alpha_i the (d // 2)-fold Kronecker
+  power of the degree-2 alpha_i: rank r2**(d//2). For odd d the degree-2
+  factorization is on [1, n - 1]. Endpoint 1 leaves pairs on [2, n],
+  moved down by one, and scales the slack by (i - 1); endpoint n scales
+  it by (n - i). The two endpoint blocks take disjoint coordinates:
+  rank 2 * r2**(d//2).
 
 Ranks here are the lengths of the constructed vectors, i.e. what the
 construction guarantees, not the (unknown) minimal nonnegative rank.
@@ -27,7 +30,7 @@ construction guarantees, not the (unknown) minimal nonnegative rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -38,8 +41,8 @@ from .geometry import (
     Interval,
     SlackMatrix,
     enumerate_facets,
+    facet_pairs,
     fold_chain,
-    gale_pair_partition,
     slack_matrix,
 )
 from .rational import format_rational, parse_rational, reduce_rows, scaled_ints
@@ -170,16 +173,18 @@ class NonnegFactorization:
     def from_json_dict(cls, data: dict) -> "NonnegFactorization":
         """Inverse of to_json_dict; any malformed document is a DomainError.
 
-        rank, the target fields and the column members are JSON integers;
-        a float, a string or a boolean in their place is malformed. Each
-        distinct entry string is parsed once per document: a factorization
-        repeats a few hundred values across thousands of entries.
+        rank, the target fields and the column members are JSON integers,
+        and alpha, beta, columns and each of their vectors are JSON lists;
+        anything else in their place is malformed (a string of digits is
+        not a vector). Each distinct entry string is parsed once per
+        document: a factorization repeats a few hundred values across
+        thousands of entries.
         """
         try:
             rank = _json_int(data["rank"])
             entries = _ParsedEntries()
-            alpha = tuple(_parse_vector(vec, entries) for vec in data["alpha"])
-            beta = tuple(_parse_vector(vec, entries) for vec in data["beta"])
+            alpha = tuple(_parse_vector(vec, entries) for vec in _json_array(data["alpha"]))
+            beta = tuple(_parse_vector(vec, entries) for vec in _json_array(data["beta"]))
             raw_target = data.get("target")
             target = None
             if raw_target is not None:
@@ -191,7 +196,8 @@ class NonnegFactorization:
             columns = None
             if raw_columns is not None:
                 columns = tuple(
-                    GaleSet(tuple(_json_int(m) for m in mem)) for mem in raw_columns
+                    GaleSet(tuple(map(_json_int, _json_array(mem))))
+                    for mem in _json_array(raw_columns)
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(
@@ -235,17 +241,26 @@ class _ParsedEntries(dict):
 
 
 def _parse_vector(vec, entries: _ParsedEntries) -> tuple:
-    """tuple(map(parse_rational, vec)), parsing each distinct string once.
+    """tuple(map(parse_rational, vec)) for a JSON list vec, parsing each
+    distinct string once.
 
     parse_rational refuses anything but a string, so nothing else is ever
-    cached. An unhashable entry (or a vec that is not iterable) raises
-    TypeError in the lookup; parsing entry by entry then raises exactly
-    what it would have raised without the cache.
+    cached. An unhashable entry raises TypeError in the lookup; parsing
+    entry by entry then raises exactly what it would have raised without
+    the cache.
     """
+    _json_array(vec)
     try:
         return tuple(map(entries.__getitem__, vec))
     except TypeError:
         return tuple(map(parse_rational, vec))
+
+
+def _json_array(x) -> list:
+    # a str, dict or tuple is iterable too, and would be read item by item
+    if type(x) is not list:
+        raise TypeError(f"expected a JSON list, got {type(x).__name__}")
+    return x
 
 
 def _json_int(x) -> int:
@@ -353,25 +368,6 @@ def hadamard_combine(
     return NonnegFactorization(fa.rank * fb.rank, alpha, beta, labels, None)
 
 
-def column_select(
-    fa: NonnegFactorization, mapping, labels=None
-) -> NonnegFactorization:
-    """Reuse a factorization for a matrix built by duplicating, dropping or
-    reordering columns: beta vectors are shared by reference, never copied."""
-    mapping = tuple(mapping)
-    for k in mapping:
-        if not 0 <= k < fa.n_cols:
-            raise DomainError(f"column index {k} out of range 0..{fa.n_cols - 1}")
-    if labels is None and fa.column_labels is not None:
-        labels = tuple(fa.column_labels[k] for k in mapping)
-    elif labels is not None:
-        labels = tuple(labels)
-        if len(labels) != len(mapping):
-            raise DomainError("labels and mapping have different lengths")
-    beta = tuple(fa.beta[k] for k in mapping)
-    return NonnegFactorization(fa.rank, fa.alpha, beta, labels, None)
-
-
 def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
     """Rank min(rows, columns), from unit vectors against rows or columns."""
     n, m = M.n_rows, M.n_cols
@@ -411,62 +407,55 @@ def factorize_2d(n: int) -> NonnegFactorization:
 
 
 def factorize_even(n: int, q: int) -> NonnegFactorization:
-    """Dimension 2q via entrywise products of the degree-2 factorization.
-
-    Each facet's pair partition tells which degree-2 column to use in each
-    of the q factors; the factors are column_select views of one shared
-    degree-2 factorization, folded with hadamard_combine.
-    """
+    """Dimension 2q: rank r2**q, r2 the rank of factorize_2d(n)."""
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
-    P = CyclicPolytope.standard(2 * q, n)
-    f2 = factorize_2d(n)
-    facets = enumerate_facets(P)
-    col_of = {S: k for k, S in enumerate(f2.column_labels)}
-    selections: list[list[int]] = [[] for _ in range(q)]
-    for S in facets:
-        pairs = gale_pair_partition(S, P)
-        for r, pair in enumerate(pairs):
-            selections[r].append(col_of[pair])
-    out = column_select(f2, selections[0], labels=facets)
-    for r in range(1, q):
-        out = hadamard_combine(out, column_select(f2, selections[r], labels=facets))
-    return replace(out, target=P)
+    return _tensor_factorization(n, 2 * q)
 
 
 def factorize_odd(n: int, q: int) -> NonnegFactorization:
-    """Dimension 2q + 1 from two scaled copies of the even construction.
-
-    Every facet that contains 1 is 1 plus a facet on [2, n] (block 1); the
-    others contain n and are a facet on [1, n-1] plus n (block 2). Block-1
-    entries equal (i - 1) times the dimension-(2q) slack on [2, n], block-2
-    entries (n - i) times the slack on [1, n-1]; translating [2, n] down by
-    one lets a single factorization on [1, n-1] serve both blocks.
-    Concatenation on disjoint coordinates adds ranks.
-    """
+    """Dimension 2q + 1: rank 2 * r2**q, r2 the rank of factorize_2d(n - 1)."""
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
-    d = 2 * q + 1
+    return _tensor_factorization(n, 2 * q + 1)
+
+
+def _kron(vectors) -> tuple:
+    """The Kronecker product of the vectors, the first one outermost."""
+    out = vectors[0]
+    for vec in vectors[1:]:
+        out = tuple(x * y for x in out for y in vec)
+    return out
+
+
+def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
+    """The tensor construction of P^d_[1,n], d >= 3 (module docstring),
+    from f2 = factorize_2d(n - d % 2) and each facet's facet_pairs."""
     P = CyclicPolytope.standard(d, n)
-    fe = factorize_even(n - 1, q)
-    r = fe.rank
-    col_of = {S.members: k for k, S in enumerate(fe.column_labels)}
+    q = d // 2
+    f2 = factorize_2d(n - d % 2)
+    r = f2.rank**q
+    powers = [_kron((a,) * q) for a in f2.alpha]
+    beta2 = {S.members: b for S, b in zip(f2.column_labels, f2.beta)}
     zero = (0,) * r
-    alphas = []
-    for i in range(1, n + 1):
-        left = zero if i == 1 else tuple((i - 1) * a for a in fe.alpha[i - 2])
-        right = zero if i == n else tuple((n - i) * a for a in fe.alpha[i - 1])
-        alphas.append(left + right)
+    if d % 2 == 0:
+        rank, alphas = r, tuple(powers)
+    else:
+        rank, alphas = 2 * r, tuple(
+            (zero if i == 1 else tuple((i - 1) * x for x in powers[i - 2]))
+            + (zero if i == n else tuple((n - i) * x for x in powers[i - 1]))
+            for i in range(1, n + 1)
+        )
     facets = enumerate_facets(P)
     betas = []
     for S in facets:
-        if S.members[0] == 1:
-            betas.append(fe.beta[col_of[tuple(m - 1 for m in S.members[1:])]] + zero)
-        elif S.members[-1] == n:
-            betas.append(zero + fe.beta[col_of[S.members[:-1]]])
+        endpoint, pairs = facet_pairs(S, P)
+        if endpoint == 1:  # pairs on [2, n]: move them down onto f2's [1, n - 1]
+            betas.append(_kron([beta2[a - 1, b - 1] for a, b in pairs]) + zero)
         else:
-            raise InternalError(f"facet {S.members} fits neither endpoint block")
-    return NonnegFactorization(2 * r, tuple(alphas), tuple(betas), facets, P)
+            beta = _kron([beta2[pair] for pair in pairs])
+            betas.append(beta if endpoint is None else zero + beta)
+    return NonnegFactorization(rank, alphas, tuple(betas), facets, P)
 
 
 def factorize(n: int, d: int) -> NonnegFactorization:

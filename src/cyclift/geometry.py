@@ -10,8 +10,8 @@ A cyclic polytope P^d_[t1,t2] is the convex hull of the moment-curve points
 - evaluate the slack matrix exactly: entry (i, S) is prod_{j in S} |j - i|,
 - turn a facet S into a valid inequality <a, x> <= b whose slacks at the
   vertices reproduce the slack-matrix column of S,
-- split an even-dimension facet into those pairs (the pairing used by
-  the tensor-product factorization),
+- split a facet into that endpoint and those pairs (facet_pairs, the
+  decomposition the tensor-product factorization is built over),
 - halve an interval the way the degree-2 lift folds it (fold_chain), so
   the lift, its factorization and the rank formulas walk one recursion.
 
@@ -124,17 +124,17 @@ def _members(S) -> tuple[int, ...]:
 
 
 def _split(members: tuple[int, ...], t1: int, t2: int):
-    """The pairs of a sorted member tuple on [t1, t2], or None when it is
-    not a facet: adjacent pairs {p, p + 1}, and (t1, t2) first when the run
-    at t1 is odd. An odd count drops t1 if it is a member (the rest is then
-    a facet of [t1 + 1, t2] exactly when the set is one), else t2, and
-    splits the rest."""
+    """facet_pairs of a sorted member tuple on [t1, t2], or None when it is
+    not a facet. An odd count drops t1 if it is a member (the rest is then
+    a facet of [t1 + 1, t2] exactly when the set is one), else t2."""
+    endpoint = None
     if len(members) % 2:
         if members[0] == t1:
-            return _split(members[1:], t1 + 1, t2)
-        if members[-1] == t2:
-            return _split(members[:-1], t1, t2 - 1)
-        return None
+            endpoint, members, t1 = t1, members[1:], t1 + 1
+        elif members[-1] == t2:
+            endpoint, members, t2 = t2, members[:-1], t2 - 1
+        else:
+            return None
     pairs = []
     if members[0] == t1 and members[-1] == t2:
         a = 1  # length of the run at t1
@@ -148,7 +148,7 @@ def _split(members: tuple[int, ...], t1: int, t2: int):
         if hi != lo + 1:
             return None
         pairs.append((lo, hi))
-    return pairs
+    return endpoint, tuple(pairs)
 
 
 def _checked_members(S, P: CyclicPolytope) -> tuple[int, ...]:
@@ -171,6 +171,20 @@ def is_gale(S, P: CyclicPolytope) -> bool:
     members.
     """
     return _split(_checked_members(S, P), P.interval.t1, P.interval.t2) is not None
+
+
+def facet_pairs(S, P: CyclicPolytope) -> tuple:
+    """(endpoint, pairs) of the facet S of P: for odd d the endpoint is t1
+    if S holds it, else t2, and for even d None. The d // 2 pairs of the
+    rest are facets of the degree-2 polytope on the interval the endpoint
+    leaves: its two ends first when S's run at its low end is odd, then
+    adjacent pairs (p, p + 1) left to right. A non-facet is a DomainError.
+    """
+    members = _checked_members(S, P)
+    split = _split(members, P.interval.t1, P.interval.t2)
+    if split is None:
+        raise DomainError(f"{members} is not a facet of the polytope")
+    return split
 
 
 def _pair_unions(lo: int, hi: int, q: int):
@@ -328,20 +342,6 @@ def fold_chain(t1: int, t2: int) -> tuple:
             folds.append((SHEAR, t1 + k - 1, t1, t2))
             t1, t2 = 1, k
     return tuple(folds), (t1, t2)
-
-
-def gale_pair_partition(S, P: CyclicPolytope) -> tuple[GaleSet, ...]:
-    """Split an even-dimension facet into d/2 two-element facets of the
-    degree-2 polytope on the same interval: the pair {t1, t2} first when
-    the run at t1 is odd, then adjacent pairs left to right (_split).
-    """
-    if P.d % 2:
-        raise DomainError(f"pair partition needs even dimension, got d={P.d}")
-    members = _checked_members(S, P)
-    pairs = _split(members, P.interval.t1, P.interval.t2)
-    if pairs is None:
-        raise DomainError(f"{members} is not a facet of the polytope")
-    return tuple(map(GaleSet, pairs))
 
 
 def format_linear(coeffs, names, rhs, relation: str) -> str:

@@ -342,7 +342,12 @@ def fold_factorization_2d(n: int) -> NonnegFactorization:
     base_facets = [(S.members, f.a) for S, f in zip(base_sets, base_inequalities)]
     beta_of = _fold_duals(folds, base_facets, points)
     facets = enumerate_facets(P)
-    betas = tuple(beta_of(facet_inequality(P, S).a) for S in facets)
+    # facet_inequality's normal, read off the pair {a, b}: (t - a)(t - b) is
+    # >= 0 at every vertex for an adjacent pair and <= 0 for {1, n}
+    betas = tuple(
+        beta_of((a + b, -1) if b == a + 1 else (-a - b, 1))
+        for a, b in (S.members for S in facets)
+    )
     rank = 2 * len(folds) + len(base_facets)
     return NonnegFactorization(rank, alphas, betas, facets, P)
 

@@ -144,6 +144,17 @@ MALFORMED = {
     "column member is a boolean": lambda data: data["columns"][0].__setitem__(
         0, True
     ),
+    # vectors and columns are JSON lists only: a string or an object would
+    # be read item by item, so "000" would pass as the vector (0, 0, 0)
+    "alpha vectors are strings": lambda data: data.update(
+        alpha=["0" * data["rank"]] * len(data["alpha"])
+    ),
+    "a beta vector is a string": lambda data: data["beta"].__setitem__(
+        0, "0" * data["rank"]
+    ),
+    "alpha is an object": lambda data: data.update(alpha=dict(enumerate(data["alpha"]))),
+    "columns is an object": lambda data: data.update(columns={}),
+    "a column is a string": lambda data: data["columns"].__setitem__(0, "12"),
 }
 
 

@@ -12,7 +12,6 @@ from cyclift.errors import DomainError
 from cyclift.factorization import (
     NonnegFactorization,
     VerificationReport,
-    column_select,
     construction_rank,
     even_rank_bound,
     factorize,
@@ -31,13 +30,12 @@ from cyclift.geometry import (
     GaleSet,
     Interval,
     enumerate_facets,
-    gale_pair_partition,
     slack_matrix,
 )
 from cyclift.lifting import build_ef_2d
 from cyclift.rational import parse_rational
 
-from oracles import first_mismatch, slack_product
+from oracles import first_mismatch
 from test_cli import MALFORMED
 
 
@@ -234,39 +232,6 @@ def test_hadamard_shape_checks():
         hadamard_combine(fa, fc)
 
 
-# ---------------------------------------------------------- column_select
-
-
-def test_column_select_identity_and_duplication():
-    M = slack_matrix(CyclicPolytope.standard(2, 5))
-    F = trivial_factorization(M)
-    same = column_select(F, range(5))
-    assert same.beta == F.beta and same.column_labels == F.column_labels
-    dup = column_select(F, (0, 0))
-    assert dup.n_cols == 2
-    assert dup.beta[0] is dup.beta[1]
-    for i in range(5):
-        assert dup.entry(i, 0) == dup.entry(i, 1) == M.entries[i][0]
-    with pytest.raises(DomainError):
-        column_select(F, (5,))
-
-
-def test_column_select_realizes_pair_matrices():
-    # d=4, n=6: the matrix whose (i, j) entry is the slack of the j-th
-    # facet's r-th pair, built directly, must match the selected columns
-    P = CyclicPolytope.standard(4, 6)
-    P2 = CyclicPolytope.standard(2, 6)
-    F2 = factorize_2d(6)
-    facets = enumerate_facets(P)
-    col_of = {S: k for k, S in enumerate(F2.column_labels)}
-    for r in range(2):
-        pairs = [gale_pair_partition(S, P)[r] for S in facets]
-        sel = column_select(F2, [col_of[g] for g in pairs])
-        for ri, i in enumerate(P2.interval.indices()):
-            for ci, g in enumerate(pairs):
-                assert sel.entry(ri, ci) == slack_product(i, g.members)
-
-
 # ------------------------------------------------------------ constructions
 
 
@@ -357,15 +322,19 @@ def test_factorize_dispatch_and_trivial_switch():
 
 def test_trivial_choice_builds_no_construction(monkeypatch):
     # construction ranks 729 and 81 lose to 17 and 20 vertices: the trivial
-    # factorization is chosen before any Hadamard product is formed
-    def refuse(fa, fb):
-        raise AssertionError("hadamard_combine called")
+    # factorization is chosen before the degree-2 factorization that every
+    # structured construction starts from is built
+    def refuse(n):
+        raise AssertionError("factorize_2d called")
 
-    monkeypatch.setattr(cyclift.factorization, "hadamard_combine", refuse)
+    monkeypatch.setattr(cyclift.factorization, "factorize_2d", refuse)
     for n, d in ((17, 6), (20, 4)):
         F = factorize(n, d)
         assert F.rank == n
         assert verify(slack_matrix(CyclicPolytope.standard(d, n)), F).ok
+    # the patch is in the path a structured build takes
+    with pytest.raises(AssertionError, match="factorize_2d called"):
+        factorize(65, 3)
 
 
 def test_trivial_factorization_shape():

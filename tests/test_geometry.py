@@ -10,8 +10,8 @@ from cyclift.geometry import (
     enumerate_facets,
     facet_count,
     facet_inequality,
+    facet_pairs,
     format_linear,
-    gale_pair_partition,
     is_gale,
     slack_matrix,
     vertex,
@@ -221,43 +221,47 @@ def test_facet_inequality_rejects_non_facet():
 # ----------------------------------------------------------- pair partition
 
 
-def test_gale_pair_partition_examples():
+def test_facet_pairs_examples():
     p = P(4, 1, 8)
-    assert [g.members for g in gale_pair_partition(GaleSet((2, 3, 5, 6)), p)] == [
-        (2, 3),
-        (5, 6),
-    ]
-    assert [g.members for g in gale_pair_partition(GaleSet((1, 2, 3, 8)), p)] == [
-        (1, 8),
-        (2, 3),
-    ]
-    assert [g.members for g in gale_pair_partition(GaleSet((1, 2, 7, 8)), p)] == [
-        (1, 2),
-        (7, 8),
-    ]
+    assert facet_pairs(GaleSet((2, 3, 5, 6)), p) == (None, ((2, 3), (5, 6)))
+    assert facet_pairs(GaleSet((1, 2, 3, 8)), p) == (None, ((1, 8), (2, 3)))
+    assert facet_pairs(GaleSet((1, 2, 7, 8)), p) == (None, ((1, 2), (7, 8)))
+    # odd d: the endpoint goes first, the pairs lie on the interval it leaves
+    p = P(5, 1, 8)
+    assert facet_pairs(GaleSet((1, 2, 3, 5, 6)), p) == (1, ((2, 3), (5, 6)))
+    assert facet_pairs(GaleSet((1, 2, 4, 5, 8)), p) == (1, ((2, 8), (4, 5)))
+    assert facet_pairs(GaleSet((1, 3, 4, 7, 8)), p) == (1, ((3, 4), (7, 8)))
+    assert facet_pairs(GaleSet((2, 3, 5, 6, 8)), p) == (8, ((2, 3), (5, 6)))
+    assert facet_pairs((7, 1, 2, 3, 8), p) == (1, ((2, 3), (7, 8)))
 
 
-@pytest.mark.parametrize("d,n", [(2, 7), (4, 8), (4, 10), (6, 9), (6, 11)])
-def test_gale_pair_partition_properties(d, n):
+@pytest.mark.parametrize(
+    "d,n", [(2, 7), (3, 7), (4, 8), (4, 10), (5, 9), (6, 9), (6, 11), (7, 10)]
+)
+def test_facet_pairs_properties(d, n):
     p = P(d, 1, n)
-    p2 = P(2, 1, n)
     for S in enumerate_facets(p):
-        pairs = gale_pair_partition(S, p)
+        endpoint, pairs = facet_pairs(S, p)
         assert len(pairs) == d // 2
-        flat = sorted(m for g in pairs for m in g.members)
-        assert flat == list(S.members)
-        for g in pairs:
-            a, b = g.members
-            assert (a, b) == (1, n) or b == a + 1
-            assert is_gale(g, p2)
+        t1, t2 = 1, n
+        if d % 2:
+            assert endpoint == (1 if 1 in S else n)
+            t1, t2 = (2, n) if endpoint == 1 else (1, n - 1)
+        else:
+            assert endpoint is None
+        flat = sorted(m for g in pairs for m in g)
+        assert flat == sorted(set(S.members) - {endpoint})
+        for a, b in pairs:
+            assert (a, b) == (t1, t2) or b == a + 1
+            assert is_gale((a, b), P(2, t1, t2))
 
 
 # ------------------------------------------------ random-interval properties
 
 
 @st.composite
-def polytopes(draw, even=False):
-    d = draw(st.integers(1, 4).map(lambda q: 2 * q) if even else st.integers(2, 8))
+def polytopes(draw):
+    d = draw(st.integers(2, 8))
     t1 = draw(st.integers(-20, 20))
     n = draw(st.integers(d + 1, d + 8))
     return P(d, t1, t1 + n - 1)
@@ -281,32 +285,58 @@ def test_is_gale_matches_definition_on_random_subsets(p, data):
     assert is_gale(S, p) == gale_ok(S, t1, t2)
 
 
-@settings(deadline=None)
-@given(polytopes(even=True))
-def test_gale_pair_partition_on_random_intervals(p):
+def _check_facet_pairs(S, p):
+    """facet_pairs(S, p) against the Gale definition (oracles.gale_ok)."""
     t1, t2 = p.interval.t1, p.interval.t2
-    p2 = P(2, t1, t2)
-    for S in enumerate_facets(p):
-        pairs = [g.members for g in gale_pair_partition(S, p)]
-        assert sorted(m for g in pairs for m in g) == list(S.members)
-        assert all(is_gale(g, p2) for g in pairs)
-        run_at_t1 = next(k for k in range(p.d + 1) if t1 + k not in S)
-        if run_at_t1 % 2:
-            assert pairs[0] == (t1, t2)
-            pairs = pairs[1:]
-        assert all(b == a + 1 for a, b in pairs)
-        assert all(x[1] < y[0] for x, y in zip(pairs, pairs[1:]))
+    endpoint, pairs = facet_pairs(S, p)
+    if p.d % 2:
+        # a facet that holds t1 is t1 plus a facet of [t1 + 1, t2]; any
+        # other holds t2 and is a facet of [t1, t2 - 1] plus t2
+        assert endpoint == (t1 if t1 in S else t2)
+        if endpoint == t1:
+            t1 += 1
+        else:
+            t2 -= 1
+    else:
+        assert endpoint is None
+    rest = [m for m in S if m != endpoint]
+    assert sorted(m for g in pairs for m in g) == rest
+    assert gale_ok(rest, t1, t2)
+    assert all(gale_ok(g, t1, t2) for g in pairs)
+    run_at_t1 = next(k for k in range(p.d + 1) if t1 + k not in rest)
+    if run_at_t1 % 2:
+        assert pairs[0] == (t1, t2)
+        pairs = pairs[1:]
+    assert all(b == a + 1 for a, b in pairs)
+    assert all(x[1] < y[0] for x, y in zip(pairs, pairs[1:]))
 
 
-def test_gale_pair_partition_rejects_odd_dimension():
-    p = P(3, 1, 6)
+@settings(deadline=None)
+@given(polytopes())
+def test_facet_pairs_on_random_intervals(p):
+    for S in gale_subsets(p.d, p.interval.t1, p.interval.t2):
+        _check_facet_pairs(S, p)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_facet_pairs_endpoint_on_a_negative_interval(d):
+    p = P(d, -5, d - 2)  # d + 4 points from t1 = -5
+    facets = gale_subsets(d, -5, d - 2)
+    for S in facets:
+        _check_facet_pairs(S, p)
+    if d % 2:
+        assert {facet_pairs(S, p)[0] for S in facets} == {-5, d - 2}
+
+
+def test_facet_pairs_rejects_non_facet():
     with pytest.raises(DomainError):
-        gale_pair_partition(GaleSet((1, 2, 3)), p)
-
-
-def test_gale_pair_partition_rejects_non_facet():
+        facet_pairs(GaleSet((1, 3, 5, 7)), P(4, 1, 8))
     with pytest.raises(DomainError):
-        gale_pair_partition(GaleSet((1, 3, 5, 7)), P(4, 1, 8))
+        facet_pairs(GaleSet((2, 3, 5)), P(3, 1, 6))  # holds neither endpoint
+    with pytest.raises(DomainError):
+        facet_pairs(GaleSet((1, 2, 4)), P(3, 1, 6))  # 1 plus a non-facet
+    with pytest.raises(DomainError):
+        facet_pairs(GaleSet((1, 2, 3)), P(4, 1, 8))  # wrong size
 
 
 # ----------------------------------------------------------------- helpers
