@@ -8,10 +8,11 @@ Two constructions live here:
 
 - factorize_2d: for the degree-2 polytope the recursive lifted description
   has O(log n) inequalities; its witness slack vectors and per-facet dual
-  multipliers give rank <= 2*floor(log2(n-1)) + 2. Both are composed
-  along the lift's folds in closed form (lifting.fold_factorization_2d),
-  with no lift built; they are the witness slacks and the unique LP duals
-  that lifting.factorization_from_ef would read off the lift.
+  multipliers give rank <= 2*floor(log2(n-1)) + 2. Both are composed in
+  closed form along the fold chain (geometry.fold_chain) that
+  lifting.build_ef_2d walks, with no lift built; they are the witness
+  slacks and the unique LP duals that lifting.factorization_from_ef would
+  read off the lift.
 - the tensor construction, d >= 3 (factorize_even, factorize_odd): each
   facet is d // 2 pairs, facets of the degree-2 polytope, plus for odd d
   an endpoint (geometry.facet_pairs), and its slack is the product of
@@ -36,11 +37,13 @@ from operator import mul
 
 from .errors import DomainError, InternalError
 from .geometry import (
+    REFLECT,
     CyclicPolytope,
     GaleSet,
     Interval,
     SlackMatrix,
     enumerate_facets,
+    facet_inequality,
     facet_pairs,
     fold_chain,
     slack_matrix,
@@ -372,7 +375,7 @@ def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
     """Rank min(rows, columns), from unit vectors against rows or columns."""
     n, m = M.n_rows, M.n_cols
     if m <= n:
-        alpha = tuple(tuple(row) for row in M.entries)
+        alpha = M.entries
         beta = tuple(
             tuple(1 if k == j else 0 for k in range(m)) for j in range(m)
         )
@@ -381,29 +384,150 @@ def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
         alpha = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         )
-        beta = tuple(
-            tuple(M.entries[i][j] for i in range(n)) for j in range(m)
-        )
+        beta = tuple(zip(*M.entries))
         rank = n
     return NonnegFactorization(rank, alpha, beta, M.columns, M.polytope)
 
 
-def factorize_2d(n: int) -> NonnegFactorization:
-    """Degree-2 factorization with rank <= min(n, 2*floor(log2(n-1)) + 2).
+def _fold_alphas(folds, base_inequalities, base_points) -> tuple:
+    """The slack vector of each witness of the lift with these folds down to
+    the facet system on base_points, in the lift's inequality order and in
+    interval order, composed from the bottom up with one table per level
+    (point -> slacks from that level down); no lifted inequality is
+    evaluated.
 
-    alpha holds the witness slack vectors of the recursive lifted
-    description (up to n = 6 the facet description itself), and each
-    facet's beta is pushed down its folds; both are composed in O(log n)
-    exact integer steps per vector, with no lift built, no lifted
-    inequality evaluated and no LP solved (lifting.fold_factorization_2d).
-    The result equals lifting.factorization_from_ef(P, build_ef_2d(n)),
-    entry for entry.
+    With u = t - c at a fold centred at c: a reflection's witness has
+    z = |u|, so its two cuts have slacks |u| + u and |u| - u, and the rest
+    are the slacks of the point |u| one level down. A shear's witness sits
+    on the cut of its side of the fold: u >= 1 folds to u with slacks
+    (4u - 2, 0), u <= 0 folds to 1 - u with slacks (0, 2 - 4u). At the
+    bottom a point s has the facet slacks b - a1*s - a2*s^2.
+    """
+    slacks = {
+        s: tuple(f.b - f.a[0] * s - f.a[1] * s * s for f in base_inequalities)
+        for s in base_points
+    }
+    for kind, c, t1, t2 in reversed(folds):
+        below, slacks = slacks, {}
+        for t in range(t1, t2 + 1):
+            u = t - c
+            if kind == REFLECT:
+                slacks[t] = (abs(u) + u, abs(u) - u) + below[abs(u)]
+            elif u >= 1:
+                slacks[t] = (4 * u - 2, 0) + below[u]
+            else:
+                slacks[t] = (0, 2 - 4 * u) + below[1 - u]
+    return tuple(slacks.values())
+
+
+_ZERO = Fraction(0)  # shared by every zero multiplier
+
+
+def _multiplier(x: int, den: int = 1) -> Fraction:
+    """max(x, 0) / den, with every zero the shared _ZERO."""
+    if x <= 0:
+        return _ZERO
+    return Fraction(x) if den == 1 else Fraction(x, den)
+
+
+def _fold_duals(folds, base_facets, base_points):
+    """A function from a facet objective (a1, a2) to the inequality duals
+    of maximizing it over the lift with these folds, down to the facet
+    system on base_points, in the lift's inequality order.
+
+    A fold centred at c sees the objective as alpha*(x1 - c) + beta*x2' on
+    the centred coordinates, alpha = a1 + 2c*a2 and beta = a2, so a2 never
+    changes. A reflection has alpha*u <= |alpha|*z tight on the side of
+    alpha's sign and hands (|alpha|, beta) to the half interval. A shear
+    puts s/2 on one of its two cuts of u + x2', s = alpha + beta, and hands
+    down (alpha, beta) from the upper cut or (-alpha - 2*beta, beta) from
+    the lower one.
+
+    The duals from each level down are memoized on (level, a1, a2): facets
+    whose objectives meet at a fold (a reflection maps mirror-image facets
+    to one objective) share that suffix and its Fractions.
+    """
+    memo = {}
+
+    def duals(level, a1, a2):
+        key = (level, a1, a2)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        if level == len(folds):
+            found = _base_duals(base_facets, base_points, a1, a2)
+        else:
+            kind, c = folds[level][:2]
+            alpha = a1 + 2 * c * a2
+            if kind == REFLECT:
+                head = (_multiplier(-alpha), _multiplier(alpha))
+                found = head + duals(level + 1, abs(alpha), a2)
+            else:
+                s = alpha + a2
+                head = (_multiplier(-s, 2), _multiplier(s, 2))
+                below = alpha if s >= 0 else -alpha - 2 * a2
+                found = head + duals(level + 1, below, a2)
+        memo[key] = found
+        return found
+
+    return lambda objective: duals(0, *objective)
+
+
+def _base_duals(base_facets, points, a1, a2) -> tuple:
+    """(a1, a2) as a nonnegative combination of the normals of the facets
+    (members, a) tight at its optimal face: one multiplier on the optimal
+    edge, two on the optimal vertex's edges from their 2x2 system, none
+    for the zero objective (every point optimal). No three points of the
+    parabola are collinear, so a nonzero objective has at most two."""
+    values = [a1 * t + a2 * t * t for t in points]
+    top = max(values)
+    optimal = tuple(t for t, v in zip(points, values) if v == top)
+    duals = [_ZERO] * len(base_facets)
+    if len(optimal) == 2:
+        j, a = next((j, a) for j, (S, a) in enumerate(base_facets) if S == optimal)
+        duals[j] = Fraction(a1 * a[0] + a2 * a[1], a[0] * a[0] + a[1] * a[1])
+    elif len(optimal) == 1:
+        (p, ap), (q, aq) = [(j, a) for j, (S, a) in enumerate(base_facets) if optimal[0] in S]
+        det = ap[0] * aq[1] - ap[1] * aq[0]
+        duals[p] = Fraction(a1 * aq[1] - a2 * aq[0], det)
+        duals[q] = Fraction(ap[0] * a2 - ap[1] * a1, det)
+    return tuple(duals)
+
+
+def factorize_2d(n: int) -> NonnegFactorization:
+    """Degree-2 factorization with rank <= min(n, 2*floor(log2(n-1)) + 2),
+    built along the fold chain, with no lift built, no lifted inequality
+    evaluated and no LP solved.
+
+    alpha_i is the witness slack vector of the recursive lifted description
+    (lifting.build_ef_2d; up to n = 6 the facet description itself),
+    composed from the bottom up (_fold_alphas). Each facet's beta is its
+    normal pushed down the folds in O(log n) exact steps (_fold_duals).
+    Each facet LP of that lift has exactly one optimal dual (the kept
+    equations and the inequalities tight at both of the facet's witnesses
+    are linearly independent), so the result equals
+    lifting.factorization_from_ef(P, build_ef_2d(n)), entry for entry.
+    Not verified here, like factorization_from_ef.
     """
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    from .lifting import fold_factorization_2d
-
-    return fold_factorization_2d(n)
+    P = CyclicPolytope.standard(2, n)
+    folds, (b1, b2) = fold_chain(1, n)
+    base = CyclicPolytope(2, Interval(b1, b2))
+    points = base.interval.indices()
+    base_sets = enumerate_facets(base)
+    base_inequalities = [facet_inequality(base, S) for S in base_sets]
+    alphas = _fold_alphas(folds, base_inequalities, points)
+    base_facets = [(S.members, f.a) for S, f in zip(base_sets, base_inequalities)]
+    beta_of = _fold_duals(folds, base_facets, points)
+    facets = enumerate_facets(P)
+    # facet_inequality's normal, read off the pair {a, b}: (t - a)(t - b) is
+    # >= 0 at every vertex for an adjacent pair and <= 0 for {1, n}
+    betas = tuple(
+        beta_of((a + b, -1) if b == a + 1 else (-a - b, 1))
+        for a, b in (S.members for S in facets)
+    )
+    return NonnegFactorization(_size_2d(n), alphas, betas, facets, P)
 
 
 def factorize_even(n: int, q: int) -> NonnegFactorization:

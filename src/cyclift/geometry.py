@@ -9,7 +9,7 @@ A cyclic polytope P^d_[t1,t2] is the convex hull of the moment-curve points
   facet is an endpoint plus an even-degree facet of the rest,
 - evaluate the slack matrix exactly: entry (i, S) is prod_{j in S} |j - i|,
 - turn a facet S into a valid inequality <a, x> <= b whose slacks at the
-  vertices reproduce the slack-matrix column of S,
+  vertices reproduce the slack-matrix column of S, one factor per pair,
 - split a facet into that endpoint and those pairs (facet_pairs, the
   decomposition the tensor-product factorization is built over),
 - halve an interval the way the degree-2 lift folds it (fold_chain), so
@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .rational import format_rational
 
 
@@ -287,34 +287,30 @@ def slack_matrix(P: CyclicPolytope) -> SlackMatrix:
 
 
 def facet_inequality(P: CyclicPolytope, S) -> FacetInequality:
-    """The inequality <a, x> <= b of the facet S.
+    """The inequality <a, x> <= b of the facet S, read off facet_pairs.
 
-    Expand p_S(t) = prod_{j in S} (t - j) = c_0 + c_1 t + ... + c_d t^d; on
-    the moment curve p_S(i) is an affine function of the vertex, so +-(p_S)
-    gives the facet's hyperplane. The sign is fixed by evaluating p_S at a
-    single interval point outside S (Gale's condition makes the sign equal
-    at all of them), giving a = -sigma * (c_1, ..., c_d) and b = sigma * c_0
-    with slack b - <a, v_i> = sigma * p_S(i) = prod |j - i| >= 0.
+    On the moment curve p_S(t) = prod_{j in S} (t - j) = c_0 + c_1 t + ...
+    + c_d t^d is affine in the vertex, so a = -sigma * (c_1, ..., c_d) and
+    b = sigma * c_0 give the slack b - <a, v_i> = sigma * p_S(i). p_S is a
+    quadratic (t - p)(t - q) per pair times, for odd d, the endpoint's
+    factor (t - e). On the interval the pairs lie on, a quadratic is >= 0
+    for an adjacent pair and <= 0 for the pair spanning that interval;
+    (t - e) is >= 0 for e = t1, <= 0 for e = t2, and 0 at the one vertex
+    the pairs' interval leaves out. So sigma is -1 for each spanning pair
+    and for the endpoint t2, +1 otherwise, and the slack is prod |j - i|.
     """
-    members = _members(S)
-    if not is_gale(members, P):
-        raise DomainError(f"{members} is not a facet of the polytope")
-    coeffs = [1]
-    for j in members:
-        coeffs = [0] + coeffs
-        for k in range(len(coeffs) - 1):
-            coeffs[k] -= j * coeffs[k + 1]
-    # coeffs[k] is the coefficient of t^k, degree d monic
-    witness_pt = next(i for i in P.interval.indices() if i not in members)
-    value = 0
-    for c in reversed(coeffs):
-        value = value * witness_pt + c
-    if value == 0:
-        raise InternalError(f"sign witness {witness_pt} lies on the hyperplane of {members}")
-    sigma = 1 if value > 0 else -1
-    a = tuple(-sigma * c for c in coeffs[1:])
-    b = sigma * coeffs[0]
-    return FacetInequality(a, b)
+    endpoint, pairs = facet_pairs(S, P)
+    flips = (endpoint == P.interval.t2) + sum(q != p + 1 for p, q in pairs)
+    sigma = -1 if flips % 2 else 1
+    # sigma * p_S, the coefficient of t^k at position k
+    coeffs = [sigma] if endpoint is None else [-sigma * endpoint, sigma]
+    for p, q in pairs:  # times t^2 - (p + q) t + p q
+        s, m = -(p + q), p * q
+        coeffs = [
+            m * c0 + s * c1 + c2
+            for c0, c1, c2 in zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)
+        ]
+    return FacetInequality(tuple(-c for c in coeffs[1:]), coeffs[0])
 
 
 REFLECT, SHEAR = "reflect", "shear"

@@ -12,9 +12,10 @@ nonnegative slack-matrix factorizations are here as well:
 ef_from_factorization (rank-r factorization -> size-r lift) and
 factorization_from_ef (size-f lift -> rank-f factorization, with the
 beta vectors obtained as exact LP duals of the per-facet maximization).
-For build_ef_2d's lift, fold_factorization_2d composes the witness slacks
-and those duals along the folds instead (geometry.fold_chain, which
-build_ef_2d walks too), with no lift built and no LP.
+For build_ef_2d's lift, factorization.factorize_2d composes the witness
+slacks and those duals along the folds instead (geometry.fold_chain, which
+build_ef_2d walks too), with no lift built and no LP; factorization_from_ef
+is its test oracle.
 hull_ef builds the convex-hull lift directly, with no facet enumerated; it
 stands in for the lift of the trivial factorization where only the
 projection matters.
@@ -28,8 +29,6 @@ projection is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 from .errors import DomainError
 from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
@@ -75,19 +74,10 @@ class Polyhedron:
             for coeffs, rhs in self.equations
         )
 
-    @cached_property
-    def _inequality_terms(self):
-        """Each inequality's nonzero (column, coefficient) pairs and rhs,
-        computed on first use: lifted rows are mostly zero padding."""
-        return tuple(
-            (tuple((j, c) for j, c in enumerate(coeffs) if c), rhs)
-            for coeffs, rhs in self.inequalities
-        )
-
     def inequality_slacks(self, point):
         return tuple(
-            rhs - sum([c * point[j] for j, c in terms])
-            for terms, rhs in self._inequality_terms
+            rhs - sum(c * x for c, x in zip(coeffs, point) if c)
+            for coeffs, rhs in self.inequalities
         )
 
     def member_slacks(self, point):
@@ -213,143 +203,6 @@ def build_ef_2d(n: int) -> ExtendedFormulation:
     variables, eqs, ineqs, wits = _build(1, n)
     lifted = Polyhedron(tuple(variables), tuple(eqs), tuple(ineqs))
     return ExtendedFormulation(lifted, wits, CyclicPolytope.standard(2, n))
-
-
-def _fold_alphas(folds, base_inequalities, base_points) -> tuple:
-    """The slack vector of each witness of the lift with these folds down to
-    the facet system on base_points, in the lift's inequality order and in
-    interval order, composed from the bottom up with one table per level
-    (point -> slacks from that level down); no lifted inequality is
-    evaluated.
-
-    With u = t - c at a fold centred at c: a reflection's witness has
-    z = |u|, so its two cuts have slacks |u| + u and |u| - u, and the rest
-    are the slacks of the point |u| one level down. A shear's witness sits
-    on the cut of its side of the fold: u >= 1 folds to u with slacks
-    (4u - 2, 0), u <= 0 folds to 1 - u with slacks (0, 2 - 4u). At the
-    bottom a point s has the facet slacks b - a1*s - a2*s^2.
-    """
-    slacks = {
-        s: tuple(f.b - f.a[0] * s - f.a[1] * s * s for f in base_inequalities)
-        for s in base_points
-    }
-    for kind, c, t1, t2 in reversed(folds):
-        below, slacks = slacks, {}
-        for t in range(t1, t2 + 1):
-            u = t - c
-            if kind == REFLECT:
-                slacks[t] = (abs(u) + u, abs(u) - u) + below[abs(u)]
-            elif u >= 1:
-                slacks[t] = (4 * u - 2, 0) + below[u]
-            else:
-                slacks[t] = (0, 2 - 4 * u) + below[1 - u]
-    return tuple(slacks.values())
-
-
-_ZERO = Fraction(0)  # shared by every zero multiplier
-
-
-def _multiplier(x: int, den: int = 1) -> Fraction:
-    """max(x, 0) / den, with every zero the shared _ZERO."""
-    if x <= 0:
-        return _ZERO
-    return Fraction(x) if den == 1 else Fraction(x, den)
-
-
-def _fold_duals(folds, base_facets, base_points):
-    """A function from a facet objective (a1, a2) to the inequality duals
-    of maximizing it over the lift with these folds, down to the facet
-    system on base_points, in the lift's inequality order.
-
-    A fold centred at c sees the objective as alpha*(x1 - c) + beta*x2' on
-    the centred coordinates, alpha = a1 + 2c*a2 and beta = a2, so a2 never
-    changes. A reflection has alpha*u <= |alpha|*z tight on the side of
-    alpha's sign and hands (|alpha|, beta) to the half interval. A shear
-    puts s/2 on one of its two cuts of u + x2', s = alpha + beta, and hands
-    down (alpha, beta) from the upper cut or (-alpha - 2*beta, beta) from
-    the lower one.
-
-    The duals from each level down are memoized on (level, a1, a2): facets
-    whose objectives meet at a fold (a reflection maps mirror-image facets
-    to one objective) share that suffix and its Fractions.
-    """
-    memo = {}
-
-    def duals(level, a1, a2):
-        key = (level, a1, a2)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if level == len(folds):
-            found = _base_duals(base_facets, base_points, a1, a2)
-        else:
-            kind, c = folds[level][:2]
-            alpha = a1 + 2 * c * a2
-            if kind == REFLECT:
-                head = (_multiplier(-alpha), _multiplier(alpha))
-                found = head + duals(level + 1, abs(alpha), a2)
-            else:
-                s = alpha + a2
-                head = (_multiplier(-s, 2), _multiplier(s, 2))
-                below = alpha if s >= 0 else -alpha - 2 * a2
-                found = head + duals(level + 1, below, a2)
-        memo[key] = found
-        return found
-
-    return lambda objective: duals(0, *objective)
-
-
-def _base_duals(base_facets, points, a1, a2) -> tuple:
-    """(a1, a2) as a nonnegative combination of the normals of the facets
-    (members, a) tight at its optimal face: one multiplier on the optimal
-    edge, two on the optimal vertex's edges from their 2x2 system, none
-    for the zero objective (every point optimal). No three points of the
-    parabola are collinear, so a nonzero objective has at most two."""
-    values = [a1 * t + a2 * t * t for t in points]
-    top = max(values)
-    optimal = tuple(t for t, v in zip(points, values) if v == top)
-    duals = [_ZERO] * len(base_facets)
-    if len(optimal) == 2:
-        j, a = next((j, a) for j, (S, a) in enumerate(base_facets) if S == optimal)
-        duals[j] = Fraction(a1 * a[0] + a2 * a[1], a[0] * a[0] + a[1] * a[1])
-    elif len(optimal) == 1:
-        (p, ap), (q, aq) = [(j, a) for j, (S, a) in enumerate(base_facets) if optimal[0] in S]
-        det = ap[0] * aq[1] - ap[1] * aq[0]
-        duals[p] = Fraction(a1 * aq[1] - a2 * aq[0], det)
-        duals[q] = Fraction(ap[0] * a2 - ap[1] * a1, det)
-    return tuple(duals)
-
-
-def fold_factorization_2d(n: int) -> NonnegFactorization:
-    """factorization_from_ef(P, build_ef_2d(n)) for P = P^2_[1,n], with no
-    lift built, no lifted inequality evaluated and no LP solved: alpha and
-    beta are both composed along the fold chain that build_ef_2d walks.
-
-    alpha_i is the witness slack vector, as there (_fold_alphas); each
-    beta is composed in O(log n) exact steps (_fold_duals). Each facet LP
-    of this lift has exactly one optimal dual (the kept equations and the
-    inequalities tight at both of the facet's witnesses are linearly
-    independent), so the composed multipliers are the LP's duals, entry
-    for entry. Not verified here, like factorization_from_ef.
-    """
-    P = CyclicPolytope.standard(2, n)
-    folds, (b1, b2) = fold_chain(1, n)
-    base = CyclicPolytope(2, Interval(b1, b2))
-    points = base.interval.indices()
-    base_sets = enumerate_facets(base)
-    base_inequalities = [facet_inequality(base, S) for S in base_sets]
-    alphas = _fold_alphas(folds, base_inequalities, points)
-    base_facets = [(S.members, f.a) for S, f in zip(base_sets, base_inequalities)]
-    beta_of = _fold_duals(folds, base_facets, points)
-    facets = enumerate_facets(P)
-    # facet_inequality's normal, read off the pair {a, b}: (t - a)(t - b) is
-    # >= 0 at every vertex for an adjacent pair and <= 0 for {1, n}
-    betas = tuple(
-        beta_of((a + b, -1) if b == a + 1 else (-a - b, 1))
-        for a, b in (S.members for S in facets)
-    )
-    rank = 2 * len(folds) + len(base_facets)
-    return NonnegFactorization(rank, alphas, betas, facets, P)
 
 
 def _unit(k: int, r: int, value=1) -> tuple:

@@ -22,7 +22,9 @@ def format_rational(x) -> str:
     return f"{num}/{den}"
 
 
-_RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+# ASCII digits only: \d also matches other scripts' digits (Arabic-Indic,
+# fullwidth), which int() reads as numbers
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def parse_rational(text: str):

@@ -124,6 +124,13 @@ def test_verify_flag_cross_check(capsys, tmp_path):
     assert run(capsys, "verify", str(path), "--n", "9")[0] == 2  # n without d
 
 
+def _arabic_indic(vectors):
+    """Every whole-number entry in Arabic-Indic digits, which int() reads
+    as the same number (a fraction stays ASCII)."""
+    digits = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    return [[x if "/" in x else x.translate(digits) for x in vec] for vec in vectors]
+
+
 MALFORMED = {
     "rank is not a number": lambda data: data.update(rank="abc"),
     "target without d": lambda data: data["target"].pop("d"),
@@ -155,6 +162,10 @@ MALFORMED = {
     "alpha is an object": lambda data: data.update(alpha=dict(enumerate(data["alpha"]))),
     "columns is an object": lambda data: data.update(columns={}),
     "a column is a string": lambda data: data["columns"].__setitem__(0, "12"),
+    # the wire format is ASCII: "٣" (Arabic-Indic three) is not "3"
+    "entries in non-ASCII digits": lambda data: data.update(
+        alpha=_arabic_indic(data["alpha"]), beta=_arabic_indic(data["beta"])
+    ),
 }
 
 
@@ -373,14 +384,14 @@ def test_trivial_path_builds_slack_entries_once(capsys, monkeypatch, argv):
 def test_factorize_2d_output_is_gated(capsys, monkeypatch):
     # the degree-2 closed form is not self-verified; the command's own
     # verification must catch a wrong beta entry
-    original = cyclift.lifting.fold_factorization_2d
+    original = cyclift.factorization.factorize_2d
 
     def perturbed(n):
         F = original(n)
         first = (F.beta[0][0] + 1,) + F.beta[0][1:]
         return replace(F, beta=(first,) + F.beta[1:])
 
-    monkeypatch.setattr(cyclift.lifting, "fold_factorization_2d", perturbed)
+    monkeypatch.setattr(cyclift.factorization, "factorize_2d", perturbed)
     rc, _, err = run(capsys, "factorize", "--n", "9", "--d", "2")
     assert rc == 1 and "verification: FAILED" in err
 

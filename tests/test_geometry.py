@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,13 +201,29 @@ def test_facet_inequality_examples():
     assert f.slack((3, 9)) == 4
 
 
+def _random_intervals(seed, per_d):
+    """(d, t1, t2) for d = 2..8: per_d seeded intervals each, t1 in
+    [-20, 20] and d + 1 to d + 8 points, the first with t1 < 0."""
+    rng = random.Random(seed)
+    out = []
+    for d in range(2, 9):
+        for k in range(per_d):
+            t1 = rng.randint(-20, -1 if k == 0 else 20)
+            out.append((d, t1, t1 + rng.randint(d, d + 7)))
+    return out
+
+
 @pytest.mark.parametrize(
-    "d,t1,t2", [(2, 1, 6), (3, 1, 7), (3, 0, 5), (4, 1, 8), (5, 1, 9)]
+    "d,t1,t2",
+    [(2, 1, 6), (3, 1, 7), (3, 0, 5), (4, 1, 8), (5, 1, 9)] + _random_intervals(19, 3),
 )
 def test_facet_inequality_reproduces_slack(d, t1, t2):
+    """The pair form's slack at every vertex is oracles.slack_product, as
+    ints, for every facet."""
     p = P(d, t1, t2)
     for S in enumerate_facets(p):
         f = facet_inequality(p, S)
+        assert all(type(x) is int for x in f.a + (f.b,))
         for i in range(t1, t2 + 1):
             s = f.slack(vertex(p, i))
             assert s == slack_product(i, S.members)

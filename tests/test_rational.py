@@ -42,6 +42,8 @@ def test_round_trip():
     [
         "", "x", "1/0", "1/2/3", "1.5", "2 /3",
         "+5", "1_000", "0x10", "5/-2", "5/03",
+        # the wire format is ASCII: no other script's digits
+        "٣", "３", "1/٢",
         # beyond Python's default limit of 4300 digits for int(str)
         pytest.param("1" * 5000, id="5000 digits"),
         pytest.param("1/" + "1" * 5000, id="1/5000 digits"),
