@@ -43,6 +43,7 @@ from .geometry import (
     Interval,
     SlackMatrix,
     enumerate_facets,
+    facet_count,
     facet_inequality,
     facet_pairs,
     fold_chain,
@@ -57,15 +58,13 @@ def _floor_log2(x: int) -> int:
 
 def size_bound_2d(n: int) -> int:
     """Inequality count the degree-2 lifted description is guaranteed to meet."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+    CyclicPolytope.standard(2, n)
     return 2 * _floor_log2(n - 1) + 2
 
 
 def rank_bound(n: int, d: int) -> int:
     """Guaranteed rank of factorize(n, d): 2 * (2*floor(log2(n-1)) + 2)**(d//2)."""
-    if d < 2 or n <= d:
-        raise DomainError(f"need n > d >= 2, got n={n}, d={d}")
+    CyclicPolytope.standard(d, n)
     return 2 * size_bound_2d(n) ** (d // 2)
 
 
@@ -79,8 +78,7 @@ def _size_2d(n: int) -> int:
 def construction_rank(n: int, d: int) -> int:
     """Exact rank the recursive construction produces for (n, d), without
     building it: the rank of factorize_2d, factorize_even or factorize_odd."""
-    if d < 2 or n <= d:
-        raise DomainError(f"need n > d >= 2, got n={n}, d={d}")
+    CyclicPolytope.standard(d, n)
     if d == 2:
         return _size_2d(n)
     if d % 2 == 0:
@@ -97,23 +95,30 @@ def trivial_wins(n: int, d: int) -> bool:
 
 def even_rank_bound(n: int, d: int) -> int:
     """For even d the factor 2 is not needed: (2*floor(log2(n-1)) + 2)**(d//2)."""
+    CyclicPolytope.standard(d, n)
     if d % 2:
         raise DomainError(f"even dimension required, got d={d}")
-    if d < 2 or n <= d:
-        raise DomainError(f"need n > d >= 2, got n={n}, d={d}")
     return size_bound_2d(n) ** (d // 2)
 
 
 @dataclass(frozen=True)
 class NonnegFactorization:
     """alpha: one vector per row (vertex, interval order); beta: one per
-    column (facet, canonical order); all entries nonnegative rationals."""
+    column (facet, canonical order); all entries nonnegative rationals.
+    Every vector has length rank; any other length is a DomainError."""
 
     rank: int
     alpha: tuple
     beta: tuple
     column_labels: tuple | None = None
     target: CyclicPolytope | None = None
+
+    def __post_init__(self):
+        for vec in self.alpha + self.beta:
+            if len(vec) != self.rank:
+                raise DomainError(
+                    f"vector of length {len(vec)} does not match rank {self.rank}"
+                )
 
     @property
     def n_rows(self) -> int:
@@ -206,11 +211,6 @@ class NonnegFactorization:
             raise DomainError(
                 f"malformed factorization JSON ({type(exc).__name__}: {exc})"
             ) from exc
-        for vec in alpha + beta:
-            if len(vec) != rank:
-                raise DomainError(
-                    f"vector of length {len(vec)} does not match rank {rank}"
-                )
         return cls(rank, alpha, beta, columns, target)
 
 
@@ -295,6 +295,9 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     first_mismatch is (vertex index, facet, expected, got) for the first
     differing entry, scanning rows then columns; only the first row that
     fails the basis test is scanned entry by entry.
+
+    A factorization whose target or shape differs from P's is a DomainError
+    raised from the counts alone, before any facet of P is enumerated.
     """
     P = M.polytope
     if F.target is not None and F.target != P:
@@ -303,19 +306,25 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
             f"[{F.target.interval.t1}, {F.target.interval.t2}], matrix is "
             f"d={P.d} on [{P.interval.t1}, {P.interval.t2}]"
         )
-    if F.n_rows != M.n_rows or F.n_cols != M.n_cols:
-        raise DomainError(
-            f"factorization is {F.n_rows}x{F.n_cols}, matrix is "
-            f"{M.n_rows}x{M.n_cols}"
-        )
-    if F.column_labels is not None and tuple(F.column_labels) != tuple(M.columns):
+    # the shape from the counts, rows first, before M.columns is read: no
+    # math.comb (seconds at d = 10^6) when the rows differ or facet_count's
+    # first term C(n - (d+1)//2, d//2) >= 2^k already outgrows F.n_cols;
+    # such a count can be too long to print
+    shape = f"factorization is {F.n_rows}x{F.n_cols}"
+    if F.n_rows != P.n:
+        raise DomainError(f"{shape}, matrix has {P.n} rows")
+    k = min(P.d // 2, P.n - P.d)
+    if k >= F.n_cols.bit_length():
+        raise DomainError(f"{shape}, matrix has at least 2^{k} columns")
+    m = facet_count(P)
+    if F.n_cols != m:
+        raise DomainError(f"{shape}, matrix is {P.n}x{m}")
+    if F.column_labels is not None and tuple(F.column_labels) != M.columns:
         raise DomainError("column labels do not match the matrix's facet order")
     bound = rank_bound(P.n, P.d)
     # each vector cleared to integers once; a numerator has its entry's sign
     scaled = []
     for vec in F.alpha + F.beta:
-        if len(vec) != F.rank:
-            raise DomainError(f"vector length {len(vec)} does not match rank {F.rank}")
         ints, den = scaled_ints(vec)
         if ints and min(ints) < 0:
             return VerificationReport(False, F.rank, bound, None)
@@ -509,8 +518,6 @@ def factorize_2d(n: int) -> NonnegFactorization:
     lifting.factorization_from_ef(P, build_ef_2d(n)), entry for entry.
     Not verified here, like factorization_from_ef.
     """
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
     P = CyclicPolytope.standard(2, n)
     folds, (b1, b2) = fold_chain(1, n)
     base = CyclicPolytope(2, Interval(b1, b2))
@@ -594,12 +601,9 @@ def factorize(n: int, d: int) -> NonnegFactorization:
     The result is not verified here: verify(slack_matrix(P), F) is the
     check, and the command line and ef_from_factorization run it.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be at least 2, got {d}")
-    if n <= d:
-        raise DomainError(f"need n > d, got n={n}, d={d}")
+    P = CyclicPolytope.standard(d, n)
     if trivial_wins(n, d):
-        return trivial_factorization(slack_matrix(CyclicPolytope.standard(d, n)))
+        return trivial_factorization(slack_matrix(P))
     if d == 2:
         return factorize_2d(n)
     if d % 2 == 0:

@@ -238,15 +238,19 @@ def _slack_product(i: int, members: tuple[int, ...]) -> int:
 @dataclass(frozen=True)
 class SlackMatrix:
     """Rows indexed by vertices (interval order), columns by facets
-    (lexicographic order); entries are exact nonnegative ints. The entries
-    and the facet inequalities are computed on first read and cached."""
+    (lexicographic order); entries are exact nonnegative ints. The columns,
+    the entries and the facet inequalities are computed on first read and
+    cached."""
 
     polytope: CyclicPolytope
-    columns: tuple[GaleSet, ...]
 
     @property
     def n_rows(self) -> int:
         return self.polytope.n
+
+    @cached_property
+    def columns(self) -> tuple[GaleSet, ...]:
+        return enumerate_facets(self.polytope)
 
     @property
     def n_cols(self) -> int:
@@ -281,9 +285,9 @@ class SlackMatrix:
 
 
 def slack_matrix(P: CyclicPolytope) -> SlackMatrix:
-    """The slack matrix of P, facets in canonical column order; its entries
-    are computed when first read."""
-    return SlackMatrix(P, enumerate_facets(P))
+    """The slack matrix of P, facets in canonical column order; nothing is
+    computed until it is read."""
+    return SlackMatrix(P)
 
 
 def facet_inequality(P: CyclicPolytope, S) -> FacetInequality:

@@ -198,11 +198,10 @@ def _build(t1: int, t2: int):
 def build_ef_2d(n: int) -> ExtendedFormulation:
     """Lifted description of P^2_[1,n] with at most 2*floor(log2(n-1)) + 2
     inequalities; n <= 6 keeps the plain n-facet description."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+    P = CyclicPolytope.standard(2, n)
     variables, eqs, ineqs, wits = _build(1, n)
     lifted = Polyhedron(tuple(variables), tuple(eqs), tuple(ineqs))
-    return ExtendedFormulation(lifted, wits, CyclicPolytope.standard(2, n))
+    return ExtendedFormulation(lifted, wits, P)
 
 
 def _unit(k: int, r: int, value=1) -> tuple:
@@ -223,7 +222,8 @@ def ef_from_factorization(
 ) -> ExtendedFormulation:
     """Size-rank(F) lift of P: variables (x, y), inequalities y >= 0 only,
     and per facet the equation <a_j, x> + <beta_j, y> = b_j; above vertex i
-    the witness is (v_i, alpha_i)."""
+    the witness is (v_i, alpha_i). verify refuses an F whose target or
+    shape differs from P's before any facet of P is enumerated."""
     M = slack_matrix(P)
     if not verify(M, F).ok:
         raise DomainError("factorization does not verify against the slack matrix")

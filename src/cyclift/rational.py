@@ -32,11 +32,13 @@ def parse_rational(text: str):
 
     An integer past the regex gate is returned by int() itself, with no
     Fraction built; a number longer than Python's int-conversion digit
-    limit is a DomainError like any other malformed one.
+    limit is a DomainError like any other malformed one. Only ASCII
+    whitespace around the number is ignored: str.strip() with no argument
+    would also drop Unicode spaces and the separators \\x1c-\\x1f.
     """
     if not isinstance(text, str):
         raise DomainError(f"not a rational: {text!r} is not a string")
-    s = text.strip()
+    s = text.strip(" \t\n\r\f\v")
     if not _RATIONAL.fullmatch(s):
         raise DomainError(f"not a rational: {text!r}")
     try:

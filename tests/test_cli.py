@@ -166,6 +166,10 @@ MALFORMED = {
     "entries in non-ASCII digits": lambda data: data.update(
         alpha=_arabic_indic(data["alpha"]), beta=_arabic_indic(data["beta"])
     ),
+    # only ASCII whitespace pads an entry: U+3000 is not a space here
+    "entry padded with an ideographic space": lambda data: data["alpha"][0].__setitem__(
+        0, "\u3000" + data["alpha"][0][0]
+    ),
 }
 
 
@@ -194,6 +198,15 @@ def test_verify_non_utf8_file_is_usage_error(capsys, tmp_path):
     assert f"error: cannot load {path}:" in err
 
 
+def test_verify_deeply_nested_file_is_usage_error(capsys, tmp_path):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    path = tmp_path / "f.json"
+    path.write_text("[" * 100000)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert f"error: cannot load {path}:" in err
+
+
 @pytest.mark.parametrize(
     "target,message",
     [
@@ -215,9 +228,9 @@ def test_verify_compares_shapes_before_building_the_matrix(
     path.write_text(json.dumps(data))
 
     def refuse(P):
-        raise AssertionError("slack_matrix was built")
+        raise AssertionError("facets were enumerated")
 
-    monkeypatch.setattr(cyclift.cli, "slack_matrix", refuse)
+    monkeypatch.setattr(cyclift.geometry, "enumerate_facets", refuse)
     rc, out, err = run(capsys, "verify", str(path))
     assert rc == 2 and out == ""
     assert f"error: factorization is {message}" in err
@@ -235,7 +248,7 @@ def test_verify_refuses_a_huge_claimed_facet_count_before_counting(
     def refuse(P):
         raise AssertionError("facet_count was called")
 
-    monkeypatch.setattr(cyclift.cli, "facet_count", refuse)
+    monkeypatch.setattr(cyclift.factorization, "facet_count", refuse)
     rc, out, err = run(capsys, "verify", str(path))
     assert rc == 2 and out == ""
     assert "error: factorization is 30000x0, matrix has at least 2^10000 columns" in err
@@ -476,6 +489,13 @@ def test_minimize_poly_usage_errors(capsys):
     assert run(capsys, "minimize-poly", "--coeffs", "1,x,3", "--n", "5")[0] == 2
     rc, _, err = run(capsys, "minimize-poly", "--coeffs", "1,2," + "7" * 5000, "--n", "5")
     assert rc == 2 and err.startswith("error:")
+
+
+def test_minimize_poly_coefficients_take_ascii_padding_only(capsys):
+    rc, out, _ = run(capsys, "minimize-poly", "--coeffs", "9, -6, 1", "--n", "6")
+    assert rc == 0 and json.loads(out)["argmin"] == [3]
+    rc, out, err = run(capsys, "minimize-poly", "--coeffs", "\u30001,2,3", "--n", "5")
+    assert rc == 2 and out == "" and "error: not a rational" in err
 
 
 # ---------------------------------------------------------------- package

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclift.factorization
+import cyclift.geometry
 from cyclift.errors import DomainError
 from cyclift.factorization import (
     NonnegFactorization,
@@ -32,7 +33,7 @@ from cyclift.geometry import (
     enumerate_facets,
     slack_matrix,
 )
-from cyclift.lifting import build_ef_2d
+from cyclift.lifting import build_ef_2d, ef_from_factorization
 from cyclift.rational import parse_rational
 
 from oracles import first_mismatch
@@ -52,6 +53,29 @@ def test_bound_formulas():
         even_rank_bound(9, 3)
     with pytest.raises(DomainError):
         rank_bound(4, 4)
+
+
+def _refusal(fn, *args) -> str:
+    with pytest.raises(DomainError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+# (n, d) is valid when CyclicPolytope.standard(d, n) is: every function of
+# (n, d) refuses what it refuses, and every degree-2 function of n too
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fn, nd)
+        for fn in (factorize, rank_bound, construction_rank, even_rank_bound)
+        for nd in ((2, 2), (4, 4), (5, 1))
+    ]
+    + [(fn, (n,)) for fn in (size_bound_2d, factorize_2d, build_ef_2d) for n in (2, 1)],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_n_d_validity_is_stated_by_cyclic_polytope(fn, args):
+    n, d = args if len(args) == 2 else (args[0], 2)
+    assert _refusal(fn, *args) == _refusal(CyclicPolytope.standard, d, n)
 
 
 def test_construction_rank_matches_builds():
@@ -122,6 +146,47 @@ def test_verify_dimension_mismatch_is_domain_error():
     )
     with pytest.raises(DomainError):
         verify(M5, relabeled)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda P, F: verify(slack_matrix(P), F), ef_from_factorization],
+    ids=["verify", "ef_from_factorization"],
+)
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("recorded", "factorization targets d=2 on [1, 9]"),
+        (None, "factorization is 9x9, matrix has 30000 rows"),
+    ],
+    ids=["wrong target", "no target, wrong rows"],
+)
+def test_verify_refuses_a_wrong_shape_before_enumerating_facets(
+    monkeypatch, check, target, message
+):
+    # P has more than 10^35 facets: reaching enumerate_facets would hang
+    P = CyclicPolytope.standard(20, 30000)
+    F = factorize(9, 2)
+    if target is None:
+        F = replace(F, target=None)
+
+    def refuse(P):
+        raise AssertionError("facets were enumerated")
+
+    monkeypatch.setattr(cyclift.geometry, "enumerate_facets", refuse)
+    with pytest.raises(DomainError) as exc:
+        check(P, F)
+    assert str(exc.value).startswith(message)
+
+
+def test_vector_length_must_match_rank():
+    with pytest.raises(DomainError, match="vector of length 1 does not match rank 2"):
+        NonnegFactorization(2, ((1, 2), (3,)), ((1, 1),))
+    with pytest.raises(DomainError, match="vector of length 3 does not match rank 2"):
+        NonnegFactorization(2, ((1, 2),), ((1, 1, 0),))
+    F = factorize_2d(9)
+    with pytest.raises(DomainError, match="does not match rank"):
+        replace(F, rank=F.rank + 1)
 
 
 def test_verify_handles_fractions():

@@ -44,6 +44,8 @@ def test_round_trip():
         "+5", "1_000", "0x10", "5/-2", "5/03",
         # the wire format is ASCII: no other script's digits
         "٣", "３", "1/٢",
+        # only ASCII whitespace pads a number: no Unicode space or separator
+        "\u30007", "7\u2003", "\x1c7", "\xa07/2",
         # beyond Python's default limit of 4300 digits for int(str)
         pytest.param("1" * 5000, id="5000 digits"),
         pytest.param("1/" + "1" * 5000, id="1/5000 digits"),
