@@ -31,8 +31,9 @@ construction guarantees, not the (unknown) minimal nonnegative rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .errors import DomainError, InternalError
@@ -275,10 +276,18 @@ def _json_int(x) -> int:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The verdict (ok, rank, bound, first_mismatch), and kept: the
+    positions, in order, of the facet rows verify's reduction kept (the
+    first maximal independent subset, as exact_lp.independent_equations
+    returns it), or None when no facet row was reduced. kept is a
+    by-product of the check, not part of the verdict, so reports compare
+    without it."""
+
     ok: bool
     rank: int
     bound: int | None
     first_mismatch: tuple | None = None
+    kept: tuple | None = field(default=None, compare=False)
 
 
 def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
@@ -290,11 +299,19 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     [alpha_i | -(1, i, ..., i^d)] is orthogonal to each facet row
     [beta_S | b_S, -a_S]. The facet rows, cleared to integers, are reduced
     to an independent basis (rational.reduce_rows), and each vertex row is
-    tested against that basis: exact integer work in O((n + m) k^2) for n
-    vertices, m facets and k = rank + d + 1, with no slack entry built.
-    first_mismatch is (vertex index, facet, expected, got) for the first
-    differing entry, scanning rows then columns; only the first row that
-    fails the basis test is scanned entry by entry.
+    tested against the whole basis with one exact dot product
+    (_first_non_orthogonal): O(m k^2) integer work for the reduction and
+    O(n k) products for the vertex rows, for n vertices, m facets and
+    k = rank + d + 1, with no slack entry built. first_mismatch is
+    (vertex index, facet, expected, got) for the first differing entry,
+    scanning rows then columns; only the first row that fails the basis
+    test is scanned entry by entry.
+
+    The facet rows are the equations [a_S | beta_S] = b_S of F's lift
+    (lifting.ef_from_factorization) with their columns permuted. When F
+    verifies, its witnesses satisfy them, so no row is independent in the
+    rhs column alone, and the positions the reduction keeps (kept) are the
+    ones independent_equations keeps from that lift's equations.
 
     A factorization whose target or shape differs from P's is a DomainError
     raised from the counts alone, before any facet of P is enumerated.
@@ -319,7 +336,9 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     m = facet_count(P)
     if F.n_cols != m:
         raise DomainError(f"{shape}, matrix is {P.n}x{m}")
-    if F.column_labels is not None and tuple(F.column_labels) != M.columns:
+    # F's labels, when they are the canonical facet order, become M's
+    # columns: a construction's one enumeration serves both
+    if F.column_labels is not None and not M.take_columns(F.column_labels):
         raise DomainError("column labels do not match the matrix's facet order")
     bound = rank_bound(P.n, P.d)
     # each vector cleared to integers once; a numerator has its entry's sign
@@ -334,14 +353,45 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
         bi + [f.b * db] + [-c * db for c in f.a]
         for f, (bi, db) in zip(M.inequalities, scaled[F.n_rows :])
     ]
-    basis = [row for pivot, row in reduce_rows(facet_rows) if pivot is not None]
-    t1 = P.interval.t1
-    for ri, (ai, da) in enumerate(scaled[: F.n_rows]):
-        i = t1 + ri
-        row = ai + [-da * i**k for k in range(P.d + 1)]
-        if any(sum(map(mul, row, b)) for b in basis):
-            return VerificationReport(False, F.rank, bound, _row_mismatch(M, F, ri))
-    return VerificationReport(True, F.rank, bound, None)
+    kept, basis = [], []
+    for at, (pivot, row) in enumerate(reduce_rows(facet_rows)):
+        if pivot is not None:
+            kept.append(at)
+            basis.append(row)
+    vertex_rows = [
+        ai + [-da * i**e for e in range(P.d + 1)]
+        for i, (ai, da) in enumerate(scaled[: F.n_rows], P.interval.t1)
+    ]
+    ri = _first_non_orthogonal(vertex_rows, basis)
+    mismatch = None if ri is None else _row_mismatch(M, F, ri)
+    return VerificationReport(ri is None, F.rank, bound, mismatch, tuple(kept))
+
+
+def _first_non_orthogonal(rows, basis):
+    """The index of the first integer row with a nonzero dot product with
+    some basis row, or None: one exact product per row, by Kronecker
+    substitution.
+
+    With top the largest |entry| of the basis rows and l1 the largest L1
+    norm of a row, every |<row, b_j>| <= top * l1 < 2^(shift - 1) for
+    shift = (top * l1).bit_length() + 1. So in <row, packed> =
+    sum_j <row, b_j> 2^(shift * j), packed = sum_j b_j 2^(shift * j), the
+    lowest nonzero term cannot be cancelled by the higher ones (they are
+    multiples of 2^shift times its weight), and the product is 0 exactly
+    when every <row, b_j> is.
+    """
+    if not basis:
+        return None
+    top = max(map(abs, chain.from_iterable(basis)))
+    l1 = max((sum(map(abs, row)) for row in rows), default=0)
+    shift = (top * l1).bit_length() + 1
+    packed = [0] * len(basis[0])
+    for b in reversed(basis):
+        packed = [(p << shift) + x for p, x in zip(packed, b)]
+    for ri, row in enumerate(rows):
+        if sum(map(mul, row, packed)):
+            return ri
+    return None
 
 
 def _row_mismatch(M: SlackMatrix, F: NonnegFactorization, ri: int) -> tuple:

@@ -256,6 +256,31 @@ class SlackMatrix:
     def n_cols(self) -> int:
         return len(self.columns)
 
+    def take_columns(self, labels) -> bool:
+        """Whether labels are the columns, in order.
+
+        Once the columns are computed, labels are compared with them. Before
+        that, GaleSets in strictly increasing order, each a facet of the
+        polytope, facet_count of them, are the sorted list of every facet,
+        which is the enumeration itself: they become the columns, and their
+        inequalities the inequalities, with no facet enumerated.
+        """
+        labels = tuple(labels)
+        if "columns" in self.__dict__:
+            return labels == self.columns
+        P = self.polytope
+        if len(labels) != facet_count(P) or not all(isinstance(S, GaleSet) for S in labels):
+            return False
+        if any(a.members >= b.members for a, b in zip(labels, labels[1:])):
+            return False
+        try:  # a DomainError for anything that is not a facet of P
+            inequalities = tuple(facet_inequality(P, S) for S in labels)
+        except DomainError:
+            return False
+        self.__dict__["columns"] = labels
+        self.__dict__["inequalities"] = inequalities
+        return True
+
     def row(self, k: int) -> tuple[int, ...]:
         """Row k (vertex t1 + k) on its own, without building the others."""
         i = self.polytope.interval.t1 + k

@@ -20,7 +20,10 @@ hull_ef builds the convex-hull lift directly, with no facet enumerated; it
 stands in for the lift of the trivial factorization where only the
 projection matters.
 EfOptimizer hands a lift's equations to exact_lp.ReoptimizingSolver, which
-keeps the independent ones (independent_equations, re-exported here).
+reduces them again (independent_equations, re-exported here) and checks
+them at its start. A lift from a factorization records which of its facet
+equations verify's reduction kept (ExtendedFormulation.kept_equations), and
+only those are handed over: verify has shown the rest implied by them.
 A lift with a coordinate projection and a slack-matrix factorization are the
 same object (Yannakakis's factorization theorem), so no other kind of
 projection is needed.
@@ -28,10 +31,10 @@ projection is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
-from .exact_lp import MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
+from .exact_lp import _ZERO, MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
 from .exact_lp import independent_equations  # noqa: F401 (re-exported)
 from .factorization import NonnegFactorization, verify
 from .geometry import (
@@ -100,11 +103,16 @@ class Polyhedron:
 class ExtendedFormulation:
     """A lifted polyhedron and one preimage (witness) per vertex of the
     target polytope. The projection back down keeps the first target.d
-    variables, so witness[:d] is the vertex itself."""
+    variables, so witness[:d] is the vertex itself.
+
+    kept_equations: the positions, in order, of the first maximal
+    independent subset of lifted.equations (independent_equations' answer),
+    where a check has already found it; None where it has not."""
 
     lifted: Polyhedron
     witnesses: dict
     target: CyclicPolytope
+    kept_equations: tuple | None = None
 
     @property
     def size(self) -> int:
@@ -223,14 +231,19 @@ def ef_from_factorization(
     """Size-rank(F) lift of P: variables (x, y), inequalities y >= 0 only,
     and per facet the equation <a_j, x> + <beta_j, y> = b_j; above vertex i
     the witness is (v_i, alpha_i). verify refuses an F whose target or
-    shape differs from P's before any facet of P is enumerated."""
+    shape differs from P's before any facet of P is enumerated.
+
+    The facet equations are verify's facet rows with their columns
+    permuted, so the rows its reduction kept are recorded as the lift's
+    kept_equations (see verify)."""
     M = slack_matrix(P)
-    if not verify(M, F).ok:
+    report = verify(M, F)
+    if not report.ok:
         raise DomainError("factorization does not verify against the slack matrix")
     variables, ineqs = _xy_system(P.d, F.rank)
     eqs = tuple((f.a + tuple(beta), f.b) for f, beta in zip(M.inequalities, F.beta))
     wits = {i: vertex(P, i) + tuple(F.alpha[i - P.interval.t1]) for i in P.interval.indices()}
-    return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P)
+    return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P, report.kept)
 
 
 def hull_ef(P: CyclicPolytope) -> ExtendedFormulation:
@@ -274,8 +287,11 @@ class EfOptimizer:
 
     One simplex tableau serves every objective. It starts at the first
     witness, a known feasible point, and each solve reoptimizes from the
-    previous basis. The solver gets every lifted equation and reduces them
-    itself. Objectives are given in the coordinates of the target polytope.
+    previous basis. The solver gets the lift's kept_equations, or every
+    lifted equation when the lift records none, and reduces and checks
+    what it gets; each result's equation duals are scattered back to one
+    per lifted equation, 0 on a row not handed over. Objectives are given
+    in the coordinates of the target polytope.
     """
 
     def __init__(self, ef: ExtendedFormulation):
@@ -283,8 +299,14 @@ class EfOptimizer:
         if not ef.witnesses:
             raise DomainError("lifted system has no witnesses to start from")
         start = ef.witnesses[min(ef.witnesses)]
+        equations = ef.lifted.equations
+        kept = ef.kept_equations
+        self._kept = range(len(equations)) if kept is None else kept
         self._solver = ReoptimizingSolver(
-            ef.lifted.nvars, ef.lifted.equations, ef.lifted.inequalities, start
+            ef.lifted.nvars,
+            [equations[k] for k in self._kept],
+            ef.lifted.inequalities,
+            start,
         )
 
     def solve(self, objective, sense=MAX) -> LPResult:
@@ -297,7 +319,13 @@ class EfOptimizer:
             raise DomainError(f"unknown sense {sense!r}")
         coeffs = lift_objective(self.ef, objective)
         solver = self._solver
-        return (solver.maximize if sense == MAX else solver.minimize)(coeffs)
+        res = (solver.maximize if sense == MAX else solver.minimize)(coeffs)
+        if res.dual_eq is None:
+            return res
+        duals = [_ZERO] * len(self.ef.lifted.equations)
+        for at, mu in zip(self._kept, res.dual_eq):
+            duals[at] = mu
+        return replace(res, dual_eq=tuple(duals))
 
     def _optimum(self, objective, sense):
         res = self.solve(objective, sense)

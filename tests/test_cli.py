@@ -344,6 +344,37 @@ def test_verify_command_verifies_once(capsys, monkeypatch, tmp_path):
     assert calls == {"verify": 1}
 
 
+def _count_enumerations(monkeypatch):
+    """Record the point count of each polytope whose facets are enumerated."""
+    seen = []
+    original = cyclift.geometry.enumerate_facets
+
+    def counting(P):
+        seen.append(P.n)
+        return original(P)
+
+    for module in (cyclift.geometry, cyclift.factorization, cyclift.lifting, cyclift.cli):
+        if getattr(module, "enumerate_facets", None) is original:
+            monkeypatch.setattr(module, "enumerate_facets", counting)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv, enumerated",
+    [
+        # factorize_2d(32): the 4-point bottom of its fold chain, then its
+        # own facets; verify's matrix takes the tensor build's labels
+        pytest.param(("factorize", "--n", "33", "--d", "3"), [4, 32, 33], id="33 3"),
+        # trivial: verify's matrix takes the labels of the one it is read off
+        pytest.param(("factorize", "--n", "20", "--d", "4"), [20], id="20 4"),
+    ],
+)
+def test_each_command_enumerates_its_facets_once(capsys, monkeypatch, argv, enumerated):
+    seen = _count_enumerations(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert seen == enumerated
+
+
 @pytest.mark.parametrize(
     "argv",
     [

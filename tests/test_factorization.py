@@ -13,6 +13,7 @@ from cyclift.errors import DomainError
 from cyclift.factorization import (
     NonnegFactorization,
     VerificationReport,
+    _first_non_orthogonal,
     construction_rank,
     even_rank_bound,
     factorize,
@@ -34,7 +35,7 @@ from cyclift.geometry import (
     slack_matrix,
 )
 from cyclift.lifting import build_ef_2d, ef_from_factorization
-from cyclift.rational import parse_rational
+from cyclift.rational import parse_rational, scaled_ints
 
 from oracles import first_mismatch
 from test_cli import MALFORMED
@@ -179,6 +180,32 @@ def test_verify_refuses_a_wrong_shape_before_enumerating_facets(
     assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize("enumerated", [False, True], ids=["labels taken", "labels compared"])
+def test_verify_refuses_labels_out_of_the_canonical_order(enumerated):
+    """Labels that are not the canonical facet order are refused whether
+    the matrix's columns were enumerated already (compared with them) or
+    not (checked to be every facet, in order), and a refused matrix keeps
+    the enumeration as its columns. Canonical labels become the columns."""
+    P = CyclicPolytope.standard(3, 20)
+    F = factorize(20, 3)
+    labels = list(F.column_labels)
+    swapped = labels[:4] + [labels[5], labels[4]] + labels[6:]
+    not_a_facet = [GaleSet((1, 2, 4))] + labels[1:]
+    outside = labels[:-1] + [GaleSet((18, 19, 21))]
+    repeated = [labels[0]] + labels[:-1]
+    plain = [S.members for S in labels]
+    for bad in (swapped, not_a_facet, outside, repeated, plain):
+        M = slack_matrix(P)
+        if enumerated:
+            M.columns
+        with pytest.raises(DomainError, match="column labels do not match"):
+            verify(M, replace(F, column_labels=tuple(bad)))
+        assert M.columns == enumerate_facets(P)
+    M = slack_matrix(P)
+    assert verify(M, F).ok
+    assert M.columns is F.column_labels
+
+
 def test_vector_length_must_match_rank():
     with pytest.raises(DomainError, match="vector of length 1 does not match rank 2"):
         NonnegFactorization(2, ((1, 2), (3,)), ((1, 1),))
@@ -244,6 +271,85 @@ def test_verify_matches_entry_scan(case):
     assert report == VerificationReport(found is None, G.rank, bound, found)
     if found is not None:
         assert [type(x) for x in report.first_mismatch] == [int, GaleSet, int, Fraction]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+BIG = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def orthogonality_cases(draw):
+    """(rows, basis) of integers up to 2^70 in size. One row, the probe, is
+    zero or has every basis row but one (or every one) made orthogonal to
+    it: b_j becomes probe[p] * b_j - <probe, b_j> * e_p, so <probe, b_j>
+    is 0 and only the one left alone can make the probe fail. The other
+    rows are random or zero."""
+    width = draw(st.integers(1, 6))
+    vector = st.lists(BIG, min_size=width, max_size=width)
+    zero = st.just([0] * width)
+    basis = draw(st.lists(st.one_of(vector, zero), max_size=5))
+    probe = draw(st.one_of(vector, zero))
+    left = draw(st.integers(-1, len(basis) - 1))  # -1: none left alone
+    p = next((j for j, x in enumerate(probe) if x), None)
+    if p is not None:
+        for j, b in enumerate(basis):
+            if j != left:
+                dot = _dot(probe, b)
+                basis[j] = [probe[p] * x - (dot if c == p else 0) for c, x in enumerate(b)]
+    rows = draw(st.lists(st.one_of(vector, zero), max_size=4))
+    rows.insert(draw(st.integers(0, len(rows))), probe)
+    return rows, basis
+
+
+@settings(deadline=None)
+@given(orthogonality_cases())
+def test_packed_orthogonality_test_matches_the_per_basis_test(case):
+    rows, basis = case
+    plain = next(
+        (i for i, row in enumerate(rows) if any(_dot(row, b) for b in basis)), None
+    )
+    assert _first_non_orthogonal(rows, basis) == plain
+
+
+def test_packed_orthogonality_test_leaves_room_for_the_largest_product():
+    """The largest dot product the bound allows, top * l1 = l1 * 2^k, in
+    the lowest slot and -2^j in the next one: a packing that shifts by
+    k - j + (bits of l1) or fewer would cancel them and pass the row."""
+    for k in range(72):
+        for j in range(min(k, 8) + 1):
+            for l1 in (1, 2, 3):
+                basis = [[2**k] * l1, [-(2**j)] + [0] * (l1 - 1)]
+                assert _first_non_orthogonal([[0] * l1, [1] * l1], basis) == 1
+
+
+@st.composite
+def nudged_factorizations(draw):
+    """(polytope, a small structured factorization with 1/den added to one
+    alpha or beta entry, den the common denominator of that vector)."""
+    n, d = draw(st.sampled_from([(9, 2), (17, 2), (19, 3), (20, 3)]))
+    F = factorize(n, d)
+    side = draw(st.sampled_from(("alpha", "beta")))
+    vectors = list(getattr(F, side))
+    index = draw(st.integers(0, len(vectors) - 1))
+    vec = list(vectors[index])
+    vec[draw(st.integers(0, F.rank - 1))] += Fraction(1, scaled_ints(vec)[1])
+    vectors[index] = tuple(vec)
+    return CyclicPolytope.standard(d, n), replace(F, **{side: tuple(vectors)})
+
+
+@settings(deadline=None)
+@given(nudged_factorizations())
+def test_verify_finds_a_nudged_entry_where_the_entry_scan_does(case):
+    P, G = case
+    found = first_mismatch(G.alpha, G.beta, P.d, 1, P.n)
+    if found is not None:
+        i, S, expected, got = found
+        found = (i, GaleSet(S), expected, got)
+    report = verify(slack_matrix(P), G)
+    assert (report.ok, report.first_mismatch) == (found is None, found)
 
 
 # ------------------------------------------------------- hadamard_combine

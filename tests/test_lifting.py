@@ -15,6 +15,8 @@ from cyclift.exact_lp import MAX, MIN, OPTIMAL, LinearProgram, ReoptimizingSolve
 from cyclift.factorization import (
     factorize,
     factorize_2d,
+    factorize_even,
+    factorize_odd,
     size_bound_2d,
     trivial_factorization,
     trivial_wins,
@@ -44,6 +46,7 @@ from cyclift.lifting import (
 )
 
 from oracles import _rank, consistent, independent_rows, vertex_maximum
+from test_golden import FACTORIZE_TENSOR_SWEEP
 
 
 def size_oracle(n):
@@ -180,13 +183,15 @@ def test_optimizer_results_are_fractions():
 
 
 def test_optimizer_reduces_the_lifted_equations_once(monkeypatch):
-    """The solver owns the equation reduction: building an optimizer runs
-    independent_equations once, on every lifted equation, and a minimum's
-    zero duals (the dropped rows' among them) share one Fraction."""
+    """The solver reduces what it is handed: building an optimizer runs
+    independent_equations once, on the 16 of the 126 lifted equations that
+    verify's reduction kept, and a minimum's zero duals (the dropped rows'
+    among them) share one Fraction."""
     reduce = cyclift.exact_lp.independent_equations
     assert cyclift.lifting.independent_equations is reduce
     assert cyclift.independent_equations is reduce
     ef = ef_from_factorization(CyclicPolytope.standard(3, 65), factorize(65, 3))
+    assert len(ef.lifted.equations) == 126
     calls = []
 
     def counting(equations):
@@ -195,10 +200,32 @@ def test_optimizer_reduces_the_lifted_equations_once(monkeypatch):
 
     monkeypatch.setattr(cyclift.exact_lp, "independent_equations", counting)
     opt = EfOptimizer(ef)
-    assert calls == [len(ef.lifted.equations)] == [126]
+    assert calls == [len(ef.kept_equations)] == [16]
     res = opt.solve((2 * 30, -1, 0), MIN)
     zeros = [mu for mu in res.dual_eq if mu == 0]
     assert len(zeros) >= 126 - 16 and len({id(mu) for mu in zeros}) == 1
+
+
+def _factorization_lifts():
+    """(label, polytope, factorization): the structured builds of the
+    tensor sweep (d = 3..7) and factorize_2d at small n."""
+    sizes, _ = FACTORIZE_TENSOR_SWEEP
+    for d, ns in sizes.items():
+        build = factorize_odd if d % 2 else factorize_even
+        for n in ns:
+            yield f"d={d} n={n}", CyclicPolytope.standard(d, n), build(n, d // 2)
+    for n in range(3, 41):
+        yield f"d=2 n={n}", CyclicPolytope.standard(2, n), factorize_2d(n)
+
+
+def test_verify_keeps_the_equations_the_lp_reduction_keeps():
+    """The facet rows verify keeps are the lift's equations that
+    independent_equations keeps, position for position, and the lift
+    records them: the LP is handed exactly the rows it would have kept."""
+    for label, P, F in _factorization_lifts():
+        kept = verify(slack_matrix(P), F).kept
+        ef = ef_from_factorization(P, F)
+        assert kept == ef.kept_equations == independent_equations(ef.lifted.equations), label
 
 
 # largest n per degree, so that building the lifts stays cheap
