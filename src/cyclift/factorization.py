@@ -25,6 +25,11 @@ Two constructions live here:
   it by (n - i). The two endpoint blocks take disjoint coordinates:
   rank 2 * r2**(d//2).
 
+Every construction computes in integers: each vector is integer
+numerators over a positive denominator (NonnegFactorization.int_vectors),
+which verify and the JSON writer read; the public Fraction and int
+entries are built from them.
+
 Ranks here are the lengths of the constructed vectors, i.e. what the
 construction guarantees, not the (unknown) minimal nonnegative rank.
 """
@@ -33,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, InternalError
@@ -50,7 +56,7 @@ from .geometry import (
     fold_chain,
     slack_matrix,
 )
-from .rational import format_rational, parse_rational, reduce_rows, scaled_ints
+from .rational import parse_rational, reduce_rows, scaled_ints
 
 
 def _floor_log2(x: int) -> int:
@@ -106,13 +112,22 @@ def even_rank_bound(n: int, d: int) -> int:
 class NonnegFactorization:
     """alpha: one vector per row (vertex, interval order); beta: one per
     column (facet, canonical order); all entries nonnegative rationals.
-    Every vector has length rank; any other length is a DomainError."""
+    Every vector has length rank; any other length is a DomainError.
+
+    int_vectors() is the exact form verify and the JSON writer read: each
+    vector as integer numerators over a positive denominator. The
+    constructions carry it from their integer arithmetic; any other
+    factorization (a read file, a caller's own, dataclasses.replace's
+    copy) derives it with scaled_ints on first use. It is not an init
+    field, so replace never copies it and an edited vector is never read
+    through a stale form."""
 
     rank: int
     alpha: tuple
     beta: tuple
     column_labels: tuple | None = None
     target: CyclicPolytope | None = None
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for vec in self.alpha + self.beta:
@@ -120,6 +135,25 @@ class NonnegFactorization:
                 raise DomainError(
                     f"vector of length {len(vec)} does not match rank {self.rank}"
                 )
+
+    @classmethod
+    def _carrying(cls, rank, alpha, beta, ints, column_labels, target):
+        """The factorization with its integer form ints given, as
+        int_vectors() returns it; ints must equal alpha and beta in value."""
+        F = cls(rank, alpha, beta, column_labels, target)
+        object.__setattr__(F, "_ints", ints)
+        return F
+
+    def int_vectors(self) -> tuple:
+        """((numerators, den), ...): alpha's vectors, then beta's, each equal
+        to numerators / den, den > 0. Derived by scaled_ints on first use
+        when no construction carried it."""
+        if self._ints is None:
+            ints = tuple(
+                (tuple(nums), den) for nums, den in map(scaled_ints, self.alpha + self.beta)
+            )
+            object.__setattr__(self, "_ints", ints)
+        return self._ints
 
     @property
     def n_rows(self) -> int:
@@ -141,11 +175,12 @@ class NonnegFactorization:
                 "t1": self.target.interval.t1,
                 "t2": self.target.interval.t2,
             }
+        texts = _entry_texts(self.int_vectors())
         return {
             "target": target,
             "rank": self.rank,
-            "alpha": [[format_rational(x) for x in vec] for vec in self.alpha],
-            "beta": [[format_rational(x) for x in vec] for vec in self.beta],
+            "alpha": texts[: self.n_rows],
+            "beta": texts[self.n_rows :],
             "columns": None
             if self.column_labels is None
             else [list(S.members) for S in self.column_labels],
@@ -171,10 +206,11 @@ class NonnegFactorization:
             columns = _json_list(
                 [_json_list(list(map(str, S.members)), 3) for S in self.column_labels], 2
             )
+        texts = _entry_texts(self.int_vectors())
         return (
             f'{{\n  "target": {target},\n  "rank": {self.rank},'
-            f'\n  "alpha": {_json_vectors(self.alpha)},'
-            f'\n  "beta": {_json_vectors(self.beta)},'
+            f'\n  "alpha": {_json_vectors(texts[: self.n_rows])},'
+            f'\n  "beta": {_json_vectors(texts[self.n_rows :])},'
             f'\n  "columns": {columns}\n}}'
         )
 
@@ -224,16 +260,41 @@ def _json_list(items: list, depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * (depth - 1) + "]"
 
 
-def _json_vectors(vectors) -> str:
-    """The alpha or beta member: a list of lists of format_rational strings."""
+def _json_vectors(texts) -> str:
+    """The alpha or beta member from each vector's entry strings."""
     quoted = '",\n      "'
     return _json_list(
-        [
-            '[\n      "' + quoted.join(map(format_rational, vec)) + '"\n    ]' if vec else "[]"
-            for vec in vectors
-        ],
-        2,
+        ['[\n      "' + quoted.join(vec) + '"\n    ]' if vec else "[]" for vec in texts], 2
     )
+
+
+class _EntryTexts(dict):
+    """format_rational(num / den) per numerator num, for one denominator
+    den > 0, each formatted on its first lookup."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num):
+        g = gcd(num, self.den)
+        p, q = num // g, self.den // g
+        text = self[num] = str(p) if q == 1 else f"{p}/{q}"
+        return text
+
+
+def _entry_texts(ints) -> list:
+    """Each (numerators, den) vector as a list of its entries'
+    format_rational strings: a factorization repeats a few hundred values
+    across thousands of entries, so each distinct one is formatted once."""
+    by_den = {}
+    out = []
+    for nums, den in ints:
+        texts = by_den.get(den)
+        if texts is None:
+            texts = by_den[den] = _EntryTexts(den)
+        out.append(list(map(texts.__getitem__, nums)))
+    return out
 
 
 class _ParsedEntries(dict):
@@ -297,7 +358,7 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     for the facet inequality <a_S, x> <= b_S (M.inequalities), so F
     reproduces every entry exactly when each vertex row
     [alpha_i | -(1, i, ..., i^d)] is orthogonal to each facet row
-    [beta_S | b_S, -a_S]. The facet rows, cleared to integers, are reduced
+    [beta_S | b_S, -a_S]. The facet rows, on F.int_vectors(), are reduced
     to an independent basis (rational.reduce_rows), and each vertex row is
     tested against the whole basis with one exact dot product
     (_first_non_orthogonal): O(m k^2) integer work for the reduction and
@@ -341,17 +402,15 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     if F.column_labels is not None and not M.take_columns(F.column_labels):
         raise DomainError("column labels do not match the matrix's facet order")
     bound = rank_bound(P.n, P.d)
-    # each vector cleared to integers once; a numerator has its entry's sign
-    scaled = []
-    for vec in F.alpha + F.beta:
-        ints, den = scaled_ints(vec)
-        if ints and min(ints) < 0:
+    # a numerator has its entry's sign
+    ints = F.int_vectors()
+    for nums, _ in ints:
+        if nums and min(nums) < 0:
             return VerificationReport(False, F.rank, bound, None)
-        scaled.append((ints, den))
     # facet inequalities have integer a and b
     facet_rows = [
-        bi + [f.b * db] + [-c * db for c in f.a]
-        for f, (bi, db) in zip(M.inequalities, scaled[F.n_rows :])
+        [*bi, f.b * db, *[-c * db for c in f.a]]
+        for f, (bi, db) in zip(M.inequalities, ints[F.n_rows :])
     ]
     kept, basis = [], []
     for at, (pivot, row) in enumerate(reduce_rows(facet_rows)):
@@ -359,8 +418,8 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
             kept.append(at)
             basis.append(row)
     vertex_rows = [
-        ai + [-da * i**e for e in range(P.d + 1)]
-        for i, (ai, da) in enumerate(scaled[: F.n_rows], P.interval.t1)
+        [*ai, *[-da * i**e for e in range(P.d + 1)]]
+        for i, (ai, da) in enumerate(ints[: F.n_rows], P.interval.t1)
     ]
     ri = _first_non_orthogonal(vertex_rows, basis)
     mismatch = None if ri is None else _row_mismatch(M, F, ri)
@@ -397,9 +456,9 @@ def _first_non_orthogonal(rows, basis):
 def _row_mismatch(M: SlackMatrix, F: NonnegFactorization, ri: int) -> tuple:
     """(vertex index, facet, expected, got) at the first column of row ri
     where F differs from M."""
-    ai, da = scaled_ints(F.alpha[ri])
-    for label, expected, vec in zip(M.columns, M.row(ri), F.beta):
-        bj, db = scaled_ints(vec)
+    ints = F.int_vectors()
+    ai, da = ints[ri]
+    for label, expected, (bj, db) in zip(M.columns, M.row(ri), ints[F.n_rows :]):
         s = sum(map(mul, ai, bj))
         if s != expected * da * db:
             return (M.polytope.interval.t1 + ri, label, expected, Fraction(s, da * db))
@@ -430,22 +489,21 @@ def hadamard_combine(
     return NonnegFactorization(fa.rank * fb.rank, alpha, beta, labels, None)
 
 
+def _units(r: int) -> tuple:
+    """The r unit vectors of length r."""
+    return tuple((0,) * k + (1,) + (0,) * (r - k - 1) for k in range(r))
+
+
 def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
-    """Rank min(rows, columns), from unit vectors against rows or columns."""
+    """Rank min(rows, columns), from unit vectors against rows or columns.
+    Every entry is an int, so the vectors are their own numerators."""
     n, m = M.n_rows, M.n_cols
     if m <= n:
-        alpha = M.entries
-        beta = tuple(
-            tuple(1 if k == j else 0 for k in range(m)) for j in range(m)
-        )
-        rank = m
+        alpha, beta, rank = M.entries, _units(m), m
     else:
-        alpha = tuple(
-            tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
-        )
-        beta = tuple(zip(*M.entries))
-        rank = n
-    return NonnegFactorization(rank, alpha, beta, M.columns, M.polytope)
+        alpha, beta, rank = _units(n), tuple(zip(*M.entries)), n
+    ints = tuple(zip(alpha + beta, repeat(1)))
+    return NonnegFactorization._carrying(rank, alpha, beta, ints, M.columns, M.polytope)
 
 
 def _fold_alphas(folds, base_inequalities, base_points) -> tuple:
@@ -482,17 +540,44 @@ def _fold_alphas(folds, base_inequalities, base_points) -> tuple:
 _ZERO = Fraction(0)  # shared by every zero multiplier
 
 
-def _multiplier(x: int, den: int = 1) -> Fraction:
-    """max(x, 0) / den, with every zero the shared _ZERO."""
-    if x <= 0:
-        return _ZERO
-    return Fraction(x) if den == 1 else Fraction(x, den)
+class _Values(dict):
+    """The public entry num / den per numerator num, for one denominator
+    den > 0, each built on its first lookup: a Fraction, with every zero
+    the shared _ZERO."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num):
+        value = self[num] = Fraction(num, self.den) if num else _ZERO
+        return value
 
 
-def _fold_duals(folds, base_facets, base_points):
-    """A function from a facet objective (a1, a2) to the inequality duals
-    of maximizing it over the lift with these folds, down to the facet
-    system on base_points, in the lift's inequality order.
+def _dual_denominator(folds, base_facets, base_points) -> int:
+    """A common denominator of every multiplier _fold_duals can reach: 2
+    when some fold is a shear (its cuts take halves), and from the facet
+    system at the bottom, each normal's content and the determinant of the
+    two normals at each point (_base_duals).
+
+    An edge's multiplier l has l*a = (a1, a2) integral, so l times the
+    content of a is integral (Bezout); a vertex's two multipliers solve a
+    2x2 system by Cramer's rule over the determinant of its normals.
+    """
+    den = 2 if any(kind != REFLECT for kind, *_ in folds) else 1
+    for _, a in base_facets:
+        den = lcm(den, gcd(*a))
+    for t in base_points:
+        ap, aq = [a for S, a in base_facets if t in S]
+        den = lcm(den, ap[0] * aq[1] - ap[1] * aq[0])
+    return den
+
+
+def _fold_duals(folds, base_facets, base_points, objectives, den) -> list:
+    """For each facet objective (a1, a2), the inequality duals of
+    maximizing it over the lift with these folds, down to the facet system
+    on base_points, in the lift's inequality order, as integer numerators
+    over den (_dual_denominator).
 
     A fold centred at c sees the objective as alpha*(x1 - c) + beta*x2' on
     the centred coordinates, alpha = a1 + 2c*a2 and beta = a2, so a2 never
@@ -504,53 +589,70 @@ def _fold_duals(folds, base_facets, base_points):
 
     The duals from each level down are memoized on (level, a1, a2): facets
     whose objectives meet at a fold (a reflection maps mirror-image facets
-    to one objective) share that suffix and its Fractions.
+    to one objective) share that suffix. Each objective walks down to the
+    first memoized level and the suffixes are joined on the way back up;
+    the memo is a plain local, freed on return.
     """
     memo = {}
-
-    def duals(level, a1, a2):
-        key = (level, a1, a2)
+    out = []
+    bottom = len(folds)
+    half = den // 2
+    for a1, a2 in objectives:
+        path = []  # (key, head) per level above the first memoized one
+        level = 0
+        key = (0, a1, a2)
         found = memo.get(key)
-        if found is not None:
-            return found
-        if level == len(folds):
-            found = _base_duals(base_facets, base_points, a1, a2)
-        else:
+        while found is None:
+            if level == bottom:
+                found = memo[key] = _base_duals(base_facets, base_points, a1, a2, den)
+                break
             kind, c = folds[level][:2]
             alpha = a1 + 2 * c * a2
             if kind == REFLECT:
-                head = (_multiplier(-alpha), _multiplier(alpha))
-                found = head + duals(level + 1, abs(alpha), a2)
+                head = (0, alpha * den) if alpha >= 0 else (-alpha * den, 0)
+                a1 = abs(alpha)
             else:
                 s = alpha + a2
-                head = (_multiplier(-s, 2), _multiplier(s, 2))
-                below = alpha if s >= 0 else -alpha - 2 * a2
-                found = head + duals(level + 1, below, a2)
-        memo[key] = found
-        return found
+                head = (0, s * half) if s >= 0 else (-s * half, 0)
+                a1 = alpha if s >= 0 else -alpha - 2 * a2
+            path.append((key, head))
+            level += 1
+            key = (level, a1, a2)
+            found = memo.get(key)
+        for key, head in reversed(path):
+            found = memo[key] = head + found
+        out.append(found)
+    return out
 
-    return lambda objective: duals(0, *objective)
 
-
-def _base_duals(base_facets, points, a1, a2) -> tuple:
+def _base_duals(base_facets, points, a1, a2, den) -> tuple:
     """(a1, a2) as a nonnegative combination of the normals of the facets
-    (members, a) tight at its optimal face: one multiplier on the optimal
-    edge, two on the optimal vertex's edges from their 2x2 system, none
-    for the zero objective (every point optimal). No three points of the
-    parabola are collinear, so a nonzero objective has at most two."""
+    (members, a) tight at its optimal face, as numerators over den: one
+    multiplier on the optimal edge, two on the optimal vertex's edges from
+    their 2x2 system, none for the zero objective (every point optimal).
+    No three points of the parabola are collinear, so a nonzero objective
+    has at most two."""
     values = [a1 * t + a2 * t * t for t in points]
     top = max(values)
     optimal = tuple(t for t, v in zip(points, values) if v == top)
-    duals = [_ZERO] * len(base_facets)
+    duals = [0] * len(base_facets)
     if len(optimal) == 2:
         j, a = next((j, a) for j, (S, a) in enumerate(base_facets) if S == optimal)
-        duals[j] = Fraction(a1 * a[0] + a2 * a[1], a[0] * a[0] + a[1] * a[1])
+        duals[j] = _exact(den * (a1 * a[0] + a2 * a[1]), a[0] * a[0] + a[1] * a[1])
     elif len(optimal) == 1:
         (p, ap), (q, aq) = [(j, a) for j, (S, a) in enumerate(base_facets) if optimal[0] in S]
         det = ap[0] * aq[1] - ap[1] * aq[0]
-        duals[p] = Fraction(a1 * aq[1] - a2 * aq[0], det)
-        duals[q] = Fraction(ap[0] * a2 - ap[1] * a1, det)
+        duals[p] = _exact(den * (a1 * aq[1] - a2 * aq[0]), det)
+        duals[q] = _exact(den * (ap[0] * a2 - ap[1] * a1), det)
     return tuple(duals)
+
+
+def _exact(x: int, y: int) -> int:
+    """x / y, which must be an integer."""
+    q, r = divmod(x, y)
+    if r:
+        raise InternalError(f"{x}/{y} is not an integer numerator")
+    return q
 
 
 def factorize_2d(n: int) -> NonnegFactorization:
@@ -567,6 +669,10 @@ def factorize_2d(n: int) -> NonnegFactorization:
     are linearly independent), so the result equals
     lifting.factorization_from_ef(P, build_ef_2d(n)), entry for entry.
     Not verified here, like factorization_from_ef.
+
+    alpha is ints. beta is Fractions, every zero the shared Fraction(0),
+    built from integer numerators over one denominator that every beta
+    shares; the factorization carries those as its int_vectors().
     """
     P = CyclicPolytope.standard(2, n)
     folds, (b1, b2) = fold_chain(1, n)
@@ -576,15 +682,18 @@ def factorize_2d(n: int) -> NonnegFactorization:
     base_inequalities = [facet_inequality(base, S) for S in base_sets]
     alphas = _fold_alphas(folds, base_inequalities, points)
     base_facets = [(S.members, f.a) for S, f in zip(base_sets, base_inequalities)]
-    beta_of = _fold_duals(folds, base_facets, points)
+    den = _dual_denominator(folds, base_facets, points)
     facets = enumerate_facets(P)
     # facet_inequality's normal, read off the pair {a, b}: (t - a)(t - b) is
     # >= 0 at every vertex for an adjacent pair and <= 0 for {1, n}
-    betas = tuple(
-        beta_of((a + b, -1) if b == a + 1 else (-a - b, 1))
-        for a, b in (S.members for S in facets)
-    )
-    return NonnegFactorization(_size_2d(n), alphas, betas, facets, P)
+    objectives = [
+        (a + b, -1) if b == a + 1 else (-a - b, 1) for a, b in (S.members for S in facets)
+    ]
+    nums = _fold_duals(folds, base_facets, points, objectives, den)
+    values = _Values(den)
+    betas = tuple(tuple(map(values.__getitem__, vec)) for vec in nums)
+    ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
+    return NonnegFactorization._carrying(_size_2d(n), alphas, betas, ints, facets, P)
 
 
 def factorize_even(n: int, q: int) -> NonnegFactorization:
@@ -602,41 +711,74 @@ def factorize_odd(n: int, q: int) -> NonnegFactorization:
 
 
 def _kron(vectors) -> tuple:
-    """The Kronecker product of the vectors, the first one outermost."""
+    """The Kronecker product of integer vectors, the first one outermost."""
     out = vectors[0]
     for vec in vectors[1:]:
-        out = tuple(x * y for x in out for y in vec)
+        zero = (0,) * len(vec)
+        out = tuple(chain.from_iterable(tuple(map(x.__mul__, vec)) if x else zero for x in out))
     return out
+
+
+def _one_denominator(ints) -> tuple:
+    """((numerators, den), ...) rescaled onto the lcm of their dens:
+    ([numerators, ...], lcm). A construction's vectors already share it."""
+    den = lcm(*(d for _, d in ints))
+    return [nums if d == den else tuple(map((den // d).__mul__, nums)) for nums, d in ints], den
 
 
 def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     """The tensor construction of P^d_[1,n], d >= 3 (module docstring),
-    from f2 = factorize_2d(n - d % 2) and each facet's facet_pairs."""
+    from f2 = factorize_2d(n - d % 2) and each facet's facet_pairs, in f2's
+    integer numerators: a beta's product block is the Kronecker product
+    of its pairs' numerators over den2**q, den2 the denominator f2's betas
+    share, and every alpha entry is an int. The public beta is built from
+    those numerators, every zero of a product block the shared Fraction(0)
+    and an odd degree's empty endpoint block int 0."""
     P = CyclicPolytope.standard(d, n)
     q = d // 2
     f2 = factorize_2d(n - d % 2)
+    ints2 = f2.int_vectors()
+    alpha2, den_a = _one_denominator(ints2[: f2.n_rows])
+    beta2, den2 = _one_denominator(ints2[f2.n_rows :])
     r = f2.rank**q
-    powers = [_kron((a,) * q) for a in f2.alpha]
-    beta2 = {S.members: b for S, b in zip(f2.column_labels, f2.beta)}
+    powers = [_kron((a,) * q) for a in alpha2]
     zero = (0,) * r
     if d % 2 == 0:
         rank, alphas = r, tuple(powers)
     else:
         rank, alphas = 2 * r, tuple(
-            (zero if i == 1 else tuple((i - 1) * x for x in powers[i - 2]))
-            + (zero if i == n else tuple((n - i) * x for x in powers[i - 1]))
+            (zero if i == 1 else tuple(map((i - 1).__mul__, powers[i - 2])))
+            + (zero if i == n else tuple(map((n - i).__mul__, powers[i - 1])))
             for i in range(1, n + 1)
         )
+    public_alphas = alphas
+    if den_a != 1:  # f2 is no construction of this module
+        values = _Values(den_a**q)
+        public_alphas = tuple(tuple(map(values.__getitem__, a)) for a in alphas)
+    # each degree-2 pair's (numerators, public beta), and the same under the
+    # pair moved up by one: an endpoint-1 facet's pairs lie on [2, n]
+    by_pair = dict(zip((S.members for S in f2.column_labels), zip(beta2, f2.beta)))
+    moved = {(a + 1, b + 1): v for (a, b), v in by_pair.items()}
+    den = den2**q
+    values = _Values(den)
     facets = enumerate_facets(P)
-    betas = []
+    nums, betas = [], []
     for S in facets:
         endpoint, pairs = facet_pairs(S, P)
-        if endpoint == 1:  # pairs on [2, n]: move them down onto f2's [1, n - 1]
-            betas.append(_kron([beta2[a - 1, b - 1] for a, b in pairs]) + zero)
+        found = [(moved if endpoint == 1 else by_pair)[pair] for pair in pairs]
+        if q == 1:  # one pair: f2's beta is the block
+            ((block, public),) = found
         else:
-            beta = _kron([beta2[pair] for pair in pairs])
-            betas.append(beta if endpoint is None else zero + beta)
-    return NonnegFactorization(rank, alphas, tuple(betas), facets, P)
+            block = _kron([b for b, _ in found])
+            public = tuple(map(values.__getitem__, block))
+        if endpoint == 1:
+            block, public = block + zero, public + zero
+        elif endpoint is not None:
+            block, public = zero + block, zero + public
+        nums.append(block)
+        betas.append(public)
+    ints = tuple(zip(alphas, repeat(den_a**q))) + tuple(zip(nums, repeat(den)))
+    return NonnegFactorization._carrying(rank, public_alphas, tuple(betas), ints, facets, P)
 
 
 def factorize(n: int, d: int) -> NonnegFactorization:

@@ -213,7 +213,9 @@ def build_ef_2d(n: int) -> ExtendedFormulation:
 
 
 def _unit(k: int, r: int, value=1) -> tuple:
-    return tuple(value if j == k else 0 for j in range(r))
+    """The length-r vector with value at position k, 0 <= k < r, and 0
+    elsewhere."""
+    return (0,) * k + (value,) + (0,) * (r - k - 1)
 
 
 def _xy_system(d: int, r: int):
@@ -221,7 +223,7 @@ def _xy_system(d: int, r: int):
     variables = tuple(f"x{k}" for k in range(1, d + 1)) + tuple(
         f"y{t}" for t in range(1, r + 1)
     )
-    ineqs = tuple(((0,) * d + _unit(t, r, -1), 0) for t in range(r))
+    ineqs = tuple((_unit(d + t, d + r, -1), 0) for t in range(r))
     return variables, ineqs
 
 

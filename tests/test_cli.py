@@ -14,7 +14,10 @@ import cyclift.factorization
 import cyclift.geometry
 import cyclift.lifting
 from cyclift.cli import main
-from cyclift.geometry import SlackMatrix
+from cyclift.factorization import NonnegFactorization, verify
+from cyclift.geometry import GaleSet, SlackMatrix, slack_matrix
+
+from oracles import first_mismatch, gale_subsets
 
 
 def run(capsys, *argv):
@@ -438,6 +441,74 @@ def test_factorize_2d_output_is_gated(capsys, monkeypatch):
     monkeypatch.setattr(cyclift.factorization, "factorize_2d", perturbed)
     rc, _, err = run(capsys, "factorize", "--n", "9", "--d", "2")
     assert rc == 1 and "verification: FAILED" in err
+
+
+def _one_entry_edited(F, side):
+    """F with 1 added to entry 0 of its second alpha or beta vector, through
+    dataclasses.replace, after F's integer form has been read."""
+    F.int_vectors()
+    vectors = list(getattr(F, side))
+    vectors[1] = (vectors[1][0] + 1,) + vectors[1][1:]
+    return replace(F, **{side: tuple(vectors)})
+
+
+def _entry_scan(G, side):
+    """The oracle's first mismatch of G, which must be in the edited row
+    (alpha) or column (beta)."""
+    P = G.target
+    found = first_mismatch(G.alpha, G.beta, P.d, 1, P.n)
+    i, S, _, _ = found
+    if side == "alpha":
+        assert i == 2
+    else:
+        assert S == gale_subsets(P.d, 1, P.n)[1]
+    return found
+
+
+# (module attribute patched, factorize argv): the degree-2 construction, the
+# tensor construction and the trivial route
+EDITED_BUILDS = {
+    "2d": ("factorize_2d", ("--n", "9", "--d", "2")),
+    "tensor": ("factorize_odd", ("--n", "20", "--d", "3")),
+    "trivial": ("trivial_factorization", ("--n", "9", "--d", "3")),
+}
+
+
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+@pytest.mark.parametrize("build", list(EDITED_BUILDS))
+def test_an_edited_construction_is_gated(capsys, monkeypatch, build, side):
+    name, argv = EDITED_BUILDS[build]
+    original = getattr(cyclift.factorization, name)
+    edited = []
+
+    def perturbed(*args):
+        edited.append(_one_entry_edited(original(*args), side))
+        return edited[-1]
+
+    monkeypatch.setattr(cyclift.factorization, name, perturbed)
+    rc, _, err = run(capsys, "factorize", *argv)
+    i, S, expected, got = _entry_scan(edited[0], side)
+    assert rc == 1
+    assert f"verification: FAILED at {(i, GaleSet(S), expected, got)}" in err
+
+
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_an_edited_read_factorization_is_gated(capsys, tmp_path, side):
+    path = tmp_path / "f.json"
+    assert run(capsys, "factorize", "--n", "9", "--d", "2", "--out", str(path))[0] == 0
+    F = NonnegFactorization.from_json_dict(json.loads(path.read_text()))
+    G = _one_entry_edited(F, side)
+    path.write_text(G.to_json_text())
+    rc, out, _ = run(capsys, "verify", str(path))
+    i, S, expected, got = _entry_scan(G, side)
+    assert verify(slack_matrix(G.target), G).first_mismatch == (i, GaleSet(S), expected, got)
+    assert rc == 1
+    assert json.loads(out)["first_mismatch"] == {
+        "vertex": i,
+        "facet": list(S),
+        "expected": str(expected),
+        "got": str(got),
+    }
 
 
 # --------------------------------------------------------------------- ef

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from dataclasses import replace
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 import cyclift.factorization
 import cyclift.geometry
+import cyclift.rational
 from cyclift.errors import DomainError
 from cyclift.factorization import (
     NonnegFactorization,
     VerificationReport,
     _first_non_orthogonal,
+    _units,
     construction_rank,
     even_rank_bound,
     factorize,
@@ -39,6 +42,7 @@ from cyclift.rational import parse_rational, scaled_ints
 
 from oracles import first_mismatch
 from test_cli import MALFORMED
+from test_golden import FACTORIZE_2D_SWEEP, FACTORIZE_TENSOR_SWEEP
 
 
 def test_bound_formulas():
@@ -614,3 +618,128 @@ def test_json_reader_cache_keeps_values_and_types(monkeypatch):
     assert type(F.beta[0][0]) is int and F.beta[0][0] == 2
     F, _ = _read(_edited(READER_EDITS["padded entry"]))
     assert F.alpha[0][0] == 7
+
+
+# ---------------------------------------------------- integer form
+
+
+def _constructions():
+    """(label, polytope, factorization) for every construction the golden
+    sweeps pin, plus the trivial route at both shapes (more columns than
+    rows, and the square d = n - 1 case)."""
+    for n in FACTORIZE_2D_SWEEP[0]:
+        yield f"2d n={n}", CyclicPolytope.standard(2, n), factorize_2d(n)
+    for d, ns in FACTORIZE_TENSOR_SWEEP[0].items():
+        build = factorize_odd if d % 2 else factorize_even
+        for n in ns:
+            yield f"d={d} n={n}", CyclicPolytope.standard(d, n), build(n, d // 2)
+    for n, d in ((20, 4), (10, 3), (6, 5)):
+        P = CyclicPolytope.standard(d, n)
+        assert trivial_wins(n, d) or n == d + 1
+        yield f"trivial d={d} n={n}", P, factorize(n, d)
+
+
+def test_constructions_carry_their_integer_form():
+    for label, _, F in _constructions():
+        assert F._ints is not None, label
+        ints = F.int_vectors()
+        assert len(ints) == F.n_rows + F.n_cols, label
+        for (nums, den), vec in zip(ints, F.alpha + F.beta):
+            assert den > 0 and all(type(x) is int for x in nums), label
+            assert [Fraction(x, den) for x in nums] == list(vec), label
+        # every Fraction zero is one shared object
+        zeros = {id(x) for vec in F.beta for x in vec if type(x) is Fraction and not x}
+        assert len(zeros) <= 1, label
+
+
+def _raise(*args):
+    raise AssertionError("re-derived from the public vectors")
+
+
+def test_constructions_verify_and_serialize_from_their_integer_form(monkeypatch):
+    built = list(_constructions())
+    for mod in (cyclift.rational, cyclift.factorization):
+        for name in ("scaled_ints", "format_rational"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, _raise)
+    for label, P, F in built:
+        assert verify(slack_matrix(P), F).ok, label
+        assert F.to_json_text() == json.dumps(F.to_json_dict(), indent=2), label
+    # the patch is where a factorization without a carried form goes
+    with pytest.raises(AssertionError, match="re-derived"):
+        verify(slack_matrix(P), replace(F))
+
+
+def test_replace_drops_the_carried_form():
+    F = factorize_2d(17)
+    G = replace(F, beta=((F.beta[0][0] + 1,) + F.beta[0][1:],) + F.beta[1:])
+    assert G._ints is None
+    assert G.int_vectors()[F.n_rows][0][0] != F.int_vectors()[F.n_rows][0][0]
+
+
+def _many_denominators(F):
+    """F with alpha's coordinate k scaled by p_k / q_k and beta's by
+    q_k / p_k, p_k and q_k distinct primes: the same slack matrix, with
+    every vector's entries over many different denominators."""
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    scale = [Fraction(primes[2 * k], primes[2 * k + 1]) for k in range(F.rank)]
+    alpha = tuple(tuple(x * c for x, c in zip(vec, scale)) for vec in F.alpha)
+    beta = tuple(tuple(x / c for x, c in zip(vec, scale)) for vec in F.beta)
+    return replace(F, alpha=alpha, beta=beta)
+
+
+def _nudged(F):
+    """F with 1/7 added to beta[5][2]."""
+    beta = list(F.beta)
+    beta[5] = beta[5][:2] + (beta[5][2] + Fraction(1, 7),) + beta[5][3:]
+    return replace(F, beta=tuple(beta))
+
+
+READ_FILES = {
+    "d=2 n=17": lambda: _many_denominators(factorize_2d(17)),
+    "d=2 n=17, a beta entry + 1/7": lambda: _nudged(_many_denominators(factorize_2d(17))),
+    "d=3 n=20": lambda: _many_denominators(factorize(20, 3)),
+    "d=3 n=20, a beta entry + 1/7": lambda: _nudged(_many_denominators(factorize(20, 3))),
+}
+
+
+def _read_back(F):
+    """F written to a file and read back."""
+    return NonnegFactorization.from_json_dict(json.loads(F.to_json_text()))
+
+
+@pytest.mark.parametrize("case", list(READ_FILES))
+def test_read_file_form_is_scaled_ints_vector_by_vector(case):
+    G = _read_back(READ_FILES[case]())
+    assert G._ints is None
+    for (nums, den), vec in zip(G.int_vectors(), G.alpha + G.beta):
+        assert (list(nums), den) == scaled_ints(vec)
+    assert max(den for _, den in G.int_vectors()) > 10**6
+
+
+@pytest.mark.parametrize("case", list(READ_FILES))
+def test_read_file_verdict_matches_entry_scan(case):
+    G = _read_back(READ_FILES[case]())
+    P = G.target
+    found = first_mismatch(G.alpha, G.beta, P.d, 1, P.n)
+    if found is not None:
+        i, S, expected, got = found
+        found = (i, GaleSet(S), expected, got)
+    report = verify(slack_matrix(P), G)
+    assert (report.ok, report.first_mismatch) == (found is None, found)
+    assert report.ok == ("1/7" not in case)
+
+
+def test_factorize_2d_leaves_nothing_to_the_cyclic_gc():
+    """The fold walk's memo is freed when factorize_2d returns, not left in
+    a reference cycle for the collector."""
+    gc.collect()
+    factorize_2d(76)
+    assert gc.collect() == 0
+
+
+def test_unit_vectors():
+    for r in range(1, 6):
+        assert _units(r) == tuple(
+            tuple(1 if k == j else 0 for k in range(r)) for j in range(r)
+        )

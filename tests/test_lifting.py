@@ -34,6 +34,7 @@ from cyclift.lifting import (
     EfOptimizer,
     ExtendedFormulation,
     Polyhedron,
+    _unit,
     _witness_slacks,
     build_ef_2d,
     ef_from_factorization,
@@ -261,6 +262,14 @@ def test_lift_optima_match_vertex_scan_and_certify(query):
 
 
 # ------------------------------------------------------ convex-hull lift
+
+
+def test_unit_rows_are_the_positionwise_rows():
+    for r in range(1, 7):
+        for k in range(r):
+            for value in (1, -1):
+                assert _unit(k, r, value) == tuple(value if j == k else 0 for j in range(r))
+
 
 TRIVIAL_ROUTE = [(d, n) for d in range(3, 7) for n in range(d + 2, 18) if trivial_wins(n, d)]
 
