@@ -28,7 +28,10 @@ Two constructions live here:
 Every construction computes in integers: each vector is integer
 numerators over a positive denominator (NonnegFactorization.int_vectors),
 which verify and the JSON writer read; the public Fraction and int
-entries are built from them.
+entries are built from them. One integer core (_fold_factorization_2d)
+feeds both constructions: factorize_2d adds its public Fractions, and the
+tensor construction multiplies its numerators directly. to_json_text
+writes the JSON document; to_json_dict is that text parsed.
 
 Ranks here are the lengths of the constructed vectors, i.e. what the
 construction guarantees, not the (unknown) minimal nonnegative rank.
@@ -36,6 +39,7 @@ construction guarantees, not the (unknown) minimal nonnegative rank.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
@@ -168,26 +172,11 @@ class NonnegFactorization:
         return sum(x * y for x, y in zip(a, b))
 
     def to_json_dict(self) -> dict:
-        target = None
-        if self.target is not None:
-            target = {
-                "d": self.target.d,
-                "t1": self.target.interval.t1,
-                "t2": self.target.interval.t2,
-            }
-        texts = _entry_texts(self.int_vectors())
-        return {
-            "target": target,
-            "rank": self.rank,
-            "alpha": texts[: self.n_rows],
-            "beta": texts[self.n_rows :],
-            "columns": None
-            if self.column_labels is None
-            else [list(S.members) for S in self.column_labels],
-        }
+        """The JSON document to_json_text writes, parsed."""
+        return json.loads(self.to_json_text())
 
     def to_json_text(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2), written directly.
+        """The JSON document, laid out as json.dumps(indent=2) would.
 
         The layout's separators are fixed and every entry is a
         format_rational string (digits, "-" and "/": nothing to escape), so
@@ -655,25 +644,10 @@ def _exact(x: int, y: int) -> int:
     return q
 
 
-def factorize_2d(n: int) -> NonnegFactorization:
-    """Degree-2 factorization with rank <= min(n, 2*floor(log2(n-1)) + 2),
-    built along the fold chain, with no lift built, no lifted inequality
-    evaluated and no LP solved.
-
-    alpha_i is the witness slack vector of the recursive lifted description
-    (lifting.build_ef_2d; up to n = 6 the facet description itself),
-    composed from the bottom up (_fold_alphas). Each facet's beta is its
-    normal pushed down the folds in O(log n) exact steps (_fold_duals).
-    Each facet LP of that lift has exactly one optimal dual (the kept
-    equations and the inequalities tight at both of the facet's witnesses
-    are linearly independent), so the result equals
-    lifting.factorization_from_ef(P, build_ef_2d(n)), entry for entry.
-    Not verified here, like factorization_from_ef.
-
-    alpha is ints. beta is Fractions, every zero the shared Fraction(0),
-    built from integer numerators over one denominator that every beta
-    shares; the factorization carries those as its int_vectors().
-    """
+def _fold_factorization_2d(n: int) -> tuple:
+    """The degree-2 construction in integers: (P, alphas, beta numerators,
+    their one shared denominator, facets). alphas are ints; each facet's
+    beta is its numerators over that denominator (_dual_denominator)."""
     P = CyclicPolytope.standard(2, n)
     folds, (b1, b2) = fold_chain(1, n)
     base = CyclicPolytope(2, Interval(b1, b2))
@@ -690,6 +664,30 @@ def factorize_2d(n: int) -> NonnegFactorization:
         (a + b, -1) if b == a + 1 else (-a - b, 1) for a, b in (S.members for S in facets)
     ]
     nums = _fold_duals(folds, base_facets, points, objectives, den)
+    return P, alphas, nums, den, facets
+
+
+def factorize_2d(n: int) -> NonnegFactorization:
+    """Degree-2 factorization with rank <= min(n, 2*floor(log2(n-1)) + 2),
+    built along the fold chain, with no lift built, no lifted inequality
+    evaluated and no LP solved.
+
+    alpha_i is the witness slack vector of the recursive lifted description
+    (lifting.build_ef_2d; up to n = 6 the facet description itself),
+    composed from the bottom up (_fold_alphas). Each facet's beta is its
+    normal pushed down the folds in O(log n) exact steps (_fold_duals).
+    Each facet LP of that lift has exactly one optimal dual (the kept
+    equations and the inequalities tight at both of the facet's witnesses
+    are linearly independent), so the result equals
+    lifting.factorization_from_ef(P, build_ef_2d(n)), entry for entry.
+    Not verified here, like factorization_from_ef.
+
+    alpha is ints. beta is Fractions, every zero the shared Fraction(0),
+    built from the integer core's (_fold_factorization_2d) numerators over
+    one denominator that every beta shares; the factorization carries
+    those as its int_vectors().
+    """
+    P, alphas, nums, den, facets = _fold_factorization_2d(n)
     values = _Values(den)
     betas = tuple(tuple(map(values.__getitem__, vec)) for vec in nums)
     ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
@@ -719,28 +717,19 @@ def _kron(vectors) -> tuple:
     return out
 
 
-def _one_denominator(ints) -> tuple:
-    """((numerators, den), ...) rescaled onto the lcm of their dens:
-    ([numerators, ...], lcm). A construction's vectors already share it."""
-    den = lcm(*(d for _, d in ints))
-    return [nums if d == den else tuple(map((den // d).__mul__, nums)) for nums, d in ints], den
-
-
 def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
-    """The tensor construction of P^d_[1,n], d >= 3 (module docstring),
-    from f2 = factorize_2d(n - d % 2) and each facet's facet_pairs, in f2's
-    integer numerators: a beta's product block is the Kronecker product
-    of its pairs' numerators over den2**q, den2 the denominator f2's betas
-    share, and every alpha entry is an int. The public beta is built from
-    those numerators, every zero of a product block the shared Fraction(0)
-    and an odd degree's empty endpoint block int 0."""
+    """The tensor construction of P^d_[1,n], d >= 3 (module docstring;
+    factorize_even(n, 1) runs it at d = 2), from the degree-2 integer core
+    on [1, n - d % 2] and each facet's facet_pairs: a beta's product block
+    is the Kronecker product of its pairs' numerators over den2**q, den2
+    the denominator the degree-2 betas share, and every alpha entry is an
+    int. The public beta is built from those numerators, every zero of a
+    product block the shared Fraction(0) and an odd degree's empty
+    endpoint block int 0."""
     P = CyclicPolytope.standard(d, n)
     q = d // 2
-    f2 = factorize_2d(n - d % 2)
-    ints2 = f2.int_vectors()
-    alpha2, den_a = _one_denominator(ints2[: f2.n_rows])
-    beta2, den2 = _one_denominator(ints2[f2.n_rows :])
-    r = f2.rank**q
+    _, alpha2, beta2, den2, facets2 = _fold_factorization_2d(n - d % 2)
+    r = _size_2d(n - d % 2) ** q
     powers = [_kron((a,) * q) for a in alpha2]
     zero = (0,) * r
     if d % 2 == 0:
@@ -751,13 +740,9 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
             + (zero if i == n else tuple(map((n - i).__mul__, powers[i - 1])))
             for i in range(1, n + 1)
         )
-    public_alphas = alphas
-    if den_a != 1:  # f2 is no construction of this module
-        values = _Values(den_a**q)
-        public_alphas = tuple(tuple(map(values.__getitem__, a)) for a in alphas)
-    # each degree-2 pair's (numerators, public beta), and the same under the
-    # pair moved up by one: an endpoint-1 facet's pairs lie on [2, n]
-    by_pair = dict(zip((S.members for S in f2.column_labels), zip(beta2, f2.beta)))
+    # each degree-2 pair's numerators, and the same under the pair moved up
+    # by one: an endpoint-1 facet's pairs lie on [2, n]
+    by_pair = dict(zip((S.members for S in facets2), beta2))
     moved = {(a + 1, b + 1): v for (a, b), v in by_pair.items()}
     den = den2**q
     values = _Values(den)
@@ -765,20 +750,16 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     nums, betas = [], []
     for S in facets:
         endpoint, pairs = facet_pairs(S, P)
-        found = [(moved if endpoint == 1 else by_pair)[pair] for pair in pairs]
-        if q == 1:  # one pair: f2's beta is the block
-            ((block, public),) = found
-        else:
-            block = _kron([b for b, _ in found])
-            public = tuple(map(values.__getitem__, block))
+        block = _kron([(moved if endpoint == 1 else by_pair)[pair] for pair in pairs])
+        public = tuple(map(values.__getitem__, block))
         if endpoint == 1:
             block, public = block + zero, public + zero
         elif endpoint is not None:
             block, public = zero + block, zero + public
         nums.append(block)
         betas.append(public)
-    ints = tuple(zip(alphas, repeat(den_a**q))) + tuple(zip(nums, repeat(den)))
-    return NonnegFactorization._carrying(rank, public_alphas, tuple(betas), ints, facets, P)
+    ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
+    return NonnegFactorization._carrying(rank, alphas, tuple(betas), ints, facets, P)
 
 
 def factorize(n: int, d: int) -> NonnegFactorization:

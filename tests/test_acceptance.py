@@ -32,7 +32,7 @@ from cyclift.geometry import (
 )
 from cyclift.lifting import EfOptimizer, build_ef_2d, factorization_from_ef
 
-from oracles import gale_subsets, vertex_maximum
+from reference import gale_subsets, vertex_maximum
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

@@ -17,7 +17,7 @@ from cyclift.cli import main
 from cyclift.factorization import NonnegFactorization, verify
 from cyclift.geometry import GaleSet, SlackMatrix, slack_matrix
 
-from oracles import first_mismatch, gale_subsets
+from reference import first_mismatch, gale_subsets
 
 
 def run(capsys, *argv):

@@ -25,7 +25,7 @@ from cyclift.exact_lp import (
 )
 from cyclift.geometry import CyclicPolytope, Interval, enumerate_facets, facet_inequality, vertex
 
-from oracles import TrackerSolver, vertex_maximum
+from reference import TrackerSolver, vertex_maximum
 
 
 def facet_system(d, t1, t2):
@@ -307,7 +307,7 @@ def test_random_rational_lps_certify(system, data):
 @given(feasible_systems(), st.data())
 def test_solver_matches_tracker_layout(system, data):
     """Warm solves give the same results, entry types included, and leave
-    the same basis as the reference layout (oracles.TrackerSolver, its
+    the same basis as the reference layout (reference.TrackerSolver, its
     labels mapped to stored columns) after every solve: the same pivots and
     the same equation duals. The tableau rows carry the reference's
     slack-basic labels in its row order, and the set-aside rows its
@@ -347,7 +347,7 @@ def test_solver_matches_tracker_layout(system, data):
 
 def _stored(label, nvars):
     """(stored column, sign) of a label in the u/w numbering of
-    oracles.TrackerSolver and of FractionKeySolver's Bland scan: u_j is
+    reference.TrackerSolver and of FractionKeySolver's Bland scan: u_j is
     column j, w_j is the negative of column j, and slack k (label
     2 * nvars + k) is column nvars + k."""
     if label < nvars:

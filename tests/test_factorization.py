@@ -35,12 +35,13 @@ from cyclift.geometry import (
     GaleSet,
     Interval,
     enumerate_facets,
+    facet_pairs,
     slack_matrix,
 )
 from cyclift.lifting import build_ef_2d, ef_from_factorization
 from cyclift.rational import parse_rational, scaled_ints
 
-from oracles import first_mismatch
+from reference import first_mismatch
 from test_cli import MALFORMED
 from test_golden import FACTORIZE_2D_SWEEP, FACTORIZE_TENSOR_SWEEP
 
@@ -497,19 +498,61 @@ def test_factorize_dispatch_and_trivial_switch():
 
 def test_trivial_choice_builds_no_construction(monkeypatch):
     # construction ranks 729 and 81 lose to 17 and 20 vertices: the trivial
-    # factorization is chosen before the degree-2 factorization that every
-    # structured construction starts from is built
+    # factorization is chosen before the degree-2 integer core that every
+    # structured construction starts from runs
     def refuse(n):
-        raise AssertionError("factorize_2d called")
+        raise AssertionError("degree-2 core called")
 
-    monkeypatch.setattr(cyclift.factorization, "factorize_2d", refuse)
+    monkeypatch.setattr(cyclift.factorization, "_fold_factorization_2d", refuse)
     for n, d in ((17, 6), (20, 4)):
         F = factorize(n, d)
         assert F.rank == n
         assert verify(slack_matrix(CyclicPolytope.standard(d, n)), F).ok
     # the patch is in the path a structured build takes
-    with pytest.raises(AssertionError, match="factorize_2d called"):
+    with pytest.raises(AssertionError, match="degree-2 core called"):
         factorize(65, 3)
+
+
+def test_tensor_construction_builds_no_degree_2_factorization(monkeypatch):
+    # the tensor construction reads the degree-2 integer core directly: no
+    # NonnegFactorization is built only to have its integers read back
+    def refuse(n):
+        raise AssertionError("factorize_2d called")
+
+    monkeypatch.setattr(cyclift.factorization, "factorize_2d", refuse)
+    for build, (n, q), d in (
+        (factorize_even, (9, 2), 4),
+        (factorize_odd, (10, 1), 3),
+        (factorize, (65, 3), 3),
+    ):
+        F = build(n, q)
+        assert F.rank == construction_rank(n, d)
+        assert verify(slack_matrix(CyclicPolytope.standard(d, n)), F).ok
+
+
+def _pair_factorization(f2, P, k):
+    """f2's alpha against the facets of P, each facet's beta f2's beta of
+    the k-th pair in its facet_pairs (even degree: no endpoint)."""
+    by_pair = dict(zip((S.members for S in f2.column_labels), f2.beta))
+    facets = enumerate_facets(P)
+    beta = tuple(by_pair[facet_pairs(S, P)[1][k]] for S in facets)
+    return NonnegFactorization(f2.rank, f2.alpha, beta, tuple(facets), None)
+
+
+def test_tensor_construction_is_the_iterated_hadamard_product():
+    """The product lemma: factorize_even(n, q) equals, in value, the
+    iterated hadamard_combine of q degree-2 factorizations, the k-th with
+    beta_S the degree-2 beta of the k-th pair of S."""
+    for q in (2, 3):
+        for n in range(2 * q + 2, 21):
+            P = CyclicPolytope.standard(2 * q, n)
+            f2 = factorize_2d(n)
+            combined = _pair_factorization(f2, P, 0)
+            for k in range(1, q):
+                combined = hadamard_combine(combined, _pair_factorization(f2, P, k))
+            F = factorize_even(n, q)
+            assert (F.rank, F.alpha, F.beta) == (combined.rank, combined.alpha, combined.beta)
+            assert F.column_labels == combined.column_labels
 
 
 def test_trivial_factorization_shape():

@@ -19,7 +19,7 @@ from cyclift.geometry import (
     vertex,
 )
 
-from oracles import gale_ok, gale_subsets, slack_product
+from reference import gale_ok, gale_subsets, slack_product
 
 
 def P(d, t1, t2):
@@ -218,7 +218,7 @@ def _random_intervals(seed, per_d):
     [(2, 1, 6), (3, 1, 7), (3, 0, 5), (4, 1, 8), (5, 1, 9)] + _random_intervals(19, 3),
 )
 def test_facet_inequality_reproduces_slack(d, t1, t2):
-    """The pair form's slack at every vertex is oracles.slack_product, as
+    """The pair form's slack at every vertex is reference.slack_product, as
     ints, for every facet."""
     p = P(d, t1, t2)
     for S in enumerate_facets(p):
@@ -304,7 +304,7 @@ def test_is_gale_matches_definition_on_random_subsets(p, data):
 
 
 def _check_facet_pairs(S, p):
-    """facet_pairs(S, p) against the Gale definition (oracles.gale_ok)."""
+    """facet_pairs(S, p) against the Gale definition (reference.gale_ok)."""
     t1, t2 = p.interval.t1, p.interval.t2
     endpoint, pairs = facet_pairs(S, p)
     if p.d % 2:

@@ -21,7 +21,7 @@ from cyclift.geometry import CyclicPolytope
 from cyclift.lifting import EfOptimizer, ef_from_factorization, hull_ef, lift_objective
 from cyclift.rational import format_rational
 
-from oracles import vertex_maximum
+from reference import vertex_maximum
 
 CASES = {
     ("facets", "--n", "7", "--d", "3"):

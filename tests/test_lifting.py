@@ -46,7 +46,7 @@ from cyclift.lifting import (
     lift_objective,
 )
 
-from oracles import _rank, consistent, independent_rows, vertex_maximum
+from reference import _rank, consistent, independent_rows, vertex_maximum
 from test_golden import FACTORIZE_TENSOR_SWEEP
 
 

@@ -4,8 +4,9 @@ The tracer wraps cyclift's functions by module attribute and reads some of
 their parameters by name (nvars, equations, inequalities, M, n, d), so a
 rename in the package, or a change to verify's signature, would otherwise
 break only the traced benchmark run.
-It is loaded by file path: putting perfbench/ on sys.path would let
-perfbench/oracles.py shadow tests/oracles.py.
+It is loaded by file path, so perfbench/ stays off sys.path. The tests'
+own independent checks are tests/reference.py, a name perfbench/ does not
+use, so tier-1 and the harness tests run together in one pytest call.
 """
 
 import importlib.util
