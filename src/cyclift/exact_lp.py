@@ -52,9 +52,14 @@ column ids costs a solver that solves once (minimize-poly builds one per
 job) more than its narrower rows save. A one-shot solver reaches the
 drop only if its equations alone fix every variable. Every pivot and result is the one a tableau that kept and
 updated every row and column would give. Equation rows have no column of
-their own; their duals are solved from stationarity at the optimum,
-through the inverse of the kept equations' pivot block (see
-ReoptimizingSolver).
+their own; their duals are solved from stationarity at the optimum, only
+when a full result is built (see ReoptimizingSolver).
+
+Results. maximize and minimize return the full LPResult: the value, the
+point and both sets of duals. maximum and minimum run the same simplex
+from the same basis and return the value and the point only, with no dual
+built; a caller that reads no dual (EfOptimizer's value queries) asks for
+those.
 
 Equation reduction. independent_equations picks the positions of the
 first maximal independent subset of a program's equations, and only those
@@ -206,18 +211,6 @@ def independent_equations(equations) -> tuple:
     return tuple(kept)
 
 
-def _inverse(m):
-    """(rows, dens) with rows[i] / dens[i] row i of the inverse of the
-    square integer matrix m, by Gauss-Jordan on [m | I] with no row
-    exchange: every leading principal minor of m must be nonzero."""
-    k = len(m)
-    rows = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(m)]
-    dens = [1] * k
-    for c in range(k):
-        _pivot_rows(rows, dens, c, c)
-    return [r[k:] for r in rows], dens
-
-
 class ReoptimizingSolver:
     """Simplex over a fixed constraint system, reusable across objectives.
 
@@ -228,9 +221,9 @@ class ReoptimizingSolver:
     point: it has shown each dropped one implied by them, or refused it.
     Each kept row is pivoted on its first nonzero variable column, which
     moves no basic value, so the start is feasible with no phase 1.
-    Each maximize writes its objective as a row priced against the current
-    basis and reads the value and the inequality duals from that row at the
-    optimum.
+    Each solve writes its objective as a row priced against the current
+    basis and reads the value, and for a full result the inequality duals,
+    from that row at the optimum.
 
     Each variable is free and is one column, holding x_j - shift_j (0
     while nonbasic). A row holds one column per variable, one slack per
@@ -241,21 +234,22 @@ class ReoptimizingSolver:
     at position c - offset. A free variable enters upward or downward (see
     _entering), and the direction only signs the ratio test. Once entered
     it never leaves, so its pivot row leaves the tableau for the set-aside
-    list, in entry order, in column ids and never updated again; maximize
-    prices with it and _extract back-substitutes it. The tableau keeps
+    list, in entry order, in column ids and never updated again; _solve
+    prices with it and _value_point back-substitutes it. The tableau keeps
     only the slack-basic rows, all of which the ratio test reads, and
     Bland's rule over the slack columns and those rows cannot cycle. When
-    every variable has been set aside, maximize drops the variable
+    every variable has been set aside, the next solve drops the variable
     columns from the tableau, once (see the module docstring).
 
-    The equation duals mu are not tracked through the pivots. At an
-    optimum every variable column has reduced cost 0, so
-    E_K^T mu = c - G^T beta for the kept equation rows E_K, the inequality
-    rows G and the inequality duals beta. On the columns J the kept
-    equations were pivoted on (the first columns of the set-aside list),
-    M = E_K[:, J] is invertible, and mu = (M^-1)^T (c - G^T beta)_J, with
-    M^-1 computed once when the solver is built. A dropped equation's
-    dual is 0, so dual_eq has one entry per equation given.
+    The equation duals mu are not tracked through the pivots, and the
+    set-up builds nothing for them. At an optimum every variable column
+    has reduced cost 0, so E_K^T mu = c - G^T beta for the kept equation
+    rows E_K, the inequality rows G and the inequality duals beta. On the
+    columns J the kept equations were pivoted on (the first columns of the
+    set-aside list), E_K[:, J] is invertible, and each full result solves
+    E_K[:, J]^T mu = (c - G^T beta)_J exactly (_equation_duals). A dropped
+    equation's dual is 0, so dual_eq has one entry per equation given.
+    maximum and minimum build no dual at all.
     """
 
     def __init__(self, nvars, equations, inequalities, feasible_point):
@@ -275,7 +269,9 @@ class ReoptimizingSolver:
         self._me, mk = len(equations), len(kept)
         self._rhs = rhs_col = nv + len(inequalities)
 
-        coefs = []  # (coefficient ints, den) of each tableau row
+        # (coefficient ints, den) of each kept equation, then of each
+        # inequality: what the equation duals are solved from
+        self._coefs = coefs = []
         rows: list[list[int]] = []
         dens: list[int] = []
         basis: list = []  # None: an equation row not pivoted yet
@@ -312,33 +308,10 @@ class ReoptimizingSolver:
         self._basis = basis
         self._aside = []  # (column, den, support) of each row set aside
         self._off = 0  # the column a stored row starts at: 0, then nvars
-        self._obj = [0] * (rhs_col + 1)  # each maximize writes its own
+        self._obj = [0] * (rhs_col + 1)  # each solve writes its own
         self._oden = 1
         for _ in range(mk):  # each pivot sets the first row aside
             self._pivot(0, next(j for j in range(nv) if rows[0][j]))
-
-        # For the equation duals: M is E_K[:, J] with each row l scaled by
-        # its den d_l to integers, so E_K[:, J]^-1 is M^-1 with column l
-        # times d_l. It is stored transposed, as (q, entry) pairs per kept
-        # equation over one common den, and G's entries in the columns J
-        # as (slack column, entry) pairs over another.
-        cols = [col for col, _, _ in self._aside]
-        inv, inv_dens = _inverse([[ints[j] for j in cols] for ints, _ in coefs[:mk]])
-        self._tden = tden = lcm(*inv_dens)
-        self._minv_t = [
-            [
-                (q, inv_row[l] * (tden // d) * d_l)
-                for q, (inv_row, d) in enumerate(zip(inv, inv_dens))
-                if inv_row[l]
-            ]
-            for l, (_, d_l) in enumerate(coefs[:mk])
-        ]
-        ineq_coefs = coefs[mk:]
-        self._gden = gden = lcm(*(d for _, d in ineq_coefs))
-        self._g_at_eq = [
-            (j, [(nv + k, c[j] * (gden // d)) for k, (c, d) in enumerate(ineq_coefs) if c[j]])
-            for j in cols
-        ]
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -413,16 +386,59 @@ class ReoptimizingSolver:
     # -- public solves ----------------------------------------------------
 
     def maximize(self, objective) -> LPResult:
-        """Maximize from the current basis. The first solve that finds
-        every variable set aside drops the variable columns from the
-        tableau rows, which are 0 there for good. The objective row -c is
-        priced out at full width against the set-aside rows in entry order
-        (each clears its column and can bring in only columns that entered
-        later or are slacks), cut at the stored offset (what it cuts is 0
-        by then), and priced against the tableau rows; a priced row is
-        unique in lowest terms, so it is the one a fully updated tableau
-        gives. An objective entry that is not an int or a Fraction is a
+        """Maximize from the current basis: the full result, the value and
+        the point (_value_point) with the inequality and the equation
+        duals. An objective entry that is not an int or a Fraction is a
         DomainError."""
+        solved = self._solve(objective)
+        if solved is None:
+            return LPResult(UNBOUNDED)
+        value, x = self._value_point(*solved)
+        return LPResult(
+            OPTIMAL, value, x, self._inequality_duals(), self._equation_duals(*solved)
+        )
+
+    def minimize(self, objective) -> LPResult:
+        # refused before the negation, so the error names the entry given
+        # (-"1" is no DomainError); maximize checks the negated entries again
+        _check_exact(objective, "objective")
+        res = self.maximize([-c for c in objective])
+        if res.status != OPTIMAL:
+            return res
+        return LPResult(
+            OPTIMAL,
+            -res.value,
+            res.primal,
+            res.dual_ineq,
+            tuple(-m if m else _ZERO for m in res.dual_eq),
+        )
+
+    def maximum(self, objective):
+        """(value, primal point) of maximize(objective), or None where it
+        is unbounded. The same simplex from the same basis, with no dual
+        built."""
+        solved = self._solve(objective)
+        return None if solved is None else self._value_point(*solved)
+
+    def minimum(self, objective):
+        """(value, primal point) of minimize(objective), or None where it
+        is unbounded; no dual built."""
+        _check_exact(objective, "objective")
+        found = self.maximum([-c for c in objective])
+        return None if found is None else (-found[0], found[1])
+
+    def _solve(self, objective):
+        """Run the simplex for objective from the current basis: (its
+        numerators, their den) at the optimum, None where it is unbounded.
+
+        The first solve that finds every variable set aside drops the
+        variable columns from the tableau rows, which are 0 there for good.
+        The objective row -c is priced out at full width against the
+        set-aside rows in entry order (each clears its column and can bring
+        in only columns that entered later or are slacks), cut at the
+        stored offset (what it cuts is 0 by then), and priced against the
+        tableau rows; a priced row is unique in lowest terms, so it is the
+        one a fully updated tableau gives."""
         if len(objective) != self._nv:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
@@ -450,40 +466,24 @@ class ReoptimizingSolver:
                 obj, den = _eliminate(obj, den, f, p, support)
         self._obj, self._oden = obj, den
         if self._simplex() == UNBOUNDED:
-            return LPResult(UNBOUNDED)
-        return self._extract(ints, cden)
+            return None
+        return ints, cden
 
-    def minimize(self, objective) -> LPResult:
-        # refused before the negation, so the error names the entry given
-        # (-"1" is no DomainError); maximize checks the negated entries again
-        _check_exact(objective, "objective")
-        res = self.maximize([-c for c in objective])
-        if res.status != OPTIMAL:
-            return res
-        return LPResult(
-            OPTIMAL,
-            -res.value,
-            res.primal,
-            res.dual_ineq,
-            tuple(-m if m else _ZERO for m in res.dual_eq),
-        )
+    def _value_point(self, objective, cden) -> tuple:
+        """(value, primal point) at the optimum, each entry one Fraction
+        built from ints; objective / cden is the objective maximized.
 
-    def _extract(self, objective, cden) -> LPResult:
-        """The optimal result, each entry one Fraction built from ints.
-
-        objective / cden is the objective maximized. A tableau row gives
-        its basic slack the value of its last entry, the rhs, over its den,
-        and the objective row's slack entries (from stored position
-        nvars - offset) are the inequality duals. The set-aside rows are
-        back-substituted in reverse entry order: each reads its variable's
-        value x_j - shift_j from the values of its other columns, which are
-        slacks and variables that entered later (its own column reads 0
-        until then), and a column with no value is nonbasic at 0. Each
-        step works in integers over the lcm of the dens it reads, and a
-        nonbasic x_j is shift_j. The value is the objective row's rhs plus
-        the objective at the shift.
+        A tableau row gives its basic slack the value of its last entry,
+        the rhs, over its den. The set-aside rows are back-substituted in
+        reverse entry order: each reads its variable's value x_j - shift_j
+        from the values of its other columns, which are slacks and
+        variables that entered later (its own column reads 0 until then),
+        and a column with no value is nonbasic at 0. Each step works in
+        integers over the lcm of the dens it reads, and a nonbasic x_j is
+        shift_j. The value is the objective row's rhs plus the objective at
+        the shift.
         """
-        nv, rhs = self._nv, self._rhs
+        rhs = self._rhs
         obj, den = self._obj, self._oden
         shift, sden = self._shift_ints, self._sden
         # each column's value (x_j - shift_j for a variable) is
@@ -507,28 +507,49 @@ class ReoptimizingSolver:
                 x[col] = Fraction(t * sden + shift[col] * d, d * sden)
         at_shift = sum(c * z for c, z in zip(objective, shift) if c)
         value = Fraction(obj[-1] * cden * sden + at_shift * den, den * cden * sden)
-        slacks = obj[nv - self._off : -1]
-        dual_ineq = tuple(Fraction(v, den) if v else _ZERO for v in slacks)
-        return LPResult(
-            OPTIMAL, value, tuple(x), dual_ineq, self._equation_duals(objective, cden)
-        )
+        return value, tuple(x)
+
+    def _inequality_duals(self) -> tuple:
+        """beta at the optimum: the objective row's slack entries (from
+        stored position nvars - offset) over its den, one Fraction each,
+        every zero the shared Fraction(0)."""
+        den = self._oden
+        slacks = self._obj[self._nv - self._off : -1]
+        return tuple(Fraction(v, den) if v else _ZERO for v in slacks)
 
     def _equation_duals(self, objective, cden) -> tuple:
-        """mu = (M^-1)^T (c - G^T beta)_J in integers, one Fraction per
-        nonzero entry; 0 for a dropped equation. With beta_k the objective
-        row's slack entry over its den, r_q below is (c - G^T beta) at
-        column J_q over cden * oden * gden."""
-        obj, oden, gden, off = self._obj, self._oden, self._gden, self._off
-        r = [
-            objective[j] * oden * gden - cden * sum(obj[col - off] * g for col, g in gcol)
-            for j, gcol in self._g_at_eq
-        ]
-        den = self._tden * cden * oden * gden
+        """mu at the optimum, one entry per equation given, 0 for a
+        dropped one: the kept entries solve E_K[:, J]^T mu = (c - G^T
+        beta)_J (see the class docstring), with objective / cden = c.
+
+        Kept equation l is ints_l / d_l, so nu_l = mu_l / d_l solves an
+        integer system with one row per column J_q: (ints_l[J_q] for each
+        l), and rhs (c - G^T beta) at J_q times D = cden * oden * gden,
+        where beta_k is the objective row's slack entry over oden and gden
+        is the lcm of the dens of the inequalities with beta_k != 0.
+        reduce_rows keeps every row, the block being invertible, and
+        leaves each one 0 at the pivots of the rows before it, so the
+        pivots are solved in reverse order."""
+        nv, mk = self._nv, len(self._kept_eqs)
+        obj, oden = self._obj, self._oden
+        eqs, ineqs = self._coefs[:mk], self._coefs[mk:]
+        betas = [(ineqs[k], v) for k, v in enumerate(obj[nv - self._off : -1]) if v]
+        gden = lcm(*(d for (_, d), _ in betas))
+        system = []
+        for col, _, _ in self._aside[:mk]:
+            g = sum(v * ints[col] * (gden // d) for (ints, d), v in betas)
+            system.append(
+                [ints[col] for ints, _ in eqs] + [objective[col] * oden * gden - cden * g]
+            )
+        nu = [_ZERO] * mk
+        for pivot, row in reversed(list(reduce_rows(system, mk))):
+            rest = sum(row[l] * nu[l] for l in range(pivot + 1, mk) if row[l])
+            nu[pivot] = Fraction(row[-1] - rest, row[pivot])
+        den = cden * oden * gden
         duals = [_ZERO] * self._me
-        for at, pairs in zip(self._kept_eqs, self._minv_t):
-            num = sum(t * r[q] for q, t in pairs)
-            if num:
-                duals[at] = Fraction(num, den)
+        for at, v, (_, d) in zip(self._kept_eqs, nu, eqs):
+            if v:
+                duals[at] = Fraction(v.numerator * d, v.denominator * den)
         return tuple(duals)
 
 

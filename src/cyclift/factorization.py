@@ -458,7 +458,12 @@ def hadamard_combine(
     fa: NonnegFactorization, fb: NonnegFactorization
 ) -> NonnegFactorization:
     """Factorization of the entrywise product from factorizations of the
-    factors, via per-row and per-column tensor products; rank multiplies."""
+    factors, via per-row and per-column tensor products; rank multiplies.
+
+    Each product vector is the Kronecker product of the factors' numerators
+    (int_vectors) over the product of their dens, carried as the result's
+    integer form. Over den 1 its entries are those ints; over any other den
+    each is a Fraction, every zero the shared Fraction(0)."""
     if fa.n_rows != fb.n_rows:
         raise DomainError(f"row counts differ: {fa.n_rows} vs {fb.n_rows}")
     if fa.n_cols != fb.n_cols:
@@ -469,13 +474,20 @@ def hadamard_combine(
             raise DomainError("column labels disagree")
     elif labels is None:
         labels = fb.column_labels
-    alpha = tuple(
-        tuple(x * y for x in va for y in vb) for va, vb in zip(fa.alpha, fb.alpha)
+    ints, vectors, values = [], [], {}
+    for (na, da), (nb, db) in zip(fa.int_vectors(), fb.int_vectors()):
+        nums, den = _kron((na, nb)), da * db
+        ints.append((nums, den))
+        if den != 1:
+            if den not in values:
+                values[den] = _Values(den)
+            nums = tuple(map(values[den].__getitem__, nums))
+        vectors.append(nums)
+    k = fa.n_rows
+    alpha, beta = tuple(vectors[:k]), tuple(vectors[k:])
+    return NonnegFactorization._carrying(
+        fa.rank * fb.rank, alpha, beta, tuple(ints), labels, None
     )
-    beta = tuple(
-        tuple(x * y for x in va for y in vb) for va, vb in zip(fa.beta, fb.beta)
-    )
-    return NonnegFactorization(fa.rank * fb.rank, alpha, beta, labels, None)
 
 
 def _units(r: int) -> tuple:

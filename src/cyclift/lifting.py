@@ -21,9 +21,11 @@ stands in for the lift of the trivial factorization where only the
 projection matters.
 EfOptimizer hands a lift's equations to exact_lp.ReoptimizingSolver, which
 reduces them again (independent_equations, re-exported here) and checks
-them at its start. A lift from a factorization records which of its facet
-equations verify's reduction kept (ExtendedFormulation.kept_equations), and
-only those are handed over: verify has shown the rest implied by them.
+them at its start. Its maximize and minimize ask the solver for the value
+and the point only; solve alone builds the duals. A lift from a
+factorization records which of its facet equations verify's reduction kept
+(ExtendedFormulation.kept_equations), and only those are handed over:
+verify has shown the rest implied by them.
 A lift with a coordinate projection and a slack-matrix factorization are the
 same object (Yannakakis's factorization theorem), so no other kind of
 projection is needed.
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
-from .exact_lp import _ZERO, MAX, MIN, OPTIMAL, UNBOUNDED, LPResult, ReoptimizingSolver
+from .exact_lp import _ZERO, MAX, MIN, UNBOUNDED, LPResult, ReoptimizingSolver
 from .exact_lp import independent_equations  # noqa: F401 (re-exported)
 from .factorization import NonnegFactorization, verify
 from .geometry import (
@@ -291,9 +293,11 @@ class EfOptimizer:
     witness, a known feasible point, and each solve reoptimizes from the
     previous basis. The solver gets the lift's kept_equations, or every
     lifted equation when the lift records none, and reduces and checks
-    what it gets; each result's equation duals are scattered back to one
-    per lifted equation, 0 on a row not handed over. Objectives are given
-    in the coordinates of the target polytope.
+    what it gets. Objectives are given in the coordinates of the target
+    polytope. maximize and minimize are value queries: the solver's
+    maximum and minimum, the value and the point with no dual built.
+    solve is the full result, whose equation duals are scattered back to
+    one per lifted equation, 0 on a row not handed over.
     """
 
     def __init__(self, ef: ExtendedFormulation):
@@ -329,18 +333,19 @@ class EfOptimizer:
             duals[at] = mu
         return replace(res, dual_eq=tuple(duals))
 
-    def _optimum(self, objective, sense):
-        res = self.solve(objective, sense)
-        if res.status != OPTIMAL:
-            raise DomainError(f"lifted optimization is {res.status}")
-        return res.value, res.primal
+    def _optimum(self, objective, query):
+        found = query(lift_objective(self.ef, objective))
+        if found is None:
+            raise DomainError("lifted optimization is unbounded")
+        return found
 
     def maximize(self, objective):
-        """(optimal value, a lifted optimizer point)."""
-        return self._optimum(objective, MAX)
+        """(optimal value, a lifted optimizer point): solve's value and
+        primal point, from the same simplex, with no dual built."""
+        return self._optimum(objective, self._solver.maximum)
 
     def minimize(self, objective):
-        return self._optimum(objective, MIN)
+        return self._optimum(objective, self._solver.minimum)
 
 
 def _witness_slacks(P: CyclicPolytope, ef: ExtendedFormulation) -> tuple:

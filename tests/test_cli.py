@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +16,7 @@ import cyclift.factorization
 import cyclift.geometry
 import cyclift.lifting
 from cyclift.cli import main
+from cyclift.exact_lp import ReoptimizingSolver
 from cyclift.factorization import NonnegFactorization, verify
 from cyclift.geometry import GaleSet, SlackMatrix, slack_matrix
 
@@ -591,6 +594,42 @@ def test_minimize_poly_usage_errors(capsys):
     assert run(capsys, "minimize-poly", "--coeffs", "1,x,3", "--n", "5")[0] == 2
     rc, _, err = run(capsys, "minimize-poly", "--coeffs", "1,2," + "7" * 5000, "--n", "5")
     assert rc == 2 and err.startswith("error:")
+
+
+# the (d, n) grid of the benchmark's minpoly_mix workload (two sizes per
+# degree up to the acceptance caps), each with a polynomial seeded by
+# (d, n) and its negation, and the sha256 of the 20 stdouts in that order
+MINPOLY_GRID = ((2, 52), (2, 151), (3, 27), (3, 76), (4, 15), (4, 37), (5, 11), (5, 24),
+                (6, 10), (6, 17))
+MINPOLY_GRID_DIGEST = "9739bb9633bfec4e7f31fd49d44039b42cdd0a4a33b4684d6dc4224531954a88"
+
+
+def refuse_duals(monkeypatch):
+    """Make every build of an inequality or an equation dual raise."""
+
+    def refuse(*args):
+        raise AssertionError("a value query built a dual")
+
+    monkeypatch.setattr(ReoptimizingSolver, "_inequality_duals", refuse)
+    monkeypatch.setattr(ReoptimizingSolver, "_equation_duals", refuse)
+
+
+def test_minimize_poly_builds_no_dual(capsys, monkeypatch):
+    """minimize-poly reads the lifted LP's value only: with every dual
+    build refused it prints the same bytes at every size of the grid."""
+    refuse_duals(monkeypatch)
+    h = hashlib.sha256()
+    for d, n in MINPOLY_GRID:
+        rng = random.Random(f"{d}/{n}")
+        coeffs = [rng.randint(-9, 9) for _ in range(d)]
+        coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 9))
+        for cs in (coeffs, [-c for c in coeffs]):
+            rc, out, _ = run(
+                capsys, "minimize-poly", "--coeffs=" + ",".join(map(str, cs)), "--n", str(n)
+            )
+            assert rc == 0 and json.loads(out)["match"] is True
+            h.update(out.encode())
+    assert h.hexdigest() == MINPOLY_GRID_DIGEST
 
 
 def test_minimize_poly_coefficients_take_ascii_padding_only(capsys):

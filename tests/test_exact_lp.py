@@ -450,7 +450,7 @@ def test_set_aside_rows_stay_fixed(system, data):
     """After every pivot no tableau row is basic in a variable column, each
     variable is set aside at most once, and every set-aside row stays
     bit-identical to the row that left. Each holds as an equation at every
-    optimum, which is what _extract back-substitutes. _pivot takes a
+    optimum, which is what _value_point back-substitutes. _pivot takes a
     column id, stored or dropped layout alike, so col < nvars is a
     variable entering; none enters once the variable columns are dropped,
     and every stored row is then nvars integers narrower."""
@@ -489,7 +489,7 @@ def test_set_aside_rows_stay_fixed(system, data):
 def test_back_substitution_reads_later_entries():
     """x enters first, on x + y = 1, and its set-aside row reads y; y
     enters next, on 3y + 2z = 0, and its row reads z, which enters only in
-    the simplex. _extract resolves z, then y, then x."""
+    the simplex. _value_point resolves z, then y, then x."""
     eqs = (((1, 1, 0), 1), ((0, 3, 2), 0))
     ineqs = (((0, 0, 1), 4), ((0, 0, -1), 4))
     solver = ReoptimizingSolver(3, eqs, ineqs, (1, 0, 0))
@@ -731,6 +731,42 @@ def test_unconstrained_variable_keeps_the_columns():
         assert 2 not in [col for col, _, _ in solver._aside] and solver._off == 0
     assert sorted(col for col, _, _ in solver._aside) == [0, 1]
     assert all(len(row) == 3 + len(ineqs) + 1 for row in solver._rows)
+
+
+# the three rows of x = y: one independent equation and two dependent ones
+_DEPENDENT_EQS = (((1, -1, 0), 0), ((2, -2, 0), 0), ((-1, 1, 0), 0))
+_DEPENDENT_INEQS = (((1, 1, 0), 6), ((-1, 0, 0), 2), ((0, 0, 1), 3), ((0, 0, -1), 3))
+
+
+@pytest.mark.parametrize(
+    "nvars, eqs, ineqs, start",
+    [
+        (2, (), _WARM_INEQS + (((0, -1), 3),), (0, 0)),
+        (3, _DEPENDENT_EQS, _DEPENDENT_INEQS, (1, 1, 0)),
+    ],
+    ids=["no equations", "dependent equations"],
+)
+def test_full_results_after_value_queries_drop_the_columns(nvars, eqs, ineqs, start):
+    """Value queries (maximum, minimum) build no dual but move the basis
+    like any solve; once they have brought every variable in and a solve
+    has dropped the variable columns, maximize and minimize still return
+    duals that certify accepts, one dual_eq entry per equation given, and
+    the value and point the value queries give from the same basis."""
+    solver = ReoptimizingSolver(nvars, eqs, ineqs, start)
+    queries = [(1,) * nvars, (1,) + (-1,) * (nvars - 1), (-1,) * nvars, (0,) * (nvars - 1) + (1,)]
+    for k, objective in enumerate(queries):
+        found = (solver.maximum if k % 2 else solver.minimum)(objective)
+        assert found is not None
+    assert len(solver._aside) == nvars
+    assert solver.maximum((1,) * nvars) is not None and solver._off == nvars
+    for objective in ((1,) * nvars, (-2,) + (1,) * (nvars - 1), (0,) * (nvars - 1) + (-1,)):
+        for sense in (MAX, MIN):
+            full = solver.maximize if sense == MAX else solver.minimize
+            res = full(objective)
+            assert res.status == OPTIMAL and len(res.dual_eq) == len(eqs)
+            assert certify(LinearProgram(sense, objective, eqs, ineqs), res)
+            lean = solver.maximum if sense == MAX else solver.minimum
+            assert lean(objective) == (res.value, res.primal)
 
 
 _INEXACT = (1.5, 2.0, "1", "1/2", None)

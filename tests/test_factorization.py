@@ -669,7 +669,7 @@ def test_json_reader_cache_keeps_values_and_types(monkeypatch):
 def _constructions():
     """(label, polytope, factorization) for every construction the golden
     sweeps pin, plus the trivial route at both shapes (more columns than
-    rows, and the square d = n - 1 case)."""
+    rows, and the square d = n - 1 case) and two Hadamard products."""
     for n in FACTORIZE_2D_SWEEP[0]:
         yield f"2d n={n}", CyclicPolytope.standard(2, n), factorize_2d(n)
     for d, ns in FACTORIZE_TENSOR_SWEEP[0].items():
@@ -680,6 +680,10 @@ def _constructions():
         P = CyclicPolytope.standard(d, n)
         assert trivial_wins(n, d) or n == d + 1
         yield f"trivial d={d} n={n}", P, factorize(n, d)
+    for n in (9, 14):
+        P, f2 = CyclicPolytope.standard(4, n), factorize_2d(n)
+        pairs = _pair_factorization(f2, P, 0), _pair_factorization(f2, P, 1)
+        yield f"hadamard d=4 n={n}", P, hadamard_combine(*pairs)
 
 
 def test_constructions_carry_their_integer_form():

@@ -47,6 +47,7 @@ from cyclift.lifting import (
 )
 
 from reference import _rank, consistent, independent_rows, vertex_maximum
+from test_cli import refuse_duals
 from test_golden import FACTORIZE_TENSOR_SWEEP
 
 
@@ -205,6 +206,33 @@ def test_optimizer_reduces_the_lifted_equations_once(monkeypatch):
     res = opt.solve((2 * 30, -1, 0), MIN)
     zeros = [mu for mu in res.dual_eq if mu == 0]
     assert len(zeros) >= 126 - 16 and len({id(mu) for mu in zeros}) == 1
+
+
+def test_value_queries_build_no_dual(monkeypatch):
+    """The set-up pivots the 16 kept equations of the d = 3, n = 65 lift
+    and builds nothing for the equation duals (no further pivot), and
+    maximize and minimize give solve's value and primal point with every
+    dual build refused: 16 queries of (2 t0, -1, 0), each kind from its
+    own optimizer in the same order, so both reoptimize from the same
+    bases."""
+    ef = ef_from_factorization(CyclicPolytope.standard(3, 65), factorize(65, 3))
+    queries = [((2 * t0, -1, 0), sense) for t0 in range(1, 65, 8) for sense in (MAX, MIN)]
+    assert len(queries) == 16
+    full = EfOptimizer(ef)
+    expected = [full.solve(objective, sense) for objective, sense in queries]
+    refuse_duals(monkeypatch)
+    pivot_rows, pivots = cyclift.exact_lp._pivot_rows, []
+
+    def counting(rows, dens, pi, col):
+        pivots.append(col)
+        return pivot_rows(rows, dens, pi, col)
+
+    monkeypatch.setattr(cyclift.exact_lp, "_pivot_rows", counting)
+    lean = EfOptimizer(ef)
+    assert len(pivots) == len(ef.kept_equations) == 16
+    for (objective, sense), res in zip(queries, expected):
+        query = lean.maximize if sense == MAX else lean.minimize
+        assert query(objective) == (res.value, res.primal)
 
 
 def _factorization_lifts():
