@@ -13,8 +13,9 @@ each vertex), so there is no phase 1 and no infeasible status. The
 objective is one more integer row over its own denominator: each solve
 prices out the basic columns with the same row update a pivot applies,
 and every pivot keeps it current. Bland's smallest-index rule takes the
-first negative entry of that row, and at the optimum the row's rhs entry
-is the objective value and its slack entries are the inequality duals. No
+negative entry of that row with the smallest column id, and at the
+optimum the row's rhs entry is the objective value and its entries at the
+nonbasic slacks are the inequality duals (a basic slack's is 0). No
 tolerances anywhere; every comparison is exact.
 
 Pivot rule. A row basic in a free variable bounds nothing, because that
@@ -30,30 +31,28 @@ the slack columns and the slack-basic rows alone, where it cannot cycle.
 
 Stored columns. A column is named by its id: variable j is j, slack k
 is nvars + k and the rhs is nvars + (inequality count), and a basis label
-is a column id, so the labels below nvars are the free ones. A stored row
-holds the columns from an offset on, which is 0 at first, and ends with
-the rhs. When a free variable enters, at a start-basis equation pivot or
-a simplex pivot, its column is cleared from every tableau row and from
-the objective row, and its pivot row leaves the tableau: it is set aside
-as it stands then, as (column, den, nonzero (column id, value) pairs),
-and no later pivot updates it. Its basic column reads 1 whichever way the
-variable entered. A set-aside row stays an exact identity on the affine
-hull, so it still prices an objective (the set-aside rows in entry order,
-then the tableau rows) and yields x_j - shift_j by back-substitution in
+is a column id, so the labels below nvars are the free ones. The tableau
+is a dictionary (Chvatal, Linear Programming, 1983), kept fraction-free:
+a position list holds the ids of the nonbasic columns, those neither
+basic in a tableau row nor set aside, and every tableau row and the
+objective row hold one integer per position and then the rhs. A row's
+den is the coefficient of its basic column, which is stored nowhere:
+every other basic column is 0 in it. A simplex pivot puts the leaving
+column at the entering one's position, so the width stays nvars -
+(kept equations) from the set-up on; a start-basis equation row has no
+basic column, so its pivot deletes the position. When a free variable
+enters, at a start-basis equation pivot or a simplex pivot, its pivot
+row leaves the tableau: it is set aside as it stands then, as (column,
+den, nonzero (column id, value) pairs), and no later pivot updates it.
+Its basic column reads 1 whichever way the variable entered. A set-aside
+row stays an exact identity on the affine hull, so it still prices an
+objective (the set-aside rows in entry order, then the tableau rows,
+both in column ids) and yields x_j - shift_j by back-substitution in
 reverse entry order, because it can mention only slacks and variables
-that entered after it. Once every variable has been set aside, the
-variable columns are 0 in every tableau row for good, and the next solve
-drops them: the offset becomes nvars, once per solver, and slack k is
-then stored at position k. Positions keep the order of the columns, so
-Bland's rule reads them unchanged. The drop is made once, not column by
-column as each variable enters: that would move the positions at every
-entry, and translating the set-aside supports between positions and
-column ids costs a solver that solves once (minimize-poly builds one per
-job) more than its narrower rows save. A one-shot solver reaches the
-drop only if its equations alone fix every variable. Every pivot and result is the one a tableau that kept and
-updated every row and column would give. Equation rows have no column of
-their own; their duals are solved from stationarity at the optimum, only
-when a full result is built (see ReoptimizingSolver).
+that entered after it. Every pivot and result is the one a tableau that
+kept and updated every row and column would give. Equation rows have no
+column of their own; their duals are solved from stationarity at the
+optimum, only when a full result is built (see ReoptimizingSolver).
 
 Results. maximize and minimize return the full LPResult: the value, the
 point and both sets of duals. maximum and minimum run the same simplex
@@ -87,6 +86,7 @@ reoptimizes from the previous basis.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -171,27 +171,6 @@ def _eliminate(row, den, f, p, support):
     return row, den
 
 
-def _pivot_rows(rows, dens, pi, col):
-    """Pivot on row pi at column col: the pivot row is divided by its
-    content and signed so that its entry there is positive, which becomes
-    its den (the basic column reads 1), and the column is cleared from
-    every other row. Returns (that entry, the pivot row's nonzero (column,
-    value) pairs)."""
-    prow = rows[pi]
-    g = gcd(*prow)
-    if prow[col] < 0:
-        g = -g
-    if g != 1:
-        prow = rows[pi] = [x // g for x in prow]
-    p = dens[pi] = prow[col]
-    support = [(j, v) for j, v in enumerate(prow) if v]
-    for i, row in enumerate(rows):
-        f = row[col]
-        if f and i != pi:
-            rows[i], dens[i] = _eliminate(row, dens[i], f, p, support)
-    return p, support
-
-
 def independent_equations(equations) -> tuple:
     """The positions, in order, of the first maximal independent subset.
 
@@ -226,20 +205,18 @@ class ReoptimizingSolver:
     from that row at the optimum.
 
     Each variable is free and is one column, holding x_j - shift_j (0
-    while nonbasic). A row holds one column per variable, one slack per
-    inequality, and the rhs, from the stored offset on: nvars +
-    (inequality count) + 1 integers at first, and (inequality count) + 1
-    once the variable columns are dropped. A basis label is the column id,
-    variable j as j and slack k as nvars + k, and a column id c is stored
-    at position c - offset. A free variable enters upward or downward (see
-    _entering), and the direction only signs the ratio test. Once entered
-    it never leaves, so its pivot row leaves the tableau for the set-aside
-    list, in entry order, in column ids and never updated again; _solve
-    prices with it and _value_point back-substitutes it. The tableau keeps
-    only the slack-basic rows, all of which the ratio test reads, and
-    Bland's rule over the slack columns and those rows cannot cycle. When
-    every variable has been set aside, the next solve drops the variable
-    columns from the tableau, once (see the module docstring).
+    while nonbasic). A basis label is the column id, variable j as j and
+    slack k as nvars + k. A row holds one integer per nonbasic column, at
+    the positions of _cols, and then the rhs; its den is the coefficient
+    of its basic column (see the module docstring). _order lists the
+    positions in column-id order, for Bland's rule. A free variable enters
+    upward or downward (see _entering), and the direction only signs the
+    ratio test. Once entered it never leaves, so its pivot row leaves the
+    tableau for the set-aside list, in entry order, in column ids and
+    never updated again; _solve prices with it and _value_point
+    back-substitutes it. The tableau keeps only the slack-basic rows, all
+    of which the ratio test reads, and Bland's rule over the slack columns
+    and those rows cannot cycle.
 
     The equation duals mu are not tracked through the pivots, and the
     set-up builds nothing for them. At an optimum every variable column
@@ -267,7 +244,7 @@ class ReoptimizingSolver:
         self._shift = tuple(Fraction(x) for x in feasible_point)
         self._shift_ints, self._sden = shift, sden = scaled_ints(self._shift)
         self._me, mk = len(equations), len(kept)
-        self._rhs = rhs_col = nv + len(inequalities)
+        self._rhs = nv + len(inequalities)
 
         # (coefficient ints, den) of each kept equation, then of each
         # inequality: what the equation duals are solved from
@@ -281,24 +258,24 @@ class ReoptimizingSolver:
             # the start residual rhs - <coeffs, shift>, over rd * den * sden
             rn, rd = rhs.numerator, rhs.denominator
             num = rn * den * sden - rd * sum(c * z for c, z in zip(ints, shift) if c)
-            row = ints + [0] * (rhs_col + 1 - nv)
             label = None
             if r_idx < mk:
                 if num != 0:
                     raise DomainError("feasible point violates an equation")
+                row = ints + [0]
             else:
                 if num < 0:
                     raise DomainError("feasible point violates an inequality")
-                # the row is scaled_ints(coeffs + (residual,)), slack added
+                # the row is scaled_ints(coeffs + (residual,)), and its den
+                # is the coefficient of its basic slack
                 residual = Fraction(num, rd * den * sden)
                 row_den = lcm(den, residual.denominator)
+                row = ints
                 if row_den != den:
                     row = [c * (row_den // den) for c in row]
                     den = row_den
-                k = r_idx - mk
-                row[nv + k] = den
-                row[rhs_col] = residual.numerator * (den // residual.denominator)
-                label = nv + k
+                row = row + [residual.numerator * (den // residual.denominator)]
+                label = nv + r_idx - mk
             rows.append(row)
             dens.append(den)
             basis.append(label)
@@ -306,47 +283,94 @@ class ReoptimizingSolver:
         self._rows = rows
         self._dens = dens
         self._basis = basis
+        self._cols = list(range(nv))  # the column id at each position
         self._aside = []  # (column, den, support) of each row set aside
-        self._off = 0  # the column a stored row starts at: 0, then nvars
-        self._obj = [0] * (rhs_col + 1)  # each solve writes its own
+        self._obj = [0] * (nv + 1)  # each solve writes its own
         self._oden = 1
+        self._order = list(range(nv))  # the positions in column-id order
         for _ in range(mk):  # each pivot sets the first row aside
-            self._pivot(0, next(j for j in range(nv) if rows[0][j]))
+            self._pivot(0, next(j for j in range(len(self._cols)) if rows[0][j]))
 
     # -- tableau mechanics ------------------------------------------------
 
-    def _pivot(self, pi: int, col: int) -> None:
-        rows, dens, basis = self._rows, self._dens, self._basis
-        at = col - self._off
-        p, support = _pivot_rows(rows, dens, pi, at)
-        f = self._obj[at]
-        if f:
-            self._obj, self._oden = _eliminate(self._obj, self._oden, f, p, support)
-        if col < self._nv:  # a free variable never leaves: its row is set aside
-            del rows[pi], dens[pi], basis[pi]
-            self._aside.append((col, p, support))
+    def _pivot(self, pi: int, ps: int) -> None:
+        """Pivot on row pi at position ps: the column there enters, and the
+        row's basic column, if it has one, leaves into position ps.
+
+        The pivot row, its den at the basic column included, is divided by
+        its content g, signed so that its entry at ps is positive; that
+        entry is the row's new den, and the leaving column reads den / g at
+        ps. Every other row with f != 0 at ps is 0 there for the leaving
+        column before the row update (_eliminate), which clears the
+        entering column and leaves -f * den / g at ps. A start-basis
+        equation row has no basic column, so the entering column is
+        deleted from every row, the objective row and the position list.
+        The position of a leaving column moves to its place in _order."""
+        rows, dens, basis, cols = self._rows, self._dens, self._basis, self._cols
+        prow, den, leaving = rows[pi], dens[pi], basis[pi]
+        col = cols[ps]
+        g = gcd(*prow) if leaving is None else gcd(den, *prow)
+        if prow[ps] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+        p = prow[ps]
+        if leaving is None:
+            prow[ps] = 0
         else:
-            basis[pi] = col
+            prow[ps] = den // g
+            cols[ps] = leaving
+            self._order.remove(ps)
+            insort(self._order, ps, key=cols.__getitem__)
+        support = [(j, v) for j, v in enumerate(prow) if v]
+        for i, row in enumerate(rows):
+            f = row[ps]
+            if f and i != pi:
+                row[ps] = 0
+                rows[i], dens[i] = _eliminate(row, dens[i], f, p, support)
+        obj = self._obj
+        f = obj[ps]
+        if f:
+            obj[ps] = 0
+            self._obj, self._oden = _eliminate(obj, self._oden, f, p, support)
+        if col < self._nv:  # a free variable never leaves: its row is set aside
+            rhs, width = self._rhs, len(cols)
+            ids = [(cols[j] if j < width else rhs, v) for j, v in support]
+            ids.append((col, p))
+            ids.sort()
+            self._aside.append((col, p, ids))
+            del rows[pi], dens[pi], basis[pi]
+        else:
+            rows[pi], dens[pi], basis[pi] = prow, p, col
+        if leaving is None:
+            del cols[ps], self._obj[ps]
+            for row in rows:
+                del row[ps]
+            # only the set-up deletes, and it places no leaving column, so
+            # the positions stay in column-id order
+            self._order.pop()
 
     def _entering(self):
-        """Bland's rule as (column, direction), or None at the optimum: the
-        first variable whose increase helps (obj[j] < 0, direction +1),
-        else the first whose decrease helps (obj[j] > 0, direction -1),
-        else the first slack with obj[j] < 0 (+1). The scan runs over stored
-        positions, which keep the order of the columns, and returns column
-        ids: a variable is stored only while the offset is 0, and once the
-        variable columns are dropped the scan reads the slacks alone."""
-        obj, off = self._obj, self._off
-        nv = self._nv - off
-        for j in range(nv):
+        """Bland's rule as (position, direction), or None at the optimum:
+        the smallest variable id whose increase helps (obj < 0, direction
+        +1), else the smallest variable id whose decrease helps (obj > 0,
+        direction -1), else the smallest slack id with obj < 0 (+1). The
+        scan reads the positions in column-id order (_order), where the
+        variables at a position come first, and stops at the first hit."""
+        obj, order = self._obj, self._order
+        free = self._nv - len(self._aside)  # the variables at a position
+        if free:
+            variables = order[:free]
+            for j in variables:
+                if obj[j] < 0:
+                    return j, 1
+            for j in variables:
+                if obj[j] > 0:
+                    return j, -1
+            order = order[free:]
+        for j in order:
             if obj[j] < 0:
                 return j, 1
-        for j in range(nv):
-            if obj[j] > 0:
-                return j, -1
-        for j in range(nv, self._rhs - off):
-            if obj[j] < 0:
-                return j + off, 1
         return None
 
     def _simplex(self) -> str:
@@ -355,18 +379,14 @@ class ReoptimizingSolver:
         bounds nothing, because the variable is free, so it was set aside
         when the variable entered. The entering direction only signs the
         ratio test; the pivot makes the basic entry positive either way.
-        The entering column and the rhs are read at their stored positions
-        (column id minus the offset); the offset does not change within a
-        solve."""
-        rows, basis, off = self._rows, self._basis, self._off
-        rhs = self._rhs - off
+        A row's rhs is its last entry."""
+        rows, basis = self._rows, self._basis
         while True:
             entering = self._entering()
             if entering is None:
                 return OPTIMAL
-            col, direction = entering
-            at = col - off
-            # smallest ratio row[rhs] / v over the rows with v =
+            at, direction = entering
+            # smallest ratio row[-1] / v over the rows with v =
             # direction * row[at] > 0, compared by cross-multiplying; ties
             # go to the smaller basis label
             best = None
@@ -374,14 +394,14 @@ class ReoptimizingSolver:
                 v = direction * row[at]
                 if v > 0:
                     if best is None:
-                        best, best_v, best_rhs = i, v, row[rhs]
+                        best, best_v, best_rhs = i, v, row[-1]
                         continue
-                    c = row[rhs] * best_v - best_rhs * v
+                    c = row[-1] * best_v - best_rhs * v
                     if c < 0 or (c == 0 and basis[i] < basis[best]):
-                        best, best_v, best_rhs = i, v, row[rhs]
+                        best, best_v, best_rhs = i, v, row[-1]
             if best is None:
                 return UNBOUNDED
-            self._pivot(best, col)
+            self._pivot(best, at)
 
     # -- public solves ----------------------------------------------------
 
@@ -431,40 +451,37 @@ class ReoptimizingSolver:
         """Run the simplex for objective from the current basis: (its
         numerators, their den) at the optimum, None where it is unbounded.
 
-        The first solve that finds every variable set aside drops the
-        variable columns from the tableau rows, which are 0 there for good.
-        The objective row -c is priced out at full width against the
-        set-aside rows in entry order (each clears its column and can bring
-        in only columns that entered later or are slacks), cut at the
-        stored offset (what it cuts is 0 by then), and priced against the
-        tableau rows; a priced row is unique in lowest terms, so it is the
-        one a fully updated tableau gives."""
+        The objective row -c is priced out in column ids, at full width:
+        against the set-aside rows in entry order (each clears its column
+        and can bring in only columns that entered later or are slacks),
+        then against the tableau rows, each with its basic column and den
+        added to its support. The priced row is 0 at every column that is
+        not at a position, and it is read at the positions and the rhs; a
+        priced row is unique in lowest terms, so it is the one a fully
+        updated tableau gives."""
         if len(objective) != self._nv:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
         _check_exact(objective, "objective")
         ints, cden = scaled_ints(objective)
-        nv, off = self._nv, self._off
-        if off != nv and len(self._aside) == nv:
-            # every variable has entered: its column is 0 in every tableau
-            # row for good, so the rows drop the variable columns, once
-            self._rows = [row[nv:] for row in self._rows]
-            self._off = off = nv
-        obj = [-c for c in ints] + [0] * (self._rhs + 1 - nv)
+        nv, rhs, cols = self._nv, self._rhs, self._cols
+        obj = [-c for c in ints] + [0] * (rhs + 1 - nv)
         den = cden
         for col, p, support in self._aside:
             f = obj[col]
             if f:
                 obj, den = _eliminate(obj, den, f, p, support)
-        if off:
-            obj = obj[off:]
         for row, p, b in zip(self._rows, self._dens, self._basis):
-            f = obj[b - off]
+            f = obj[b]
             if f:
-                support = [(j, v) for j, v in enumerate(row) if v]
+                support = [(c, v) for c, v in zip(cols, row) if v]
+                support.append((b, p))
+                if row[-1]:
+                    support.append((rhs, row[-1]))
                 obj, den = _eliminate(obj, den, f, p, support)
-        self._obj, self._oden = obj, den
+        self._obj = [obj[c] for c in cols] + [obj[rhs]]
+        self._oden = den
         if self._simplex() == UNBOUNDED:
             return None
         return ints, cden
@@ -509,13 +526,22 @@ class ReoptimizingSolver:
         value = Fraction(obj[-1] * cden * sden + at_shift * den, den * cden * sden)
         return value, tuple(x)
 
+    def _slack_costs(self):
+        """The nonzero (inequality index, numerator) pairs of the objective
+        row at the nonbasic slacks, over its den: beta at the optimum. A
+        basic slack's beta is 0, and at the optimum every variable entry
+        is 0 too."""
+        nv = self._nv
+        return [(c - nv, v) for c, v in zip(self._cols, self._obj) if v and c >= nv]
+
     def _inequality_duals(self) -> tuple:
-        """beta at the optimum: the objective row's slack entries (from
-        stored position nvars - offset) over its den, one Fraction each,
-        every zero the shared Fraction(0)."""
+        """beta at the optimum (_slack_costs), one Fraction each, every zero
+        the shared Fraction(0)."""
         den = self._oden
-        slacks = self._obj[self._nv - self._off : -1]
-        return tuple(Fraction(v, den) if v else _ZERO for v in slacks)
+        duals = [_ZERO] * (self._rhs - self._nv)
+        for k, v in self._slack_costs():
+            duals[k] = Fraction(v, den)
+        return tuple(duals)
 
     def _equation_duals(self, objective, cden) -> tuple:
         """mu at the optimum, one entry per equation given, 0 for a
@@ -530,10 +556,10 @@ class ReoptimizingSolver:
         reduce_rows keeps every row, the block being invertible, and
         leaves each one 0 at the pivots of the rows before it, so the
         pivots are solved in reverse order."""
-        nv, mk = self._nv, len(self._kept_eqs)
-        obj, oden = self._obj, self._oden
+        mk = len(self._kept_eqs)
+        oden = self._oden
         eqs, ineqs = self._coefs[:mk], self._coefs[mk:]
-        betas = [(ineqs[k], v) for k, v in enumerate(obj[nv - self._off : -1]) if v]
+        betas = [(ineqs[k], v) for k, v in self._slack_costs()]
         gden = lcm(*(d for (_, d), _ in betas))
         system = []
         for col, _, _ in self._aside[:mk]:
@@ -551,7 +577,6 @@ class ReoptimizingSolver:
             if v:
                 duals[at] = Fraction(v.numerator * d, v.denominator * den)
         return tuple(duals)
-
 
 def solve(lp: LinearProgram, feasible_point) -> LPResult:
     """Solve one program from a point that satisfies its constraints.

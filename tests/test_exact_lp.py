@@ -303,12 +303,34 @@ def test_random_rational_lps_certify(system, data):
         assert certify(lp, again)
 
 
+def _check_layout(solver):
+    """The nonbasic layout: the position list holds exactly the column ids
+    that are neither basic in a tableau row nor set aside, each once, and
+    _order lists the positions in column-id order; every tableau row and
+    the objective row holds one int per position plus the rhs, over a
+    positive den and in lowest terms (gcd(den, *row) == 1)."""
+    cols, nvars = solver._cols, solver._nv
+    basic = {b for b in solver._basis if b is not None}
+    aside = {col for col, _, _ in solver._aside}
+    assert len(set(cols)) == len(cols)
+    assert set(cols) == set(range(solver._rhs)) - basic - aside
+    assert [cols[j] for j in solver._order] == sorted(cols)
+    # a variable is never basic in a tableau row, so the variables at a
+    # position are the ones not set aside
+    assert sum(c < nvars for c in cols) == nvars - len(aside)
+    assert len(solver._rows) == len(solver._dens) == len(solver._basis)
+    for row, den in [*zip(solver._rows, solver._dens), (solver._obj, solver._oden)]:
+        assert len(row) == len(cols) + 1
+        assert all(type(x) is int for x in row)
+        assert den > 0 and gcd(den, *row) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(feasible_systems(), st.data())
 def test_solver_matches_tracker_layout(system, data):
     """Warm solves give the same results, entry types included, and leave
     the same basis as the reference layout (reference.TrackerSolver, its
-    labels mapped to stored columns) after every solve: the same pivots and
+    labels mapped to column ids) after every solve: the same pivots and
     the same equation duals. The tableau rows carry the reference's
     slack-basic labels in its row order, and the set-aside rows its
     free-basic ones."""
@@ -320,10 +342,11 @@ def test_solver_matches_tracker_layout(system, data):
         return solver._basis, sorted(col for col, _, _ in solver._aside)
 
     def reference_layout():
-        stored = [_stored(b, nvars)[0] for b in reference._basis]
-        return [c for c in stored if c >= nvars], sorted(c for c in stored if c < nvars)
+        ids = [_column(b, nvars)[0] for b in reference._basis]
+        return [c for c in ids if c >= nvars], sorted(c for c in ids if c < nvars)
 
     assert layout() == reference_layout()
+    _check_layout(solver)
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
@@ -340,13 +363,14 @@ def test_solver_matches_tracker_layout(system, data):
             ):
                 assert list(map(type, vec)) == list(map(type, ref_vec))
         assert layout() == reference_layout()
-    # the drop happens at the first solve that finds every variable set
-    # aside: `pytest --hypothesis-show-statistics` shows how often
-    event("variable columns dropped" if solver._off == nvars else "variable columns kept")
+        _check_layout(solver)
+    # once every variable is set aside, every position holds a slack:
+    # `pytest --hypothesis-show-statistics` shows how often
+    event("every variable set aside" if len(solver._aside) == nvars else "a variable at a position")
 
 
-def _stored(label, nvars):
-    """(stored column, sign) of a label in the u/w numbering of
+def _column(label, nvars):
+    """(column id, sign) of a label in the u/w numbering of
     reference.TrackerSolver and of FractionKeySolver's Bland scan: u_j is
     column j, w_j is the negative of column j, and slack k (label
     2 * nvars + k) is column nvars + k."""
@@ -362,28 +386,30 @@ class FractionKeySolver(ReoptimizingSolver):
     the rows basic in a slack, the reference for the solver's integer
     cross-multiplication. The entering label is the first negative entry of
     the objective row written out over every label: u_j, then w_j = -u_j,
-    then the slacks, the reference for _entering; the pivot is at its
-    stored column. A stored row starts at column solver._off: once the
-    variable columns are dropped, they read 0 here."""
+    then the slacks, the reference for _entering; a column at no position
+    (basic or set aside) reads 0 there. The pivot is at the position of
+    the label's column."""
 
     def _simplex(self):
         rows, basis, rhs, nv = self._rows, self._basis, self._rhs, self._nv
-        off = self._off
         while True:
-            obj = [0] * off + self._obj
-            reduced = obj[:nv] + [-v for v in obj[:nv]] + obj[nv:rhs]
+            obj = [0] * rhs
+            for c, v in zip(self._cols, self._obj):
+                obj[c] = v
+            reduced = obj[:nv] + [-v for v in obj[:nv]] + obj[nv:]
             label = next((j for j, v in enumerate(reduced) if v < 0), None)
             if label is None:
                 return OPTIMAL
-            col, sign = _stored(label, nv)
+            col, sign = _column(label, nv)
+            at = self._cols.index(col)
             keys = [
-                ((Fraction(row[rhs - off], sign * row[col - off]), basis[i]), i)
+                ((Fraction(row[-1], sign * row[at]), basis[i]), i)
                 for i, row in enumerate(rows)
-                if sign * row[col - off] > 0 and basis[i] >= nv
+                if sign * row[at] > 0 and basis[i] >= nv
             ]
             if not keys:
                 return UNBOUNDED
-            self._pivot(min(keys)[1], col)
+            self._pivot(min(keys)[1], at)
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,9 +454,16 @@ def test_free_variables_never_leave_the_basis(system, data):
     assert all(b is None or b >= nvars for b in left)
 
 
+def _tableau_support(solver, row, den, basic):
+    """A tableau row as nonzero (column id, value) pairs: its positions,
+    its basic column, which reads its den, and the rhs."""
+    support = [(c, v) for c, v in zip(solver._cols, row) if v] + [(basic, den)]
+    return support + [(solver._rhs, row[-1])]
+
+
 def _row_holds(support, nvars, x0, ineqs, x):
-    """A stored row, read as sum v * column = rhs over the point x: a
-    variable column holds x_j - x0_j and slack k holds rhs_k - <g_k, x>."""
+    """A row in column ids, read as sum v * column = rhs over the point x:
+    a variable column holds x_j - x0_j and slack k holds rhs_k - <g_k, x>."""
     rhs_col = nvars + len(ineqs)
     total = Fraction(0)
     for j, v in support:
@@ -450,24 +483,27 @@ def test_set_aside_rows_stay_fixed(system, data):
     """After every pivot no tableau row is basic in a variable column, each
     variable is set aside at most once, and every set-aside row stays
     bit-identical to the row that left. Each holds as an equation at every
-    optimum, which is what _value_point back-substitutes. _pivot takes a
-    column id, stored or dropped layout alike, so col < nvars is a
-    variable entering; none enters once the variable columns are dropped,
-    and every stored row is then nvars integers narrower."""
+    optimum, which is what _value_point back-substitutes, and so does each
+    tableau row read with its basic column at its den. _pivot takes a
+    position, so the column entering is the one there before the pivot:
+    a variable is set aside, and every row keeps the nonbasic layout
+    (_check_layout). A start-basis pivot deletes its position, and a
+    simplex pivot keeps the width."""
     nvars, eqs, ineqs, x0 = system
     left = []
     original = ReoptimizingSolver._pivot
 
-    def recording(self, pi, col):
-        dropped = self._off == nvars > 0
-        original(self, pi, col)
+    def recording(self, pi, ps):
+        col, leaving, width = self._cols[ps], self._basis[pi], len(self._cols)
+        original(self, pi, ps)
         assert all(b is None or b >= nvars for b in self._basis)
         if col < nvars:
-            assert not dropped
             left.append(copy.deepcopy(self._aside[-1]))
         assert self._aside == left
-        width = nvars + len(ineqs) + 1 - self._off
-        assert all(len(row) == width for row in self._rows) and len(self._obj) == width
+        assert len(self._cols) == width - (leaving is None)
+        if leaving is not None:
+            assert self._cols[ps] == leaving
+        _check_layout(self)
 
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
@@ -483,6 +519,9 @@ def test_set_aside_rows_stay_fixed(system, data):
             assert len(set(cols)) == len(cols)
             if res.status == OPTIMAL:
                 for _, _, support in left:
+                    assert _row_holds(support, nvars, x0, ineqs, res.primal)
+                for row, den, b in zip(solver._rows, solver._dens, solver._basis):
+                    support = _tableau_support(solver, row, den, b)
                     assert _row_holds(support, nvars, x0, ineqs, res.primal)
 
 
@@ -557,56 +596,45 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     """Every pivot of small degenerate programs, with equations and
     fractional coefficients, leaves each tableau row, the set-aside row and
     the objective row with a positive denominator and gcd(den, *row) == 1.
-    A stored row holds one column per variable and per inequality handed
-    to the solver, plus the rhs, from the stored offset on: the width is
-    nvars - offset + len(ineqs) + 1, where the offset is 0 until every
-    variable has been set aside and nvars after. A set-aside row keeps its
-    support in column ids. The pivot row's basic column reads 1. The
-    objective row stays priced out: it is 0 at every basic column, the
-    set-aside ones included while they are stored (an equation row not
-    pivoted yet has none). Each system is solved once per objective and
-    then warm, every objective on one solver, so that the checks also run
-    after the variable columns are dropped."""
+    Each tableau row and the objective row hold one int per nonbasic
+    column plus the rhs (_check_layout): a start-basis pivot deletes its
+    position, and a simplex pivot puts the leaving column at the entering
+    one's position, so the width is nvars - (kept equations) + 1 once the
+    set-up is done. A set-aside row keeps its support in column ids, and
+    its basic column reads 1. The objective row stays priced out: a basic
+    or set-aside column has no position in it. Each system is solved once
+    per objective and then warm, every objective on one solver, so that
+    the checks also run once every variable has been set aside."""
     checked = []
     priced = []
-    dropped = []
+    slacks_only = []
     original = ReoptimizingSolver._pivot
     nvars = nineqs = None
 
-    def checking(self, pi, pc):
+    def checking(self, pi, ps):
         aside = len(self._aside)
-        original(self, pi, pc)
-        off = self._off
-        assert off in (0, nvars) and (off == 0 or len(self._aside) == nvars)
-        width = nvars - off + nineqs + 1
-        assert len(self._rows) == len(self._dens) == len(self._basis)
-        for row, den in zip(self._rows, self._dens):
-            assert den > 0 and gcd(den, *row) == 1
-            assert all(type(x) is int for x in row)
-            assert len(row) == width
-        if pc < self._nv:  # the pivot row was set aside as it stands
-            assert not off  # no variable enters after the drop
+        col, leaving, width = self._cols[ps], self._basis[pi], len(self._cols)
+        original(self, pi, ps)
+        _check_layout(self)
+        assert len(self._cols) == width - (leaving is None)
+        if col < self._nv:  # the pivot row was set aside as it stands
+            assert aside < nvars  # a variable enters only from a position
             assert len(self._aside) == aside + 1
-            col, den, support = self._aside[-1]
+            entered, den, support = self._aside[-1]
             row = dict(support)
-            assert col == pc and den > 0 and gcd(den, *row.values()) == 1
+            assert entered == col and den > 0 and gcd(den, *row.values()) == 1
             assert all(type(x) is int and x for x in row.values())
             assert list(row) == sorted(row) and max(row) < nvars + nineqs + 1
-            assert row[pc] == den  # basic column reads 1
+            assert row[col] == den  # basic column reads 1
+            assert leaving is None or leaving in row
         else:
             assert len(self._aside) == aside
-            assert self._rows[pi][pc - off] == self._dens[pi]  # basic column reads 1
+            assert self._basis[pi] == col and self._cols[ps] == leaving
             den = self._dens[pi]
-        obj, oden = self._obj, self._oden
-        assert oden > 0 and gcd(oden, *obj) == 1
-        assert all(type(x) is int for x in obj)
-        assert len(obj) == width
-        assert all(obj[b - off] == 0 for b in self._basis if b is not None)
-        assert all(obj[col - off] == 0 for col, _, _ in self._aside if col >= off)
         checked.append(max(self._dens + [den]))
-        priced.append(oden)
-        if off:
-            dropped.append(pc)
+        priced.append(self._oden)
+        if aside == nvars:
+            slacks_only.append(col)
 
     monkeypatch.setattr(ReoptimizingSolver, "_pivot", checking)
     h = Fraction(1, 2)
@@ -626,7 +654,7 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (-1, -2), (2, -1), (-1, 3), (1, 2)):
         res = warm.maximize(objective)
         assert certify(LinearProgram(MAX, objective, inequalities=boxed), res)
-    assert warm._off == nvars and dropped
+    assert len(warm._aside) == nvars and slacks_only
     eqs = (((Fraction(3, 2), -1, Fraction(1, 3)), Fraction(1, 2)), ((3, -2, Fraction(2, 3)), 1))
     ineqs = (
         ((1, 1, 1), 6), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
@@ -638,19 +666,20 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     lp = LinearProgram(MAX, (1, 2, 3), eqs, ineqs)
     res = solve(lp, (1, 1, 0))
     assert res.status == OPTIMAL and certify(lp, res)
-    dropped.clear()
+    slacks_only.clear()
     warm = ReoptimizingSolver(nvars, eqs, ineqs, (1, 1, 0))
     for objective in ((1, 2, 3), (3, 1, 0), (0, -1, 1), (-1, -1, -1), (1, 0, Fraction(1, 2))):
         res = warm.maximize(objective)
         assert res.status == OPTIMAL
         assert certify(LinearProgram(MAX, objective, eqs, ineqs), res)
-    assert warm._off == nvars and dropped
+    assert len(warm._aside) == nvars and slacks_only
+    assert len(warm._cols) == nvars - 1  # one of the two equations is kept
     assert checked and max(checked) > 1
     assert max(priced) > 1
 
 
 # x in [-4, 4], y <= 3, x + y <= 5: the first maximum brings both variables
-# into the basis, so the next solve drops the variable columns
+# into the basis, which drops both variable columns from the positions
 _WARM_INEQS = (((1, 0), 4), ((-1, 0), 4), ((0, 1), 3), ((1, 1), 5))
 
 
@@ -661,7 +690,9 @@ def _warm_pair(ineqs):
     reference = TrackerSolver(2, (), ineqs, (0, 0))
     res = solver.maximize((1, 1))
     assert res == reference.maximize((1, 1))
-    assert sorted(col for col, _, _ in solver._aside) == [0, 1] and solver._off == 0
+    assert sorted(col for col, _, _ in solver._aside) == [0, 1]
+    _check_layout(solver)
+    assert all(c >= 2 for c in solver._cols)  # every position holds a slack
     return solver, reference
 
 
@@ -677,13 +708,15 @@ def _same_and_certified(solver, reference, objective, sense, ineqs):
 
 
 def test_unbounded_after_the_drop():
-    """Every variable has entered; the next objective, min y, is unbounded
-    (nothing bounds y below), and the solve that finds it is the one that
-    drops the variable columns. Later solves go on from that basis."""
+    """Every variable has entered, so no variable column is at a position;
+    the next objective, min y, is unbounded (nothing bounds y below), found
+    over the slack positions alone. Later solves go on from that basis."""
     solver, reference = _warm_pair(_WARM_INEQS)
     res = _same_and_certified(solver, reference, (0, 1), MIN, _WARM_INEQS)
-    assert res.status == UNBOUNDED and solver._off == 2
-    assert all(len(row) == len(_WARM_INEQS) + 1 for row in solver._rows)
+    assert res.status == UNBOUNDED
+    _check_layout(solver)
+    # two slack positions (nvars, no equations) plus the rhs
+    assert all(len(row) == 3 for row in solver._rows)
     for objective, sense in (((1, 0), MAX), ((1, 1), MAX), ((1, -1), MIN), ((1, 0), MIN)):
         res = _same_and_certified(solver, reference, objective, sense, _WARM_INEQS)
         assert res.status == OPTIMAL
@@ -691,13 +724,14 @@ def test_unbounded_after_the_drop():
 
 
 def test_negative_optimum_after_the_drop():
-    """Every variable has entered; the next optimum, with y >= -3 added,
-    puts both variables at negative values, read by back-substitution
-    from slack-only tableau rows."""
+    """Every variable has entered, so no variable column is at a position;
+    the next optimum, with y >= -3 added, puts both variables at negative
+    values, read by back-substitution from slack-only tableau rows."""
     ineqs = _WARM_INEQS + (((0, -1), 3),)
     solver, reference = _warm_pair(ineqs)
     res = _same_and_certified(solver, reference, (1, 1), MIN, ineqs)
-    assert solver._off == 2
+    _check_layout(solver)
+    assert all(c >= 2 for c in solver._cols)
     assert res.status == OPTIMAL and res.value == -7 and res.primal == (-4, -3)
     res = _same_and_certified(solver, reference, (-1, -2), MAX, ineqs)
     assert res.value == 10 and res.primal == (-4, -3)
@@ -709,8 +743,8 @@ def test_unconstrained_variable_keeps_the_columns():
     """z's column is 0 in every constraint, so z never enters: an
     objective that reads z is unbounded before any pivot, and every other
     one leaves z at its start value. Not every variable is set aside, so
-    the solver never drops the variable columns, and its results still
-    match the reference layout."""
+    z's column keeps its position, and the results still match the
+    reference layout."""
     eqs = (((1, -1, 0), 0),)  # x = y
     ineqs = (((1, 1, 0), 6), ((-1, 0, 0), 2))
     start = (1, 1, Fraction(5, 2))
@@ -728,9 +762,11 @@ def test_unconstrained_variable_keeps_the_columns():
         else:
             assert res.status == OPTIMAL and res.primal[2] == Fraction(5, 2)
             assert certify(LinearProgram(sense, objective, eqs, ineqs), res)
-        assert 2 not in [col for col, _, _ in solver._aside] and solver._off == 0
+        assert 2 not in [col for col, _, _ in solver._aside] and 2 in solver._cols
+        _check_layout(solver)
     assert sorted(col for col, _, _ in solver._aside) == [0, 1]
-    assert all(len(row) == 3 + len(ineqs) + 1 for row in solver._rows)
+    # nvars less the one kept equation: z and a slack, plus the rhs
+    assert all(len(row) == 3 for row in solver._rows + [solver._obj])
 
 
 # the three rows of x = y: one independent equation and two dependent ones
@@ -748,17 +784,20 @@ _DEPENDENT_INEQS = (((1, 1, 0), 6), ((-1, 0, 0), 2), ((0, 0, 1), 3), ((0, 0, -1)
 )
 def test_full_results_after_value_queries_drop_the_columns(nvars, eqs, ineqs, start):
     """Value queries (maximum, minimum) build no dual but move the basis
-    like any solve; once they have brought every variable in and a solve
-    has dropped the variable columns, maximize and minimize still return
-    duals that certify accepts, one dual_eq entry per equation given, and
-    the value and point the value queries give from the same basis."""
+    like any solve; once they have brought every variable in, which drops
+    every variable column from the positions, maximize and minimize still
+    return duals that certify accepts (read from the slack positions), one
+    dual_eq entry per equation given, and the value and point the value
+    queries give from the same basis."""
     solver = ReoptimizingSolver(nvars, eqs, ineqs, start)
     queries = [(1,) * nvars, (1,) + (-1,) * (nvars - 1), (-1,) * nvars, (0,) * (nvars - 1) + (1,)]
     for k, objective in enumerate(queries):
         found = (solver.maximum if k % 2 else solver.minimum)(objective)
         assert found is not None
     assert len(solver._aside) == nvars
-    assert solver.maximum((1,) * nvars) is not None and solver._off == nvars
+    assert solver.maximum((1,) * nvars) is not None
+    _check_layout(solver)
+    assert all(c >= nvars for c in solver._cols)
     for objective in ((1,) * nvars, (-2,) + (1,) * (nvars - 1), (0,) * (nvars - 1) + (-1,)):
         for sense in (MAX, MIN):
             full = solver.maximize if sense == MAX else solver.minimize

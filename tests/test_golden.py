@@ -181,9 +181,11 @@ EF_SOLVE_ROW_UPDATE_CEILING = 30330
 
 # the integers those row updates pass through (len(row) summed over the
 # exact_lp._eliminate calls of the same 130 solves): a ceiling, so that a
-# tableau that keeps columns which are 0 in every row for good (the
-# variable columns, once every variable has entered) fails here
-EF_SOLVE_ROW_CELL_CEILING = 809334
+# tableau that stores a column it never needs to update (a basic column,
+# or a variable column once the variable has entered) fails here. The
+# nonbasic layout stores 11 positions plus the rhs per row on this lift:
+# 340980 integers in pivots and 99580 in the full-width pricing
+EF_SOLVE_ROW_CELL_CEILING = 440560
 
 
 def _sha256(text: str) -> str:

@@ -221,13 +221,13 @@ def test_value_queries_build_no_dual(monkeypatch):
     full = EfOptimizer(ef)
     expected = [full.solve(objective, sense) for objective, sense in queries]
     refuse_duals(monkeypatch)
-    pivot_rows, pivots = cyclift.exact_lp._pivot_rows, []
+    pivot, pivots = ReoptimizingSolver._pivot, []
 
-    def counting(rows, dens, pi, col):
-        pivots.append(col)
-        return pivot_rows(rows, dens, pi, col)
+    def counting(self, pi, ps):
+        pivots.append(ps)
+        pivot(self, pi, ps)
 
-    monkeypatch.setattr(cyclift.exact_lp, "_pivot_rows", counting)
+    monkeypatch.setattr(ReoptimizingSolver, "_pivot", counting)
     lean = EfOptimizer(ef)
     assert len(pivots) == len(ef.kept_equations) == 16
     for (objective, sense), res in zip(queries, expected):
