@@ -62,6 +62,7 @@ from .lifting import (
     factorization_from_ef,
     hull_ef,
     lift_objective,
+    pair_product_ef,
 )
 from .rational import format_rational, parse_rational
 
@@ -110,6 +111,7 @@ __all__ = [
     "independent_equations",
     "is_gale",
     "lift_objective",
+    "pair_product_ef",
     "parse_rational",
     "rank_bound",
     "size_bound_2d",

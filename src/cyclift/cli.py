@@ -4,6 +4,13 @@ Machine-readable data (CSV/JSON exports, result records) goes to stdout or
 the --out file and is byte-identical across runs with the same arguments;
 human-readable run reports and timings go to stderr. Exit codes: 0 success,
 1 verification failure (or an internal bug), 2 usage or domain error.
+
+ef prints its lift, so it builds the factorization lift, one equation per
+facet. minimize-poly prints only the LP optimum, so it takes the lift that
+is cheapest to build at the polynomial's own degree: the recursive lift at
+degree 2, the convex-hull lift where the trivial factorization wins, and
+elsewhere the product of the degree-2 equation rows (pair_product_ef),
+which verifies a degree-2 factorization and no facet of the polytope.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .lifting import (
     ef_to_json_dict,
     ef_to_text,
     hull_ef,
+    pair_product_ef,
 )
 from .rational import format_rational, parse_rational
 
@@ -307,16 +315,22 @@ def cmd_minimize_poly(args) -> int:
         values = {t: p(t) for t in range(1, n + 1)}
         best = min(values.values())
         argmin = [t for t in range(1, n + 1) if values[t] == best]
+    # the LP reads only the projection, so the lift is built at the
+    # polynomial's own degree (trailing zero coefficients add nothing to the
+    # objective), and above degree 2 with no facet of its polytope: the
+    # convex hull of the vertices where the trivial factorization wins, the
+    # product of the degree-2 equation rows elsewhere
+    lift_d = max(2, max((k for k, c in enumerate(coeffs) if c), default=0))
     with report.stage("build lift"):
-        # the LP reads only the projection, and where the trivial
-        # factorization wins its lift is the convex hull of the vertices
-        if trivial_wins(n, d):
-            ef = hull_ef(CyclicPolytope.standard(d, n))
+        if lift_d == 2:
+            ef = build_ef_2d(n)
+        elif trivial_wins(n, lift_d):
+            ef = hull_ef(CyclicPolytope.standard(lift_d, n))
         else:
-            ef = _construct_ef(n, d)
+            ef = pair_product_ef(n, lift_d)
     with report.stage("lifted LP"):
         optimizer = EfOptimizer(ef)
-        lp_value, _ = optimizer.minimize(coeffs[1:])
+        lp_value, _ = optimizer.minimize(coeffs[1 : lift_d + 1])
         lp_value += coeffs[0]
     match = lp_value == best
     payload = {

@@ -729,6 +729,24 @@ def _kron(vectors) -> tuple:
     return out
 
 
+def _tensor_alphas(alpha2, n: int, d: int) -> tuple:
+    """The alpha rows, in interval order, of the tensor construction of
+    P^d_[1,n] from the degree-2 alpha rows (ints) on [1, n - d % 2]: the
+    (d // 2)-fold Kronecker power of each, and for odd d two endpoint
+    blocks, (i - 1) times the power at i - 1 and (n - i) times the power at
+    i, each all zeros where its factor is 0."""
+    q = d // 2
+    powers = [_kron((a,) * q) for a in alpha2]
+    if d % 2 == 0:
+        return tuple(powers)
+    zero = (0,) * len(powers[0])
+    return tuple(
+        (zero if i == 1 else tuple(map((i - 1).__mul__, powers[i - 2])))
+        + (zero if i == n else tuple(map((n - i).__mul__, powers[i - 1])))
+        for i in range(1, n + 1)
+    )
+
+
 def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     """The tensor construction of P^d_[1,n], d >= 3 (module docstring;
     factorize_even(n, 1) runs it at d = 2), from the degree-2 integer core
@@ -741,17 +759,8 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     P = CyclicPolytope.standard(d, n)
     q = d // 2
     _, alpha2, beta2, den2, facets2 = _fold_factorization_2d(n - d % 2)
-    r = _size_2d(n - d % 2) ** q
-    powers = [_kron((a,) * q) for a in alpha2]
-    zero = (0,) * r
-    if d % 2 == 0:
-        rank, alphas = r, tuple(powers)
-    else:
-        rank, alphas = 2 * r, tuple(
-            (zero if i == 1 else tuple(map((i - 1).__mul__, powers[i - 2])))
-            + (zero if i == n else tuple(map((n - i).__mul__, powers[i - 1])))
-            for i in range(1, n + 1)
-        )
+    alphas = _tensor_alphas(alpha2, n, d)
+    zero = (0,) * _size_2d(n - d % 2) ** q
     # each degree-2 pair's numerators, and the same under the pair moved up
     # by one: an endpoint-1 facet's pairs lie on [2, n]
     by_pair = dict(zip((S.members for S in facets2), beta2))
@@ -771,7 +780,9 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
         nums.append(block)
         betas.append(public)
     ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
-    return NonnegFactorization._carrying(rank, alphas, tuple(betas), ints, facets, P)
+    return NonnegFactorization._carrying(
+        len(alphas[0]), alphas, tuple(betas), ints, facets, P
+    )
 
 
 def factorize(n: int, d: int) -> NonnegFactorization:

@@ -18,7 +18,11 @@ build_ef_2d walks too), with no lift built and no LP; factorization_from_ef
 is its test oracle.
 hull_ef builds the convex-hull lift directly, with no facet enumerated; it
 stands in for the lift of the trivial factorization where only the
-projection matters.
+projection matters. pair_product_ef stands in for the lift of the tensor
+construction (degree >= 3) the same way: its equations multiply the
+degree-2 facet rows verify kept, so no facet of the degree-d polytope is
+enumerated and no degree-d factorization is built or verified. ef keeps
+ef_from_factorization's lift, whose equations it prints, one per facet.
 EfOptimizer hands a lift's equations to exact_lp.ReoptimizingSolver, which
 reduces them again (independent_equations, re-exported here) and checks
 them at its start. Its maximize and minimize ask the solver for the value
@@ -38,7 +42,13 @@ from dataclasses import dataclass, replace
 from .errors import DomainError
 from .exact_lp import _ZERO, MAX, MIN, UNBOUNDED, LPResult, ReoptimizingSolver
 from .exact_lp import independent_equations  # noqa: F401 (re-exported)
-from .factorization import NonnegFactorization, verify
+from .factorization import (
+    NonnegFactorization,
+    _kron,
+    _tensor_alphas,
+    factorize_2d,
+    verify,
+)
 from .geometry import (
     REFLECT,
     CyclicPolytope,
@@ -248,6 +258,87 @@ def ef_from_factorization(
     eqs = tuple((f.a + tuple(beta), f.b) for f, beta in zip(M.inequalities, F.beta))
     wits = {i: vertex(P, i) + tuple(F.alpha[i - P.interval.t1]) for i in P.interval.indices()}
     return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P, report.kept)
+
+
+def _poly_mul(a, b) -> list:
+    """The product of two polynomials, coefficients lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _shifted(c) -> list:
+    """The coefficients of c(t - 1), by Horner's rule in t - 1."""
+    acc = [c[-1]]
+    for x in reversed(c[:-1]):
+        acc = _poly_mul(acc, (-1, 1))
+        acc[0] += x
+    return acc
+
+
+def _product_equation(poly, beta) -> tuple:
+    """poly(x) = <beta, y>, poly's t^k read as x_k, in the form
+    ef_from_factorization writes: <-poly[1:], x> + <beta, y> = poly[0]."""
+    return tuple(-c for c in poly[1:]) + tuple(beta), poly[0]
+
+
+def pair_product_ef(n: int, d: int) -> ExtendedFormulation:
+    """The lift of P^d_[1,n] from the degree-2 equation rows, with no facet
+    of P enumerated and no degree-d factorization built.
+
+    F2 = factorize_2d(N), N = n - d % 2, is checked by verify against the
+    slack matrix of P^2_[1,N]; a failure is a DomainError. Each facet row
+    verify kept is a polynomial and a beta: den * (b - a1 t - a2 t^2) and
+    the beta numerators over den (int_vectors), so that the polynomial at
+    each vertex i is <beta, alpha_i>. The equations multiply these rows the
+    way the tensor construction multiplies facets (factorization module
+    docstring). For d = 2q, one equation per ordered q-tuple of kept rows:
+    the product of their polynomials (t^k read as x_k) equals the Kronecker
+    product of their betas against y. For odd d, each such row twice, on
+    disjoint y coordinates: (t - 1) c(t - 1) on the endpoint-1 block and
+    (n - t) c(t) on the endpoint-n block, for the product c. The
+    inequalities are y >= 0 and the witness above vertex i is
+    (v_i, alpha_i), alpha_i the tensor construction's alpha row, so every
+    equation holds on it by multilinearity.
+
+    Its projection is P: each degree-2 facet row lies in the span of the
+    kept rows, so each facet equation of ef_from_factorization(P,
+    factorize_even/odd) is a combination of these equations, over the same
+    y, and its beta is >= 0. ef and factorize keep the facet lift, whose
+    equations they print; this one serves minimize-poly, which reads only
+    the LP optimum.
+    """
+    P = CyclicPolytope.standard(d, n)
+    N = n - d % 2
+    F2 = factorize_2d(N)
+    M2 = slack_matrix(CyclicPolytope.standard(2, N))
+    report = verify(M2, F2)
+    if not report.ok:
+        raise DomainError("factorization does not verify against the slack matrix")
+    ints = F2.int_vectors()
+    rows = []
+    for j in report.kept:
+        f = M2.inequalities[j]
+        beta, den = ints[N + j]
+        rows.append(((f.b * den, -f.a[0] * den, -f.a[1] * den), beta))
+    products = rows
+    for _ in range(d // 2 - 1):
+        products = [
+            (_poly_mul(p, p2), _kron((b, b2))) for p, b in products for p2, b2 in rows
+        ]
+    if d % 2 == 0:
+        eqs = [_product_equation(p, b) for p, b in products]
+    else:
+        zero = (0,) * len(products[0][1])
+        eqs = [_product_equation(_shifted([0, *p]), b + zero) for p, b in products]
+        eqs += [_product_equation(_poly_mul((n, -1), p), zero + b) for p, b in products]
+    alphas = _tensor_alphas(F2.alpha, n, d)
+    variables, ineqs = _xy_system(d, len(alphas[0]))
+    wits = {i: vertex(P, i) + a for i, a in zip(P.interval.indices(), alphas)}
+    return ExtendedFormulation(Polyhedron(variables, tuple(eqs), ineqs), wits, P)
 
 
 def hull_ef(P: CyclicPolytope) -> ExtendedFormulation:

@@ -16,6 +16,7 @@ import cyclift.factorization
 import cyclift.geometry
 import cyclift.lifting
 from cyclift.cli import main
+from cyclift.lifting import EfOptimizer
 from cyclift.exact_lp import ReoptimizingSolver
 from cyclift.factorization import NonnegFactorization, verify
 from cyclift.geometry import GaleSet, SlackMatrix, slack_matrix
@@ -630,6 +631,84 @@ def test_minimize_poly_builds_no_dual(capsys, monkeypatch):
             assert rc == 0 and json.loads(out)["match"] is True
             h.update(out.encode())
     assert h.hexdigest() == MINPOLY_GRID_DIGEST
+
+
+def _lifts(monkeypatch):
+    """Record (target degree, size) of each lift an optimizer is built over."""
+    lifts = []
+
+    class Recording(EfOptimizer):
+        def __init__(self, ef):
+            lifts.append((ef.target.d, ef.size))
+            super().__init__(ef)
+
+    monkeypatch.setattr(cyclift.cli, "EfOptimizer", Recording)
+    return lifts
+
+
+# the stdout of the degree-2 polynomial 5 - 3t + t^2 written with two
+# trailing zero coefficients: "degree" is the count of coefficients less one
+TRAILING_ZEROS_STDOUT = (
+    '{\n  "n": 6,\n  "degree": 4,\n  "coefficients": [\n    "5",\n    "-3",\n'
+    '    "1",\n    "0",\n    "0"\n  ],\n  "minimum": "3",\n  "argmin": [\n    1,\n'
+    '    2\n  ],\n  "lp_minimum": "3",\n  "match": true\n}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "coeffs, n, lifted",
+    [
+        ("5,-3,1,0,0", 6, (2, 6)),
+        ("0,0,0", 5, (2, 5)),
+        ("0,0,0,0,0", 9, (2, 7)),
+        # structured at degree 3 (rank 20), trivial at degree 5
+        ("5,-7,0,1,0,0", 27, (3, 20)),
+        ("5,-7,0,1,0", 9, (3, 9)),
+        ("1,0,0,0,-2,0,0", 20, (4, 20)),
+    ],
+)
+def test_minimize_poly_lifts_at_the_true_degree(capsys, monkeypatch, coeffs, n, lifted):
+    """The lift, and the choice between the hull and the structured one,
+    are at the degree of the polynomial, at least 2, not at the count of
+    coefficients less one; the printed bytes do not change."""
+    lifts = _lifts(monkeypatch)
+    rc, out, _ = run(capsys, "minimize-poly", "--coeffs", coeffs, "--n", str(n))
+    assert rc == 0 and json.loads(out)["match"] is True
+    assert lifts == [lifted]
+    if coeffs == "5,-3,1,0,0":
+        assert out == TRAILING_ZEROS_STDOUT
+
+
+@pytest.mark.parametrize("n", [27, 76])
+def test_structured_minimize_poly_lifts_from_degree_2(capsys, monkeypatch, n):
+    """At degree 3 on the structured route, minimize-poly enumerates the
+    facets of degree-2 polytopes only, builds no degree-3 factorization
+    and verifies once, a degree-2 factorization."""
+    enumerated, verified = [], []
+    enumerate_facets, check = cyclift.geometry.enumerate_facets, cyclift.factorization.verify
+
+    def counting_enumeration(P):
+        enumerated.append(P.d)
+        return enumerate_facets(P)
+
+    def counting_verify(M, F):
+        verified.append(M.polytope.d)
+        return check(M, F)
+
+    def refuse(*args):
+        raise AssertionError("built a degree-3 factorization")
+
+    for module in (cyclift.geometry, cyclift.factorization, cyclift.lifting, cyclift.cli):
+        if getattr(module, "enumerate_facets", None) is enumerate_facets:
+            monkeypatch.setattr(module, "enumerate_facets", counting_enumeration)
+        if getattr(module, "verify", None) is check:
+            monkeypatch.setattr(module, "verify", counting_verify)
+    for name in ("factorize", "factorize_odd", "_tensor_factorization", "trivial_factorization"):
+        monkeypatch.setattr(cyclift.factorization, name, refuse)
+    rc, out, _ = run(capsys, "minimize-poly", "--coeffs", "5,-7,0,1", "--n", str(n))
+    assert rc == 0 and json.loads(out)["match"] is True
+    assert verified == [2]
+    assert enumerated and set(enumerated) == {2}
 
 
 def test_minimize_poly_coefficients_take_ascii_padding_only(capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import cyclift
 import cyclift.exact_lp
 import cyclift.lifting
 from cyclift.errors import DomainError, InternalError
+from cyclift.rational import reduce_rows, scaled_ints
 from cyclift.exact_lp import MAX, MIN, OPTIMAL, LinearProgram, ReoptimizingSolver, certify, solve
 from cyclift.factorization import (
     factorize,
@@ -44,6 +46,7 @@ from cyclift.lifting import (
     hull_ef,
     independent_equations,
     lift_objective,
+    pair_product_ef,
 )
 
 from reference import _rank, consistent, independent_rows, vertex_maximum
@@ -348,11 +351,14 @@ def test_hull_ef_optima_match_vertex_scan_and_certify(query):
 @st.composite
 def warm_lift_queries(draw):
     """(kind, d, t1, t2, objectives): a convex-hull lift over a random
-    interval, negative ones included, or a factorization lift or the
-    degree-2 fold lift on [1, n], with 1 to 4 objectives for one warm
-    optimizer."""
-    kind = draw(st.sampled_from(("hull", "factorization", "fold")))
-    d = 2 if kind == "fold" else draw(st.integers(2, 5))
+    interval, negative ones included, or a factorization lift, the
+    degree-2 fold lift or a pair-product lift on [1, n], with 1 to 4
+    objectives for one warm optimizer."""
+    kind = draw(st.sampled_from(("hull", "factorization", "fold", "pair product")))
+    if kind == "fold":
+        d = 2
+    else:
+        d = draw(st.integers(3 if kind == "pair product" else 2, 5))
     if kind == "hull":
         t1 = draw(st.integers(-20, 20))
         t2 = t1 + draw(st.integers(d, d + 8))
@@ -374,6 +380,8 @@ def test_warm_lift_optima_match_vertex_scan_and_certify(query):
         ef = hull_ef(P)
     elif kind == "fold":
         ef = build_ef_2d(t2)
+    elif kind == "pair product":
+        ef = pair_product_ef(t2, d)
     else:
         ef = ef_from_factorization(P, factorize(t2, d))
     lifted = ef.lifted
@@ -390,6 +398,72 @@ def test_warm_lift_optima_match_vertex_scan_and_certify(query):
                 sense, lift_objective(ef, objective), lifted.equations, lifted.inequalities
             )
             assert certify(lp, res)
+
+
+# ------------------------------------------------------ pair-product lift
+
+
+PAIR_PRODUCT_SIZES = [(d, n) for d in (3, 4, 5) for n in range(d + 1, LIFT_N_CAP[d] + 1)]
+
+
+@pytest.mark.parametrize("d, n", PAIR_PRODUCT_SIZES)
+def test_pair_product_optima_match_vertex_scan(d, n):
+    ef = pair_product_ef(n, d)
+    optimizer = EfOptimizer(ef)
+    rng = random.Random(f"{d}/{n}")
+    for _ in range(6):
+        objective = tuple(rng.randint(-9, 9) for _ in range(d))
+        assert optimizer.maximize(objective)[0] == vertex_maximum(objective, d, 1, n)
+        low = optimizer.minimize(objective)[0]
+        assert low == -vertex_maximum([-c for c in objective], d, 1, n)
+
+
+@pytest.mark.parametrize("d, n", PAIR_PRODUCT_SIZES)
+def test_pair_product_witnesses_satisfy_every_product_row(d, n):
+    """Each witness is its vertex above the tensor construction's alpha
+    row, and lies in the lift: every product equation, every y >= 0."""
+    ef = pair_product_ef(n, d)
+    P = ef.target
+    F = (factorize_odd if d % 2 else factorize_even)(n, d // 2)
+    assert P == CyclicPolytope.standard(d, n) and ef.size == F.rank
+    assert sorted(ef.witnesses) == list(range(1, n + 1))
+    for i, alpha in zip(P.interval.indices(), F.alpha):
+        assert ef.witnesses[i] == vertex(P, i) + alpha
+        assert ef.lifted.contains(ef.witnesses[i])
+
+
+def _row_rank(rows):
+    """The rank of rational rows, each scaled to integers first."""
+    ints = [scaled_ints(row)[0] for row in rows]
+    return sum(pivot is not None for pivot, _ in reduce_rows(ints))
+
+
+@pytest.mark.parametrize("d, n", PAIR_PRODUCT_SIZES)
+def test_pair_product_rows_span_the_facet_lift(d, n):
+    """Every facet equation of the factorization lift is a combination of
+    the product rows, over the same variables; the product rows are
+    independent, so the LP drops none of them."""
+    P = CyclicPolytope.standard(d, n)
+    facet_lift = ef_from_factorization(P, (factorize_odd if d % 2 else factorize_even)(n, d // 2))
+    ef = pair_product_ef(n, d)
+    assert ef.lifted.variables == facet_lift.lifted.variables
+    assert ef.lifted.inequalities == facet_lift.lifted.inequalities
+    ours, theirs = _equation_rows(ef), _equation_rows(facet_lift)
+    assert _row_rank(ours) == len(ours) == _row_rank(ours + theirs)
+
+
+def test_pair_product_degree_2_input_is_gated(monkeypatch):
+    """A degree-2 factorization that does not verify builds no lift."""
+    original = cyclift.lifting.factorize_2d
+
+    def perturbed(n):
+        F = original(n)
+        first = (F.beta[0][0] + 1,) + F.beta[0][1:]
+        return replace(F, beta=(first,) + F.beta[1:])
+
+    monkeypatch.setattr(cyclift.lifting, "factorize_2d", perturbed)
+    with pytest.raises(DomainError, match="does not verify"):
+        pair_product_ef(12, 3)
 
 
 # ------------------------------------------------- factorization -> lift
