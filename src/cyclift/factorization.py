@@ -15,7 +15,7 @@ Two constructions live here:
   read off the lift.
 - the tensor construction, d >= 3 (factorize_even, factorize_odd): each
   facet is d // 2 pairs, facets of the degree-2 polytope, plus for odd d
-  an endpoint (geometry.facet_pairs), and its slack is the product of
+  an endpoint (geometry.facets_with_pairs), and its slack is the product of
   theirs. Factorizations multiply through such entrywise products
   (hadamard_combine), so beta_S is the Kronecker product of the degree-2
   betas of S's pairs, in order, and alpha_i the (d // 2)-fold Kronecker
@@ -56,7 +56,7 @@ from .geometry import (
     enumerate_facets,
     facet_count,
     facet_inequality,
-    facet_pairs,
+    facets_with_pairs,
     fold_chain,
     slack_matrix,
 )
@@ -344,15 +344,16 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     """Exact check that F reproduces M with nonnegative vectors.
 
     Entry (i, S) of M is b_S - <a_S, v_i> = <(1, i, ..., i^d), (b_S, -a_S)>
-    for the facet inequality <a_S, x> <= b_S (M.inequalities), so F
-    reproduces every entry exactly when each vertex row
-    [alpha_i | -(1, i, ..., i^d)] is orthogonal to each facet row
-    [beta_S | b_S, -a_S]. The facet rows, on F.int_vectors(), are reduced
-    to an independent basis (rational.reduce_rows), and each vertex row is
-    tested against the whole basis with one exact dot product
-    (_first_non_orthogonal): O(m k^2) integer work for the reduction and
-    O(n k) products for the vertex rows, for n vertices, m facets and
-    k = rank + d + 1, with no slack entry built. first_mismatch is
+    for the facet inequality <a_S, x> <= b_S, and (b_S, -a_S) is S's slack
+    polynomial (M.polynomials, read off its pairs), so F reproduces every
+    entry exactly when each vertex row [alpha_i | -(1, i, ..., i^d)] is
+    orthogonal to each facet row [beta_S | b_S, -a_S]. The facet rows, on
+    F.int_vectors(), are reduced to an independent basis
+    (rational.reduce_rows), and each vertex row is tested against the
+    whole basis with one exact dot product (_first_non_orthogonal):
+    O(m k^2) integer work for the reduction and O(n k) products for the
+    vertex rows, for n vertices, m facets and k = rank + d + 1, with no
+    slack entry built. first_mismatch is
     (vertex index, facet, expected, got) for the first differing entry,
     scanning rows then columns; only the first row that fails the basis
     test is scanned entry by entry.
@@ -396,10 +397,9 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     for nums, _ in ints:
         if nums and min(nums) < 0:
             return VerificationReport(False, F.rank, bound, None)
-    # facet inequalities have integer a and b
+    # the slack polynomials have integer coefficients
     facet_rows = [
-        [*bi, f.b * db, *[-c * db for c in f.a]]
-        for f, (bi, db) in zip(M.inequalities, ints[F.n_rows :])
+        [*bi, *map(db.__mul__, poly)] for poly, (bi, db) in zip(M.polynomials, ints[F.n_rows :])
     ]
     kept, basis = [], []
     for at, (pivot, row) in enumerate(reduce_rows(facet_rows)):
@@ -750,8 +750,8 @@ def _tensor_alphas(alpha2, n: int, d: int) -> tuple:
 def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     """The tensor construction of P^d_[1,n], d >= 3 (module docstring;
     factorize_even(n, 1) runs it at d = 2), from the degree-2 integer core
-    on [1, n - d % 2] and each facet's facet_pairs: a beta's product block
-    is the Kronecker product of its pairs' numerators over den2**q, den2
+    on [1, n - d % 2] and each facet's pairs from facets_with_pairs: a
+    beta's product block is the Kronecker product of its pairs' numerators over den2**q, den2
     the denominator the degree-2 betas share, and every alpha entry is an
     int. The public beta is built from those numerators, every zero of a
     product block the shared Fraction(0) and an odd degree's empty
@@ -767,10 +767,9 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     moved = {(a + 1, b + 1): v for (a, b), v in by_pair.items()}
     den = den2**q
     values = _Values(den)
-    facets = enumerate_facets(P)
-    nums, betas = [], []
-    for S in facets:
-        endpoint, pairs = facet_pairs(S, P)
+    facets, nums, betas = [], [], []
+    for members, endpoint, pairs in facets_with_pairs(P):
+        facets.append(GaleSet(members))
         block = _kron([(moved if endpoint == 1 else by_pair)[pair] for pair in pairs])
         public = tuple(map(values.__getitem__, block))
         if endpoint == 1:
@@ -781,7 +780,7 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
         betas.append(public)
     ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
     return NonnegFactorization._carrying(
-        len(alphas[0]), alphas, tuple(betas), ints, facets, P
+        len(alphas[0]), alphas, tuple(betas), ints, tuple(facets), P
     )
 
 

@@ -7,11 +7,14 @@ A cyclic polytope P^d_[t1,t2] is the convex hull of the moment-curve points
   evenness condition): an even-degree facet is d/2 facets of the degree-2
   polytope, adjacent pairs {p, p + 1} or {t1, t2}, and an odd-degree
   facet is an endpoint plus an even-degree facet of the rest,
+- generate every facet in order together with that endpoint and those
+  pairs (facets_with_pairs, the one facet source: the enumeration, the
+  slack matrix's columns and the tensor-product factorization read it),
+  or split a given facet into them (facet_pairs),
 - evaluate the slack matrix exactly: entry (i, S) is prod_{j in S} |j - i|,
 - turn a facet S into a valid inequality <a, x> <= b whose slacks at the
-  vertices reproduce the slack-matrix column of S, one factor per pair,
-- split a facet into that endpoint and those pairs (facet_pairs, the
-  decomposition the tensor-product factorization is built over),
+  vertices reproduce the slack-matrix column of S, one factor per pair:
+  its slack polynomial, which the slack matrix keeps per column,
 - halve an interval the way the degree-2 lift folds it (fold_chain), so
   the lift, its factorization and the rank formulas walk one recursion.
 
@@ -21,10 +24,12 @@ coefficients are ints or fractions.Fraction. No floating point.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import neg
 
 from .errors import DomainError
 from .rational import format_rational
@@ -187,31 +192,46 @@ def facet_pairs(S, P: CyclicPolytope) -> tuple:
     return split
 
 
-def _pair_unions(lo: int, hi: int, q: int):
-    """Unions of q disjoint adjacent pairs {p, p + 1} inside [lo, hi], as
-    sorted tuples: the k-th pair starts at c_k + k for c_0 < ... < c_{q-1}."""
+def _pair_runs(lo: int, hi: int, q: int):
+    """Each union of q disjoint adjacent pairs {p, p + 1} inside [lo, hi],
+    in lexicographic order of its members: (members, pairs), the k-th pair
+    starting at c_k + k for c_0 < ... < c_{q-1}."""
     for cs in combinations(range(lo, hi - q + 1), q):
-        yield tuple(m for k, c in enumerate(cs) for m in (c + k, c + k + 1))
+        pairs = tuple((c + k, c + k + 1) for k, c in enumerate(cs))
+        yield tuple(chain.from_iterable(pairs)), pairs
 
 
-def enumerate_facets(P: CyclicPolytope) -> tuple[GaleSet, ...]:
-    """All facets of P, as GaleSets in lexicographic order of their members.
+def facets_with_pairs(P: CyclicPolytope):
+    """(members, endpoint, pairs) for each facet of P, members in
+    lexicographic order and (endpoint, pairs) its facet_pairs.
 
-    Generates _split's pair decomposition instead of filtering d-subsets,
-    one family per term of facet_count. Even d: unions of d/2 adjacent
-    pairs, and {t1, t2} around d/2 - 1 inner pairs. Odd d: t1 plus pairs
-    in [t1 + 1, t2], and pairs in [t1, t2 - 1] plus t2.
+    One family per term of facet_count, each generated in sorted order and
+    merged, with nothing sorted or split. Even d: unions of d/2 adjacent
+    pairs, and {t1, t2} around d/2 - 1 inner pairs. Odd d: t1 plus pairs in
+    [t1 + 1, t2], and pairs in [t1, t2 - 1] plus t2, read from t1 when they
+    hold it (facet_pairs): the pair spanning [t1 + 1, t2], then the rest.
     """
     d, q = P.d, P.d // 2
     t1, t2 = P.interval.t1, P.interval.t2
     if d % 2 == 0:
-        out = list(_pair_unions(t1, t2, q))
-        out.extend((t1,) + u + (t2,) for u in _pair_unions(t1 + 1, t2 - 1, q - 1))
-    else:
-        out = [(t1,) + u for u in _pair_unions(t1 + 1, t2, q)]
-        out.extend(u + (t2,) for u in _pair_unions(t1, t2 - 1, q))
-    out.sort()
-    return tuple(map(GaleSet, out))
+        adjacent = ((m, None, pairs) for m, pairs in _pair_runs(t1, t2, q))
+        spanning = (
+            ((t1, *m, t2), None, ((t1, t2), *pairs))
+            for m, pairs in _pair_runs(t1 + 1, t2 - 1, q - 1)
+        )
+        return heapq.merge(adjacent, spanning)
+    low = (((t1, *m), t1, pairs) for m, pairs in _pair_runs(t1 + 1, t2, q))
+    high = (
+        ((*m, t2), t1, ((t1 + 1, t2), *pairs[1:])) if m[0] == t1 else ((*m, t2), t2, pairs)
+        for m, pairs in _pair_runs(t1, t2 - 1, q)
+    )
+    return heapq.merge(low, high)
+
+
+def enumerate_facets(P: CyclicPolytope) -> tuple[GaleSet, ...]:
+    """All facets of P, as GaleSets in lexicographic order of their
+    members: the sets of facets_with_pairs."""
+    return tuple(GaleSet(members) for members, _, _ in facets_with_pairs(P))
 
 
 def facet_count(P: CyclicPolytope) -> int:
@@ -238,9 +258,9 @@ def _slack_product(i: int, members: tuple[int, ...]) -> int:
 @dataclass(frozen=True)
 class SlackMatrix:
     """Rows indexed by vertices (interval order), columns by facets
-    (lexicographic order); entries are exact nonnegative ints. The columns,
-    the entries and the facet inequalities are computed on first read and
-    cached."""
+    (lexicographic order); entries are exact nonnegative ints. The columns
+    and their slack polynomials, the entries and the facet inequalities
+    are computed on first read and cached."""
 
     polytope: CyclicPolytope
 
@@ -250,7 +270,21 @@ class SlackMatrix:
 
     @cached_property
     def columns(self) -> tuple[GaleSet, ...]:
-        return enumerate_facets(self.polytope)
+        columns, polynomials = [], []
+        t2 = self.polytope.interval.t2
+        for members, endpoint, pairs in facets_with_pairs(self.polytope):
+            columns.append(GaleSet(members))
+            polynomials.append(_slack_polynomial(endpoint, pairs, t2))
+        self.__dict__["polynomials"] = tuple(polynomials)
+        return tuple(columns)
+
+    @cached_property
+    def polynomials(self) -> tuple[tuple[int, ...], ...]:
+        """Each column's slack polynomial sigma * p_S (facet_inequality),
+        integer coefficients lowest degree first, so that entry (i, S) is
+        its value at i. Found with the columns, from each facet's pairs."""
+        self.columns  # sets both
+        return self.__dict__["polynomials"]
 
     @property
     def n_cols(self) -> int:
@@ -262,23 +296,32 @@ class SlackMatrix:
         Once the columns are computed, labels are compared with them. Before
         that, GaleSets in strictly increasing order, each a facet of the
         polytope, facet_count of them, are the sorted list of every facet,
-        which is the enumeration itself: they become the columns, and their
-        inequalities the inequalities, with no facet enumerated.
+        which is the enumeration itself: they become the columns, with no
+        facet enumerated. Each label is checked on its own, its length and
+        interval bounds and then one split into its pairs, which give its
+        slack polynomial; a refused list stores nothing.
         """
         labels = tuple(labels)
         if "columns" in self.__dict__:
             return labels == self.columns
         P = self.polytope
-        if len(labels) != facet_count(P) or not all(isinstance(S, GaleSet) for S in labels):
+        if len(labels) != facet_count(P):
             return False
-        if any(a.members >= b.members for a, b in zip(labels, labels[1:])):
-            return False
-        try:  # a DomainError for anything that is not a facet of P
-            inequalities = tuple(facet_inequality(P, S) for S in labels)
-        except DomainError:
-            return False
+        d, t1, t2 = P.d, P.interval.t1, P.interval.t2
+        polynomials, previous = [], ()
+        for S in labels:
+            if not isinstance(S, GaleSet):
+                return False
+            members = S.members  # strictly increasing: no duplicate
+            if members <= previous or len(members) != d or members[0] < t1 or members[-1] > t2:
+                return False
+            split = _split(members, t1, t2)
+            if split is None:
+                return False
+            polynomials.append(_slack_polynomial(*split, t2))
+            previous = members
         self.__dict__["columns"] = labels
-        self.__dict__["inequalities"] = inequalities
+        self.__dict__["polynomials"] = tuple(polynomials)
         return True
 
     def row(self, k: int) -> tuple[int, ...]:
@@ -292,9 +335,9 @@ class SlackMatrix:
 
     @cached_property
     def inequalities(self) -> tuple[FacetInequality, ...]:
-        """facet_inequality of each column, computed on first read and
-        cached: entry (i, S) is the slack of vertex i in S's inequality."""
-        return tuple(facet_inequality(self.polytope, S) for S in self.columns)
+        """facet_inequality of each column, read off its polynomial:
+        entry (i, S) is the slack of vertex i in S's inequality."""
+        return tuple(map(_inequality, self.polynomials))
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(e) for e in row) for row in self.entries) + "\n"
@@ -329,17 +372,29 @@ def facet_inequality(P: CyclicPolytope, S) -> FacetInequality:
     and for the endpoint t2, +1 otherwise, and the slack is prod |j - i|.
     """
     endpoint, pairs = facet_pairs(S, P)
-    flips = (endpoint == P.interval.t2) + sum(q != p + 1 for p, q in pairs)
-    sigma = -1 if flips % 2 else 1
-    # sigma * p_S, the coefficient of t^k at position k
-    coeffs = [sigma] if endpoint is None else [-sigma * endpoint, sigma]
-    for p, q in pairs:  # times t^2 - (p + q) t + p q
+    return _inequality(_slack_polynomial(endpoint, pairs, P.interval.t2))
+
+
+def _slack_polynomial(endpoint, pairs, t2: int) -> tuple[int, ...]:
+    """sigma * p_S (facet_inequality) of the facet split as (endpoint,
+    pairs) on an interval ending at t2, lowest degree first."""
+    flips = endpoint == t2
+    coeffs = [1] if endpoint is None else [-endpoint, 1]
+    for p, q in pairs:  # times t^2 + s t + m
+        flips += q != p + 1
         s, m = -(p + q), p * q
-        coeffs = [
-            m * c0 + s * c1 + c2
-            for c0, c1, c2 in zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)
-        ]
-    return FacetInequality(tuple(-c for c in coeffs[1:]), coeffs[0])
+        product, c1, c2 = [], 0, 0  # c1, c2: the coefficients of t^(k-1), t^(k-2)
+        for c in coeffs:
+            product.append(m * c + s * c1 + c2)
+            c1, c2 = c, c1
+        product += (s * c1 + c2, c1)
+        coeffs = product
+    return tuple(coeffs) if flips % 2 == 0 else tuple(map(neg, coeffs))
+
+
+def _inequality(polynomial) -> FacetInequality:
+    """The inequality whose slack at v_i is the polynomial's value at i."""
+    return FacetInequality(tuple(-c for c in polynomial[1:]), polynomial[0])
 
 
 REFLECT, SHEAR = "reflect", "shear"

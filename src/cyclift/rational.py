@@ -98,6 +98,9 @@ def reduce_rows(rows, width=None):
                     row = [x * scale for x in row]
                 for j, v in support:
                     row[j] -= f * v
+        if not any(row):  # nearly every row verify reduces
+            yield None, row
+            continue
         limit = len(row) if width is None else width
         pivot = next((j for j in range(limit) if row[j]), None)
         if pivot is None:

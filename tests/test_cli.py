@@ -352,17 +352,31 @@ def test_verify_command_verifies_once(capsys, monkeypatch, tmp_path):
 
 
 def _count_enumerations(monkeypatch):
-    """Record the point count of each polytope whose facets are enumerated."""
-    seen = []
-    original = cyclift.geometry.enumerate_facets
+    """Record the point count of each polytope whose facets are enumerated,
+    by enumerate_facets or by the facet source it wraps, facets_with_pairs,
+    which a slack matrix's columns and the tensor build read directly: one
+    record per enumeration, none for the source's call inside
+    enumerate_facets."""
+    seen, inside = [], []
 
-    def counting(P):
-        seen.append(P.n)
-        return original(P)
+    def counting(original):
+        def enumerate_counted(P):
+            if not inside:
+                seen.append(P.n)
+            inside.append(P)
+            try:
+                return original(P)
+            finally:
+                inside.pop()
 
-    for module in (cyclift.geometry, cyclift.factorization, cyclift.lifting, cyclift.cli):
-        if getattr(module, "enumerate_facets", None) is original:
-            monkeypatch.setattr(module, "enumerate_facets", counting)
+        return enumerate_counted
+
+    for name in ("enumerate_facets", "facets_with_pairs"):
+        original = getattr(cyclift.geometry, name)
+        wrapper = counting(original)
+        for module in (cyclift.geometry, cyclift.factorization, cyclift.lifting, cyclift.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
     return seen
 
 

@@ -3,9 +3,10 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cyclift.factorization
@@ -35,13 +36,14 @@ from cyclift.geometry import (
     GaleSet,
     Interval,
     enumerate_facets,
+    facet_inequality,
     facet_pairs,
     slack_matrix,
 )
 from cyclift.lifting import build_ef_2d, ef_from_factorization
 from cyclift.rational import parse_rational, scaled_ints
 
-from reference import first_mismatch
+from reference import first_mismatch, gale_ok
 from test_cli import MALFORMED
 from test_golden import FACTORIZE_2D_SWEEP, FACTORIZE_TENSOR_SWEEP
 
@@ -185,6 +187,24 @@ def test_verify_refuses_a_wrong_shape_before_enumerating_facets(
     assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [lambda P, F: verify(slack_matrix(P), F), ef_from_factorization],
+    ids=["verify", "ef_from_factorization"],
+)
+def test_verify_refuses_a_wrong_shape_before_generating_facets(monkeypatch, check):
+    """Nor is facets_with_pairs, which a matrix's columns read, reached."""
+    P = CyclicPolytope.standard(20, 30000)
+    F = factorize(9, 2)
+
+    def refuse(P):
+        raise AssertionError("facets were generated")
+
+    monkeypatch.setattr(cyclift.geometry, "facets_with_pairs", refuse)
+    with pytest.raises(DomainError, match="factorization targets d=2 on"):
+        check(P, F)
+
+
 @pytest.mark.parametrize("enumerated", [False, True], ids=["labels taken", "labels compared"])
 def test_verify_refuses_labels_out_of_the_canonical_order(enumerated):
     """Labels that are not the canonical facet order are refused whether
@@ -209,6 +229,73 @@ def test_verify_refuses_labels_out_of_the_canonical_order(enumerated):
     M = slack_matrix(P)
     assert verify(M, F).ok
     assert M.columns is F.column_labels
+
+
+LABEL_MUTATIONS = ("swap", "non-facet", "outside", "length", "plain", "repeat")
+
+
+def _mutated_labels(draw, labels, mutation, t1, t2):
+    """labels with one label mutated, the count kept."""
+    labels = list(labels)
+    k = draw(st.integers(0, len(labels) - 1))
+    members = labels[k].members
+    if mutation == "swap":
+        j = draw(st.integers(0, len(labels) - 1).filter(lambda j: j != k))
+        labels[k], labels[j] = labels[j], labels[k]
+    elif mutation == "non-facet":
+        d = len(members)
+        others = [S for S in combinations(range(t1, t2 + 1), d) if not gale_ok(S, t1, t2)]
+        assume(others)
+        labels[k] = GaleSet(draw(st.sampled_from(others)))
+    elif mutation == "outside":
+        # the first or last label moved off the interval by one: still in
+        # strictly increasing order, and a facet of the moved interval
+        k, step = (0, -1) if draw(st.booleans()) else (-1, 1)
+        labels[k] = GaleSet(tuple(m + step for m in labels[k].members))
+    elif mutation == "length":
+        if draw(st.booleans()):
+            outside = [t for t in range(t1, t2 + 1) if t not in members]
+            labels[k] = GaleSet(tuple(sorted((*members, draw(st.sampled_from(outside))))))
+        else:
+            # the first label, the run from t1, less its last member: still
+            # in order, and its pairs split like a facet's
+            labels[0] = GaleSet(labels[0].members[:-1])
+    elif mutation == "plain":
+        labels[k] = members
+    else:
+        labels[k] = labels[k - 1] if k else labels[1]
+    return tuple(labels)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 6),
+    st.integers(-9, 9),
+    st.sampled_from(LABEL_MUTATIONS),
+    st.booleans(),
+    st.data(),
+)
+def test_verify_refuses_a_mutated_label(d, extra, t1, mutation, enumerated, data):
+    """factorize's canonical labels, moved onto [t1, t1 + n - 1], verify;
+    with one label mutated they are refused whether the matrix's columns
+    were enumerated already or not, and a refused matrix keeps the
+    enumeration's columns and inequalities."""
+    n = d + extra
+    P = CyclicPolytope(d, Interval(t1, t1 + n - 1))
+    built = factorize(n, d)
+    labels = tuple(GaleSet(tuple(m + t1 - 1 for m in S.members)) for S in built.column_labels)
+    F = replace(built, column_labels=labels, target=P)
+    assert verify(slack_matrix(P), F).ok
+    bad = _mutated_labels(data.draw, labels, mutation, t1, t1 + n - 1)
+    M = slack_matrix(P)
+    if enumerated:
+        M.columns
+    with pytest.raises(DomainError, match="column labels do not match"):
+        verify(M, replace(F, column_labels=bad))
+    facets = enumerate_facets(P)
+    assert M.columns == facets
+    assert M.inequalities == tuple(facet_inequality(P, S) for S in facets)
 
 
 def test_vector_length_must_match_rank():

@@ -13,6 +13,7 @@ from cyclift.geometry import (
     facet_count,
     facet_inequality,
     facet_pairs,
+    facets_with_pairs,
     format_linear,
     is_gale,
     slack_matrix,
@@ -236,6 +237,30 @@ def test_facet_inequality_rejects_non_facet():
         facet_inequality(P(2, 1, 5), GaleSet((1, 3)))
 
 
+@pytest.mark.parametrize("taken", [False, True], ids=["enumerated", "taken from labels"])
+@pytest.mark.parametrize(
+    "d,t1,t2", [(2, 1, 6), (3, 1, 7), (4, -3, 5), (5, 1, 9), (6, -2, 8)] + _random_intervals(23, 1)
+)
+def test_both_column_routes_give_the_facet_inequalities(d, t1, t2, taken):
+    """A slack matrix's polynomials and inequalities are facet_inequality's,
+    whether its columns were enumerated or taken from labels, and each
+    polynomial's value at every vertex is the slack there."""
+    p = P(d, t1, t2)
+    facets = enumerate_facets(p)
+    M = slack_matrix(p)
+    if taken:
+        assert M.take_columns(facets)
+    assert M.columns == facets
+    assert M.inequalities == tuple(facet_inequality(p, S) for S in facets)
+    assert len(M.polynomials) == len(facets)
+    for S, f, poly in zip(facets, M.inequalities, M.polynomials):
+        assert len(poly) == d + 1 and all(type(c) is int for c in poly)
+        for i in range(t1, t2 + 1):
+            s = slack_product(i, S.members)
+            assert f.slack(vertex(p, i)) == s
+            assert sum(c * i**k for k, c in enumerate(poly)) == s
+
+
 # ----------------------------------------------------------- pair partition
 
 
@@ -344,6 +369,28 @@ def test_facet_pairs_endpoint_on_a_negative_interval(d):
         _check_facet_pairs(S, p)
     if d % 2:
         assert {facet_pairs(S, p)[0] for S in facets} == {-5, d - 2}
+
+
+@settings(deadline=None)
+@given(st.integers(2, 7), st.integers(-20, 20), st.integers(1, 8))
+def test_facets_with_pairs_is_each_facet_in_order_with_its_pairs(d, t1, extra):
+    """The generator yields every facet in the order of the subset filter,
+    each with exactly facet_pairs' endpoint and pairs."""
+    p = P(d, t1, t1 + d + extra - 1)
+    expected = [(S, *facet_pairs(S, p)) for S in gale_subsets(d, t1, p.interval.t2)]
+    assert list(facets_with_pairs(p)) == expected
+
+
+def test_facets_with_pairs_examples():
+    """The odd-degree examples of facet_pairs: a set that holds t1 is read
+    from t1, also when it is pairs in [t1, t2 - 1] plus t2."""
+    got = {S: (endpoint, pairs) for S, endpoint, pairs in facets_with_pairs(P(5, 1, 8))}
+    assert got[(1, 2, 3, 5, 6)] == (1, ((2, 3), (5, 6)))
+    assert got[(1, 2, 4, 5, 8)] == (1, ((2, 8), (4, 5)))
+    assert got[(1, 3, 4, 7, 8)] == (1, ((3, 4), (7, 8)))
+    assert got[(2, 3, 5, 6, 8)] == (8, ((2, 3), (5, 6)))
+    assert got[(1, 2, 3, 7, 8)] == (1, ((2, 3), (7, 8)))
+    assert got[(1, 2, 3, 4, 8)] == (1, ((2, 8), (3, 4)))
 
 
 def test_facet_pairs_rejects_non_facet():
