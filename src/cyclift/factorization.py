@@ -55,7 +55,6 @@ from .geometry import (
     SlackMatrix,
     enumerate_facets,
     facet_count,
-    facet_inequality,
     facets_with_pairs,
     fold_chain,
     slack_matrix,
@@ -507,7 +506,7 @@ def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
     return NonnegFactorization._carrying(rank, alpha, beta, ints, M.columns, M.polytope)
 
 
-def _fold_alphas(folds, base_inequalities, base_points) -> tuple:
+def _fold_alphas(folds, base_polynomials, base_points) -> tuple:
     """The slack vector of each witness of the lift with these folds down to
     the facet system on base_points, in the lift's inequality order and in
     interval order, composed from the bottom up with one table per level
@@ -519,10 +518,11 @@ def _fold_alphas(folds, base_inequalities, base_points) -> tuple:
     are the slacks of the point |u| one level down. A shear's witness sits
     on the cut of its side of the fold: u >= 1 folds to u with slacks
     (4u - 2, 0), u <= 0 folds to 1 - u with slacks (0, 2 - 4u). At the
-    bottom a point s has the facet slacks b - a1*s - a2*s^2.
+    bottom a point s has the facet slacks p0 + p1*s + p2*s^2, the values
+    of the facets' slack polynomials.
     """
     slacks = {
-        s: tuple(f.b - f.a[0] * s - f.a[1] * s * s for f in base_inequalities)
+        s: tuple(p0 + p1 * s + p2 * s * s for p0, p1, p2 in base_polynomials)
         for s in base_points
     }
     for kind, c, t1, t2 in reversed(folds):
@@ -662,12 +662,11 @@ def _fold_factorization_2d(n: int) -> tuple:
     beta is its numerators over that denominator (_dual_denominator)."""
     P = CyclicPolytope.standard(2, n)
     folds, (b1, b2) = fold_chain(1, n)
-    base = CyclicPolytope(2, Interval(b1, b2))
-    points = base.interval.indices()
-    base_sets = enumerate_facets(base)
-    base_inequalities = [facet_inequality(base, S) for S in base_sets]
-    alphas = _fold_alphas(folds, base_inequalities, points)
-    base_facets = [(S.members, f.a) for S, f in zip(base_sets, base_inequalities)]
+    base = slack_matrix(CyclicPolytope(2, Interval(b1, b2)))
+    points = base.polytope.interval.indices()
+    alphas = _fold_alphas(folds, base.polynomials, points)
+    # each facet's normal (-p1, -p2), read off its slack polynomial
+    base_facets = [(S.members, (-p[1], -p[2])) for S, p in zip(base.columns, base.polynomials)]
     den = _dual_denominator(folds, base_facets, points)
     facets = enumerate_facets(P)
     # facet_inequality's normal, read off the pair {a, b}: (t - a)(t - b) is

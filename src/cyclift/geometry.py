@@ -259,8 +259,8 @@ def _slack_product(i: int, members: tuple[int, ...]) -> int:
 class SlackMatrix:
     """Rows indexed by vertices (interval order), columns by facets
     (lexicographic order); entries are exact nonnegative ints. The columns
-    and their slack polynomials, the entries and the facet inequalities
-    are computed on first read and cached."""
+    and their slack polynomials (the facet form verify and the lifts read),
+    and the entries, are computed on first read and cached."""
 
     polytope: CyclicPolytope
 
@@ -333,12 +333,6 @@ class SlackMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.row(k) for k in range(self.n_rows))
 
-    @cached_property
-    def inequalities(self) -> tuple[FacetInequality, ...]:
-        """facet_inequality of each column, read off its polynomial:
-        entry (i, S) is the slack of vertex i in S's inequality."""
-        return tuple(map(_inequality, self.polynomials))
-
     def to_csv(self) -> str:
         return "\n".join(",".join(str(e) for e in row) for row in self.entries) + "\n"
 
@@ -372,7 +366,8 @@ def facet_inequality(P: CyclicPolytope, S) -> FacetInequality:
     and for the endpoint t2, +1 otherwise, and the slack is prod |j - i|.
     """
     endpoint, pairs = facet_pairs(S, P)
-    return _inequality(_slack_polynomial(endpoint, pairs, P.interval.t2))
+    polynomial = _slack_polynomial(endpoint, pairs, P.interval.t2)
+    return FacetInequality(tuple(-c for c in polynomial[1:]), polynomial[0])
 
 
 def _slack_polynomial(endpoint, pairs, t2: int) -> tuple[int, ...]:
@@ -390,11 +385,6 @@ def _slack_polynomial(endpoint, pairs, t2: int) -> tuple[int, ...]:
         product += (s * c1 + c2, c1)
         coeffs = product
     return tuple(coeffs) if flips % 2 == 0 else tuple(map(neg, coeffs))
-
-
-def _inequality(polynomial) -> FacetInequality:
-    """The inequality whose slack at v_i is the polynomial's value at i."""
-    return FacetInequality(tuple(-c for c in polynomial[1:]), polynomial[0])
 
 
 REFLECT, SHEAR = "reflect", "shear"

@@ -23,6 +23,9 @@ construction (degree >= 3) the same way: its equations multiply the
 degree-2 facet rows verify kept, so no facet of the degree-d polytope is
 enumerated and no degree-d factorization is built or verified. ef keeps
 ef_from_factorization's lift, whose equations it prints, one per facet.
+These three lifts share one assembler (_xy_lift), and every facet row here
+is written from a slack polynomial (geometry.SlackMatrix.polynomials) by
+one writer (_product_equation).
 EfOptimizer hands a lift's equations to exact_lp.ReoptimizingSolver, which
 reduces them again (independent_equations, re-exported here) and checks
 them at its start. Its maximize and minimize ask the solver for the value
@@ -131,9 +134,16 @@ class ExtendedFormulation:
         return self.lifted.size
 
 
+def _product_equation(poly, beta) -> tuple:
+    """poly(x) = <beta, y>, poly's t^k read as x_k, as the row
+    (<-poly[1:], x> + <beta, y>, poly[0]); with beta = () and a facet's slack
+    polynomial, the facet's inequality row."""
+    return tuple(-c for c in poly[1:]) + tuple(beta), poly[0]
+
+
 def _facet_system(t1: int, t2: int):
-    P = CyclicPolytope(2, Interval(t1, t2))
-    ineqs = [(f.a, f.b) for f in map(lambda S: facet_inequality(P, S), enumerate_facets(P))]
+    M = slack_matrix(CyclicPolytope(2, Interval(t1, t2)))
+    ineqs = [_product_equation(poly, ()) for poly in M.polynomials]
     wits = {t: (t, t * t) for t in range(t1, t2 + 1)}
     return ["x1", "x2"], [], ineqs, wits
 
@@ -230,22 +240,27 @@ def _unit(k: int, r: int, value=1) -> tuple:
     return (0,) * k + (value,) + (0,) * (r - k - 1)
 
 
-def _xy_system(d: int, r: int):
-    """Variables x1..xd, y1..yr and the inequalities y >= 0."""
+def _xy_lift(P: CyclicPolytope, eqs, alphas, kept=None) -> ExtendedFormulation:
+    """The lift of P over variables x1..xd, y1..yr with these equations,
+    the inequalities y >= 0 and, above vertex i, the witness (v_i, alpha_i),
+    alphas in interval order and r their length."""
+    d, r = P.d, len(alphas[0])
     variables = tuple(f"x{k}" for k in range(1, d + 1)) + tuple(
         f"y{t}" for t in range(1, r + 1)
     )
     ineqs = tuple((_unit(d + t, d + r, -1), 0) for t in range(r))
-    return variables, ineqs
+    wits = {i: vertex(P, i) + tuple(a) for i, a in zip(P.interval.indices(), alphas)}
+    return ExtendedFormulation(Polyhedron(variables, tuple(eqs), ineqs), wits, P, kept)
 
 
 def ef_from_factorization(
     P: CyclicPolytope, F: NonnegFactorization
 ) -> ExtendedFormulation:
     """Size-rank(F) lift of P: variables (x, y), inequalities y >= 0 only,
-    and per facet the equation <a_j, x> + <beta_j, y> = b_j; above vertex i
-    the witness is (v_i, alpha_i). verify refuses an F whose target or
-    shape differs from P's before any facet of P is enumerated.
+    and per facet S the equation p_S(x) = <beta_S, y>, p_S its slack
+    polynomial (_product_equation); above vertex i the witness is
+    (v_i, alpha_i). verify refuses an F whose target or shape differs from
+    P's before any facet of P is enumerated.
 
     The facet equations are verify's facet rows with their columns
     permuted, so the rows its reduction kept are recorded as the lift's
@@ -254,10 +269,8 @@ def ef_from_factorization(
     report = verify(M, F)
     if not report.ok:
         raise DomainError("factorization does not verify against the slack matrix")
-    variables, ineqs = _xy_system(P.d, F.rank)
-    eqs = tuple((f.a + tuple(beta), f.b) for f, beta in zip(M.inequalities, F.beta))
-    wits = {i: vertex(P, i) + tuple(F.alpha[i - P.interval.t1]) for i in P.interval.indices()}
-    return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P, report.kept)
+    eqs = map(_product_equation, M.polynomials, F.beta)
+    return _xy_lift(P, eqs, F.alpha, report.kept)
 
 
 def _poly_mul(a, b) -> list:
@@ -279,22 +292,16 @@ def _shifted(c) -> list:
     return acc
 
 
-def _product_equation(poly, beta) -> tuple:
-    """poly(x) = <beta, y>, poly's t^k read as x_k, in the form
-    ef_from_factorization writes: <-poly[1:], x> + <beta, y> = poly[0]."""
-    return tuple(-c for c in poly[1:]) + tuple(beta), poly[0]
-
-
 def pair_product_ef(n: int, d: int) -> ExtendedFormulation:
     """The lift of P^d_[1,n] from the degree-2 equation rows, with no facet
     of P enumerated and no degree-d factorization built.
 
     F2 = factorize_2d(N), N = n - d % 2, is checked by verify against the
     slack matrix of P^2_[1,N]; a failure is a DomainError. Each facet row
-    verify kept is a polynomial and a beta: den * (b - a1 t - a2 t^2) and
-    the beta numerators over den (int_vectors), so that the polynomial at
-    each vertex i is <beta, alpha_i>. The equations multiply these rows the
-    way the tensor construction multiplies facets (factorization module
+    verify kept is a polynomial and a beta: den times its slack polynomial
+    and the beta numerators over den (int_vectors), so that the polynomial
+    at each vertex i is <beta, alpha_i>. The equations multiply these rows
+    the way the tensor construction multiplies facets (factorization module
     docstring). For d = 2q, one equation per ordered q-tuple of kept rows:
     the product of their polynomials (t^k read as x_k) equals the Kronecker
     product of their betas against y. For odd d, each such row twice, on
@@ -321,9 +328,8 @@ def pair_product_ef(n: int, d: int) -> ExtendedFormulation:
     ints = F2.int_vectors()
     rows = []
     for j in report.kept:
-        f = M2.inequalities[j]
         beta, den = ints[N + j]
-        rows.append(((f.b * den, -f.a[0] * den, -f.a[1] * den), beta))
+        rows.append(([c * den for c in M2.polynomials[j]], beta))
     products = rows
     for _ in range(d // 2 - 1):
         products = [
@@ -335,10 +341,7 @@ def pair_product_ef(n: int, d: int) -> ExtendedFormulation:
         zero = (0,) * len(products[0][1])
         eqs = [_product_equation(_shifted([0, *p]), b + zero) for p, b in products]
         eqs += [_product_equation(_poly_mul((n, -1), p), zero + b) for p, b in products]
-    alphas = _tensor_alphas(F2.alpha, n, d)
-    variables, ineqs = _xy_system(d, len(alphas[0]))
-    wits = {i: vertex(P, i) + a for i, a in zip(P.interval.indices(), alphas)}
-    return ExtendedFormulation(Polyhedron(variables, tuple(eqs), ineqs), wits, P)
+    return _xy_lift(P, eqs, _tensor_alphas(F2.alpha, n, d))
 
 
 def hull_ef(P: CyclicPolytope) -> ExtendedFormulation:
@@ -355,14 +358,11 @@ def hull_ef(P: CyclicPolytope) -> ExtendedFormulation:
     """
     d, indices = P.d, P.interval.indices()
     n = len(indices)
-    variables, ineqs = _xy_system(d, n)
     convexity = ((0,) * d + (1,) * n, 1)
-    moments = tuple(
+    moments = [
         (_unit(k - 1, d) + tuple(-(i**k) for i in indices), 0) for k in range(1, d + 1)
-    )
-    eqs = (convexity,) + moments
-    wits = {i: vertex(P, i) + _unit(r, n) for r, i in enumerate(indices)}
-    return ExtendedFormulation(Polyhedron(variables, eqs, ineqs), wits, P)
+    ]
+    return _xy_lift(P, [convexity, *moments], [_unit(r, n) for r in range(n)])
 
 
 def lift_objective(ef: ExtendedFormulation, objective) -> tuple:

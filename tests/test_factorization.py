@@ -280,7 +280,8 @@ def test_verify_refuses_a_mutated_label(d, extra, t1, mutation, enumerated, data
     """factorize's canonical labels, moved onto [t1, t1 + n - 1], verify;
     with one label mutated they are refused whether the matrix's columns
     were enumerated already or not, and a refused matrix keeps the
-    enumeration's columns and inequalities."""
+    enumeration's columns, whose slack polynomials, read as inequalities
+    <-poly[1:], x> <= poly[0], are facet_inequality's."""
     n = d + extra
     P = CyclicPolytope(d, Interval(t1, t1 + n - 1))
     built = factorize(n, d)
@@ -295,7 +296,9 @@ def test_verify_refuses_a_mutated_label(d, extra, t1, mutation, enumerated, data
         verify(M, replace(F, column_labels=bad))
     facets = enumerate_facets(P)
     assert M.columns == facets
-    assert M.inequalities == tuple(facet_inequality(P, S) for S in facets)
+    assert [(tuple(-c for c in poly[1:]), poly[0]) for poly in M.polynomials] == [
+        (f.a, f.b) for f in (facet_inequality(P, S) for S in facets)
+    ]
 
 
 def test_vector_length_must_match_rank():

@@ -242,18 +242,20 @@ def test_facet_inequality_rejects_non_facet():
     "d,t1,t2", [(2, 1, 6), (3, 1, 7), (4, -3, 5), (5, 1, 9), (6, -2, 8)] + _random_intervals(23, 1)
 )
 def test_both_column_routes_give_the_facet_inequalities(d, t1, t2, taken):
-    """A slack matrix's polynomials and inequalities are facet_inequality's,
-    whether its columns were enumerated or taken from labels, and each
-    polynomial's value at every vertex is the slack there."""
+    """A slack matrix's polynomials, read as inequalities
+    <-poly[1:], x> <= poly[0], are facet_inequality's, whether its columns
+    were enumerated or taken from labels, and each polynomial's value at
+    every vertex is the slack there."""
     p = P(d, t1, t2)
     facets = enumerate_facets(p)
     M = slack_matrix(p)
     if taken:
         assert M.take_columns(facets)
     assert M.columns == facets
-    assert M.inequalities == tuple(facet_inequality(p, S) for S in facets)
     assert len(M.polynomials) == len(facets)
-    for S, f, poly in zip(facets, M.inequalities, M.polynomials):
+    for S, poly in zip(facets, M.polynomials):
+        f = facet_inequality(p, S)
+        assert (f.a, f.b) == (tuple(-c for c in poly[1:]), poly[0])
         assert len(poly) == d + 1 and all(type(c) is int for c in poly)
         for i in range(t1, t2 + 1):
             s = slack_product(i, S.members)

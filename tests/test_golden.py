@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclift import exact_lp
+from cyclift import exact_lp, geometry
 from cyclift.cli import main
 from cyclift.exact_lp import LinearProgram, ReoptimizingSolver, certify
 from cyclift.factorization import factorize, factorize_2d, factorize_even, factorize_odd
@@ -196,6 +196,31 @@ def _sha256(text: str) -> str:
 def test_stdout_digest(capsys, argv):
     rc = main(list(argv))
     assert (rc, _sha256(capsys.readouterr().out)) == CASES[argv]
+
+
+# Below the public facet_inequality a facet is its slack polynomial: the
+# lifts, factorize's bottom facet system and verify read SlackMatrix
+# .polynomials and build no FacetInequality
+ONE_FACET_FORM = [
+    ("ef", "--n", "65", "--d", "3", "--check", "6", "--seed", "1"),
+    ("ef", "--n", "33", "--d", "2"),
+    ("minimize-poly", "--coeffs", "1,-3,2,5", "--n", "75"),
+    ("factorize", "--n", "129", "--d", "2"),
+]
+
+
+def test_pipeline_builds_no_facet_inequality(capsys, monkeypatch, tmp_path):
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("a FacetInequality was built")
+
+    monkeypatch.setattr(geometry, "FacetInequality", Refused)
+    for argv in ONE_FACET_FORM:
+        rc = main(list(argv))
+        assert (rc, _sha256(capsys.readouterr().out)) == CASES[argv]
+    path = tmp_path / "f129.json"
+    assert main(["factorize", "--n", "129", "--d", "2", "--out", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
 
 
 def test_verify_written_file(capsys, tmp_path):

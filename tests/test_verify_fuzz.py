@@ -117,7 +117,17 @@ def _mutate(draw, root):
     elif isinstance(value, _Obj):
         value.append(["pad", None])
     elif isinstance(value, list):
-        value.append(copy.deepcopy(value[-1]))
+        # a list an earlier retype emptied has no last entry to copy
+        value.append(copy.deepcopy(value[-1]) if value else "0")
+
+
+def test_pad_of_an_emptied_list_appends_an_entry():
+    """Padding a list that an earlier retype made [] gives it one entry."""
+    emptied = []
+    root = _Obj([["alpha", emptied]])
+    answers = iter(["pad", (root, 0, emptied)])
+    _mutate(lambda strategy: next(answers), root)
+    assert _dump(root) == '{"alpha": ["0"]}'
 
 
 def _facet_count(d, n):
