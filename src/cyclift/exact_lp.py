@@ -49,10 +49,15 @@ row stays an exact identity on the affine hull, so it still prices an
 objective (the set-aside rows in entry order, then the tableau rows,
 both in column ids) and yields x_j - shift_j by back-substitution in
 reverse entry order, because it can mention only slacks and variables
-that entered after it. Every pivot and result is the one a tableau that
-kept and updated every row and column would give. Equation rows have no
-column of their own; their duals are solved from stationarity at the
-optimum, only when a full result is built (see ReoptimizingSolver).
+that entered after it; the back-substitution reads only the columns
+with a nonzero value. Once every variable is set aside, those rows never
+change again, so each unit objective is priced against them once per
+solver, when an objective first reads it, and a new objective starts
+from the combination of its nonzero entries' unit rows. Every pivot and
+result is the one a tableau that kept and updated every row and column
+would give. Equation rows have no column of their own; their duals are
+solved from stationarity at the optimum, only when a full result is
+built (see ReoptimizingSolver).
 
 Results. maximize and minimize return the full LPResult: the value, the
 point and both sets of duals. maximum and minimum run the same simplex
@@ -60,9 +65,14 @@ from the same basis and return the value and the point only, with no dual
 built; a caller that reads no dual (EfOptimizer's value queries) asks for
 those.
 
-Equation reduction. independent_equations picks the positions of the
-first maximal independent subset of a program's equations, and only those
-get a tableau row; a dropped equation's dual is 0.
+Equation reduction. The set-up pivots are the independence check: each
+equation row in turn is pivoted on its first nonzero position, and a row
+the pivots before it have cleared at every position depends on them and
+is dropped. The rows pivoted are the first maximal independent subset of
+a program's equations, the positions independent_equations returns (it
+stays the public reduction, and the tests' reference for this one), and a
+dropped equation's dual is 0. Every equation is checked at the feasible
+point, so a contradictory system is refused.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. Each of its numbers is an int or a
@@ -90,6 +100,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DomainError, InternalError
 from .rational import reduce_rows, scaled_ints
@@ -195,14 +206,18 @@ class ReoptimizingSolver:
 
     The system is translated so that `feasible_point` becomes the origin:
     every inequality row then has nonnegative rhs and starts with its slack
-    variable basic, and every equation row sits at level 0. Only the
-    equations independent_equations keeps get a row and are checked at the
-    point: it has shown each dropped one implied by them, or refused it.
-    Each kept row is pivoted on its first nonzero variable column, which
-    moves no basic value, so the start is feasible with no phase 1.
-    Each solve writes its objective as a row priced against the current
-    basis and reads the value, and for a full result the inequality duals,
-    from that row at the optimum.
+    variable basic, and every equation row sits at level 0. Every
+    equation is checked at the point, so a dependent one that contradicts
+    the others is refused. Each equation row in turn is pivoted on its
+    first nonzero variable column, which moves no basic value, so the
+    start is feasible with no phase 1; a row the pivots before it have
+    cleared is dependent and is dropped, and _kept_eqs lists the positions
+    pivoted, the ones independent_equations keeps. Each row's integers and
+    start residual are built in one pass. Each solve writes its objective
+    as a row priced against the current basis and reads the value, and for
+    a full result the inequality duals, from that row at the optimum; once
+    every variable is set aside, the pricing against the set-aside rows
+    starts from unit rows priced once (_priced_by_units).
 
     Each variable is free and is one column, holding x_j - shift_j (0
     while nonbasic). A basis label is the column id, variable j as j and
@@ -236,46 +251,43 @@ class ReoptimizingSolver:
         _check_rows(inequalities, nvars, "inequality")
         if len(feasible_point) != nvars:
             raise DomainError("feasible point has the wrong dimension")
-        try:
-            self._kept_eqs = kept = independent_equations(equations)
-        except InternalError as exc:  # no point satisfies the equations
-            raise DomainError("feasible point violates an equation") from exc
         self._nv = nv = nvars
         self._shift = tuple(Fraction(x) for x in feasible_point)
         self._shift_ints, self._sden = shift, sden = scaled_ints(self._shift)
-        self._me, mk = len(equations), len(kept)
+        self._me = me = len(equations)
         self._rhs = nv + len(inequalities)
 
-        # (coefficient ints, den) of each kept equation, then of each
+        # (coefficient ints, den) of each equation, then of each
         # inequality: what the equation duals are solved from
-        self._coefs = coefs = []
+        coefs = []
         rows: list[list[int]] = []
         dens: list[int] = []
         basis: list = []  # None: an equation row not pivoted yet
-        for r_idx, (coeffs, rhs) in enumerate([equations[k] for k in kept] + inequalities):
+        for r_idx, (coeffs, rhs) in enumerate(equations + inequalities):
             ints, den = scaled_ints(coeffs)
             coefs.append((ints, den))
-            # the start residual rhs - <coeffs, shift>, over rd * den * sden
-            rn, rd = rhs.numerator, rhs.denominator
-            num = rn * den * sden - rd * sum(c * z for c, z in zip(ints, shift) if c)
-            label = None
-            if r_idx < mk:
-                if num != 0:
+            # the start residual rhs - <coeffs, shift> is num / q
+            rd = rhs.denominator
+            q = rd * den * sden
+            num = rhs.numerator * den * sden - rd * sum(map(mul, ints, shift))
+            if r_idx < me:
+                if num:
                     raise DomainError("feasible point violates an equation")
-                row = ints + [0]
+                row, label = ints + [0], None
             else:
                 if num < 0:
                     raise DomainError("feasible point violates an inequality")
-                # the row is scaled_ints(coeffs + (residual,)), and its den
-                # is the coefficient of its basic slack
-                residual = Fraction(num, rd * den * sden)
-                row_den = lcm(den, residual.denominator)
-                row = ints
-                if row_den != den:
-                    row = [c * (row_den // den) for c in row]
-                    den = row_den
-                row = row + [residual.numerator * (den // residual.denominator)]
-                label = nv + r_idx - mk
+                # the row is scaled_ints(coeffs + (num / q,)), and its den
+                # is the coefficient of its basic slack; q == 1 leaves den 1
+                if q != 1:
+                    g = gcd(num, q)
+                    num, q = num // g, q // g
+                    row_den = lcm(den, q)
+                    if row_den != den:
+                        ints = [c * (row_den // den) for c in ints]
+                        den = row_den
+                    num *= den // q
+                row, label = ints + [num], nv + r_idx - me
             rows.append(row)
             dens.append(den)
             basis.append(label)
@@ -285,11 +297,23 @@ class ReoptimizingSolver:
         self._basis = basis
         self._cols = list(range(nv))  # the column id at each position
         self._aside = []  # (column, den, support) of each row set aside
+        self._units = {}  # variable -> (support, den) of its priced unit row
         self._obj = [0] * (nv + 1)  # each solve writes its own
         self._oden = 1
         self._order = list(range(nv))  # the positions in column-id order
-        for _ in range(mk):  # each pivot sets the first row aside
-            self._pivot(0, next(j for j in range(len(self._cols)) if rows[0][j]))
+        # the first row is always the next equation: pivoted on its first
+        # nonzero position, which sets it aside, or dropped as dependent
+        # when the pivots before it have cleared it (its rhs stays 0)
+        kept = []
+        for at in range(me):
+            ps = next((j for j, v in enumerate(rows[0]) if v), None)
+            if ps is None:
+                del rows[0], dens[0], basis[0]
+            else:
+                kept.append(at)
+                self._pivot(0, ps)
+        self._kept_eqs = tuple(kept)
+        self._coefs = [coefs[k] for k in kept] + coefs[me:]
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -452,13 +476,12 @@ class ReoptimizingSolver:
         numerators, their den) at the optimum, None where it is unbounded.
 
         The objective row -c is priced out in column ids, at full width:
-        against the set-aside rows in entry order (each clears its column
-        and can bring in only columns that entered later or are slacks),
-        then against the tableau rows, each with its basic column and den
-        added to its support. The priced row is 0 at every column that is
-        not at a position, and it is read at the positions and the rhs; a
-        priced row is unique in lowest terms, so it is the one a fully
-        updated tableau gives."""
+        against the set-aside rows (_priced_by_aside, or, once every
+        variable is set aside, _priced_by_units), then against the tableau
+        rows, each with its basic column and den added to its support. The
+        priced row is 0 at every column that is not at a position, and it
+        is read at the positions and the rhs; a priced row is unique in
+        lowest terms, so it is the one a fully updated tableau gives."""
         if len(objective) != self._nv:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
@@ -466,12 +489,10 @@ class ReoptimizingSolver:
         _check_exact(objective, "objective")
         ints, cden = scaled_ints(objective)
         nv, rhs, cols = self._nv, self._rhs, self._cols
-        obj = [-c for c in ints] + [0] * (rhs + 1 - nv)
-        den = cden
-        for col, p, support in self._aside:
-            f = obj[col]
-            if f:
-                obj, den = _eliminate(obj, den, f, p, support)
+        if len(self._aside) == nv:
+            obj, den = self._priced_by_units(ints, cden)
+        else:
+            obj, den = self._priced_by_aside([-c for c in ints] + [0] * (rhs + 1 - nv), cden)
         for row, p, b in zip(self._rows, self._dens, self._basis):
             f = obj[b]
             if f:
@@ -486,6 +507,47 @@ class ReoptimizingSolver:
             return None
         return ints, cden
 
+    def _priced_by_aside(self, obj, den):
+        """A full-width row (obj, den) priced against the set-aside rows in
+        entry order: each clears its column and can bring in only columns
+        that entered later or are slacks."""
+        for col, p, support in self._aside:
+            f = obj[col]
+            if f:
+                obj, den = _eliminate(obj, den, f, p, support)
+        return obj, den
+
+    def _priced_by_units(self, ints, cden):
+        """-ints / cden priced against the set-aside rows, once every
+        variable is set aside, as the combination of the priced unit rows
+        -e_j of its nonzero entries, in lowest terms. Those rows never
+        change again, so each is priced (_priced_by_aside) once per solver,
+        when an objective first reads it, and kept as (support, den)."""
+        units, width = self._units, self._rhs + 1
+        terms = []
+        for j, c in enumerate(ints):
+            if c:
+                unit = units.get(j)
+                if unit is None:
+                    e = [0] * width
+                    e[j] = -1
+                    row, uden = self._priced_by_aside(e, 1)
+                    units[j] = unit = ([(k, v) for k, v in enumerate(row) if v], uden)
+                terms.append((c, unit))
+        common = lcm(*[uden for _, (_, uden) in terms])
+        obj = [0] * width
+        for c, (support, uden) in terms:
+            f = c * (common // uden)
+            for k, v in support:
+                obj[k] += f * v
+        den = cden * common
+        if den != 1:
+            g = gcd(den, *obj)
+            if g != 1:
+                obj = [x // g for x in obj]
+                den //= g
+        return obj, den
+
     def _value_point(self, objective, cden) -> tuple:
         """(value, primal point) at the optimum, each entry one Fraction
         built from ints; objective / cden is the objective maximized.
@@ -495,8 +557,9 @@ class ReoptimizingSolver:
         reverse entry order: each reads its variable's value x_j - shift_j
         from the values of its other columns, which are slacks and
         variables that entered later (its own column reads 0 until then),
-        and a column with no value is nonbasic at 0. Each step works in
-        integers over the lcm of the dens it reads, and a nonbasic x_j is
+        and a column with no value is nonbasic at 0. Each step reads only
+        the support entries whose column has a nonzero value and works in
+        integers over the lcm of their dens, and a nonbasic x_j is
         shift_j. The value is the objective row's rhs plus the objective at
         the shift.
         """
@@ -513,10 +576,9 @@ class ReoptimizingSolver:
                 num[b], zden[b] = row[-1], rden
         x = list(self._shift)
         for col, p, support in reversed(self._aside):
-            common = 1
-            for j, _ in support:
-                common = lcm(common, zden[j])
-            t = -sum(v * num[j] * (common // zden[j]) for j, v in support)
+            live = [(v * num[j], zden[j]) for j, v in support if num[j]]
+            common = lcm(*[z for _, z in live])
+            t = -sum(a * (common // z) for a, z in live)
             if t:
                 d = common * p
                 g = gcd(t, d)

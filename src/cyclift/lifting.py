@@ -26,9 +26,10 @@ ef_from_factorization's lift, whose equations it prints, one per facet.
 These three lifts share one assembler (_xy_lift), and every facet row here
 is written from a slack polynomial (geometry.SlackMatrix.polynomials) by
 one writer (_product_equation).
-EfOptimizer hands a lift's equations to exact_lp.ReoptimizingSolver, which
-reduces them again (independent_equations, re-exported here) and checks
-them at its start. Its maximize and minimize ask the solver for the value
+EfOptimizer hands a lift's equations to exact_lp.ReoptimizingSolver, whose
+start pivots drop any that depend on the ones before (the positions
+independent_equations, re-exported here, would keep) and which checks them
+all at its start. Its maximize and minimize ask the solver for the value
 and the point only; solve alone builds the duals. A lift from a
 factorization records which of its facet equations verify's reduction kept
 (ExtendedFormulation.kept_equations), and only those are handed over:

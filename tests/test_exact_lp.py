@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cyclift.errors import DomainError
+from cyclift.errors import DomainError, InternalError
 from cyclift.exact_lp import (
     MAX,
     MIN,
@@ -21,9 +21,11 @@ from cyclift.exact_lp import (
     LPResult,
     ReoptimizingSolver,
     certify,
+    independent_equations,
     solve,
 )
 from cyclift.geometry import CyclicPolytope, Interval, enumerate_facets, facet_inequality, vertex
+from cyclift.lifting import hull_ef, lift_objective
 
 from reference import TrackerSolver, vertex_maximum
 
@@ -222,8 +224,8 @@ def test_feasible_point_must_be_feasible():
 
 def test_violated_dependent_equation_is_domain_error():
     """2x = 1 depends on x = 0 and contradicts it, so the point 0 violates
-    it; the solver builds no row for it, and refuses the system as it
-    refuses a point that violates a kept equation."""
+    it; the solver checks every equation at the point, the dependent ones
+    included, and refuses the system."""
     eqs = (((1,), 0), ((2,), 1))
     ineqs = (((1,), 5),)
     with pytest.raises(DomainError):
@@ -252,6 +254,7 @@ def test_degenerate_vertex_terminates():
 # ------------------------------------------------------------- properties
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = st.builds(Fraction, st.integers(-9, -1) | st.integers(1, 9), st.integers(1, 6))
 
 
 def _dot(coeffs, x):
@@ -351,22 +354,29 @@ def test_solver_matches_tracker_layout(system, data):
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
     for objective, sense in data.draw(st.lists(query, min_size=1, max_size=4)):
-        if sense == MAX:
-            res, ref = solver.maximize(objective), reference.maximize(objective)
-        else:
-            res, ref = solver.minimize(objective), reference.minimize(objective)
-        assert res == ref
-        if res.status == OPTIMAL:
-            for vec, ref_vec in zip(
-                (res.primal, res.dual_ineq, res.dual_eq),
-                (ref.primal, ref.dual_ineq, ref.dual_eq),
-            ):
-                assert list(map(type, vec)) == list(map(type, ref_vec))
+        _assert_same_result(*_solve_both(solver, reference, objective, sense))
         assert layout() == reference_layout()
         _check_layout(solver)
     # once every variable is set aside, every position holds a slack:
     # `pytest --hypothesis-show-statistics` shows how often
     event("every variable set aside" if len(solver._aside) == nvars else "a variable at a position")
+
+
+def _assert_same_result(res, ref):
+    """Equal results, and the same type at every entry of an optimum."""
+    assert res == ref
+    if res.status == OPTIMAL:
+        for vec, ref_vec in zip(
+            (res.primal, res.dual_ineq, res.dual_eq),
+            (ref.primal, ref.dual_ineq, ref.dual_eq),
+        ):
+            assert list(map(type, vec)) == list(map(type, ref_vec))
+
+
+def _solve_both(solver, reference, objective, sense):
+    if sense == MAX:
+        return solver.maximize(objective), reference.maximize(objective)
+    return solver.minimize(objective), reference.minimize(objective)
 
 
 def _column(label, nvars):
@@ -544,6 +554,113 @@ def test_back_substitution_reads_later_entries():
     assert res.primal == (Fraction(-5, 3), Fraction(8, 3), -4) and res.value == -4
     assert res == reference.minimize((0, 0, 1))
     assert certify(LinearProgram(MIN, (0, 0, 1), eqs, ineqs), res)
+
+
+@st.composite
+def systems_with_dependent_equations(draw):
+    """feasible_systems with one to four more equations, each at a random
+    position: a duplicate of an equation, a nonzero rational multiple of
+    one, the sum of two, or the all-zero row. Each lies in the span of the
+    equations drawn before it and holds at x0, so the system has more
+    equations than rank and stays consistent."""
+    nvars, eqs, ineqs, x0 = draw(feasible_systems())
+    eqs = list(eqs)
+    kinds = st.lists(st.sampled_from(("duplicate", "scaled", "sum", "zero")), min_size=1, max_size=4)
+    for kind in draw(kinds):
+        pick = st.sampled_from([c for c, _ in eqs]) if eqs else st.nothing()
+        if kind == "zero" or not eqs:
+            c = (Fraction(0),) * nvars
+        elif kind == "duplicate":
+            c = draw(pick)
+        elif kind == "scaled":
+            scale = draw(nonzero_rationals)
+            c = tuple(scale * v for v in draw(pick))
+        else:
+            c = tuple(a + b for a, b in zip(draw(pick), draw(pick)))
+        eqs.insert(draw(st.integers(0, len(eqs))), (c, _dot(c, x0)))
+    return nvars, tuple(eqs), ineqs, x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_with_dependent_equations(), st.data())
+def test_start_pivots_keep_the_independent_equations(system, data):
+    """The set-up pivots are the independence check: the equations they
+    pivot are independent_equations' positions, and warm solves give
+    reference.TrackerSolver's results, entry types included. A dropped
+    equation whose rhs is moved contradicts the others: independent_equations
+    refuses the system, and the solver raises the DomainError a violated
+    equation raises."""
+    nvars, eqs, ineqs, x0 = system
+    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+    reference = TrackerSolver(nvars, eqs, ineqs, x0)
+    assert solver._kept_eqs == independent_equations(eqs)
+    query = st.tuples(
+        st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
+    )
+    for objective, sense in data.draw(st.lists(query, min_size=1, max_size=3)):
+        _assert_same_result(*_solve_both(solver, reference, objective, sense))
+    dropped = sorted(set(range(len(eqs))) - set(solver._kept_eqs))
+    assert dropped
+    at = data.draw(st.sampled_from(dropped))
+    bad = list(eqs)
+    bad[at] = (eqs[at][0], eqs[at][1] + data.draw(nonzero_rationals))
+    with pytest.raises(InternalError):
+        independent_equations(bad)
+    with pytest.raises(DomainError, match="^feasible point violates an equation$"):
+        ReoptimizingSolver(nvars, bad, ineqs, x0)
+
+
+class SequentialPricingSolver(ReoptimizingSolver):
+    """The pricing with no unit rows: every new objective is priced against
+    the set-aside rows one row at a time, in entry order, also once every
+    variable is set aside."""
+
+    def _priced_by_units(self, ints, cden):
+        width = self._rhs + 1 - self._nv
+        return self._priced_by_aside([-c for c in ints] + [0] * width, cden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_systems(), st.data())
+def test_unit_row_pricing_matches_sequential_pricing(system, data):
+    """Pricing a warm objective as the lowest-terms combination of priced
+    unit rows gives the row the sequential loop gives: after every solve
+    the objective row, its den, the basis, the positions and the result
+    are equal. The systems are boxed, so that most solves are bounded and
+    every variable is soon set aside, which is when the unit rows price."""
+    nvars, eqs, ineqs, x0 = system
+    for j in range(nvars):
+        unit = tuple(Fraction(int(k == j)) for k in range(nvars))
+        ineqs += ((unit, x0[j] + 10), (tuple(-u for u in unit), 10 - x0[j]))
+    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+    reference = SequentialPricingSolver(nvars, eqs, ineqs, x0)
+    query = st.tuples(
+        st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
+    )
+    unit_priced = 0
+    for objective, sense in data.draw(st.lists(query, min_size=2, max_size=6)):
+        unit_priced += len(solver._aside) == nvars
+        _assert_same_result(*_solve_both(solver, reference, objective, sense))
+        assert (solver._obj, solver._oden) == (reference._obj, reference._oden)
+        assert (solver._basis, solver._cols) == (reference._basis, reference._cols)
+    event("solves priced by unit rows: " + ("3+" if unit_priced >= 3 else str(unit_priced)))
+
+
+def test_hull_lift_read_out_matches_tracker():
+    """On the convex-hull lift of a d = 3 polytope at most d + 1 of the 14
+    weights y are nonzero at an optimum, so the back-substitution skips
+    most columns of each set-aside row; warm maxima and minima still give
+    reference.TrackerSolver's results, entry types included."""
+    ef = hull_ef(CyclicPolytope.standard(3, 14))
+    lifted = ef.lifted
+    args = (lifted.nvars, lifted.equations, lifted.inequalities, ef.witnesses[1])
+    solver, reference = ReoptimizingSolver(*args), TrackerSolver(*args)
+    for objective in [(-9, 5, -1), (2, -1, 0), (0, 0, 1), (7, -3, Fraction(1, 5))]:
+        for sense in (MAX, MIN):
+            res, ref = _solve_both(solver, reference, lift_objective(ef, objective), sense)
+            _assert_same_result(res, ref)
+            weights = res.primal[3:]
+            assert len(weights) == 14 and sum(y != 0 for y in weights) <= 4
 
 
 @settings(max_examples=60, deadline=None)

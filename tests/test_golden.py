@@ -176,16 +176,20 @@ EF_SOLVE_PIVOT_CEILING = 2226
 # the row updates (exact_lp._eliminate calls: tableau rows, the objective
 # row and the pricing of each new objective) over the same 130 solves: a
 # ceiling, so that a layout that updates rows the simplex never reads
-# again fails here
-EF_SOLVE_ROW_UPDATE_CEILING = 30330
+# again, or pricing that reduces each objective against the set-aside rows
+# again once their unit rows are priced, fails here: 28415 are in pivots
+# and 279 in pricing
+EF_SOLVE_ROW_UPDATE_CEILING = 28694
 
 # the integers those row updates pass through (len(row) summed over the
 # exact_lp._eliminate calls of the same 130 solves): a ceiling, so that a
 # tableau that stores a column it never needs to update (a basic column,
 # or a variable column once the variable has entered) fails here. The
 # nonbasic layout stores 11 positions plus the rhs per row on this lift:
-# 340980 integers in pivots and 99580 in the full-width pricing
-EF_SOLVE_ROW_CELL_CEILING = 440560
+# 340980 integers in pivots and 14508 in the full-width pricing: 12324
+# against the tableau rows and 2184 against the set-aside rows, the unit
+# rows priced once included
+EF_SOLVE_ROW_CELL_CEILING = 355488
 
 
 def _sha256(text: str) -> str:
