@@ -25,13 +25,15 @@ Two constructions live here:
   it by (n - i). The two endpoint blocks take disjoint coordinates:
   rank 2 * r2**(d//2).
 
-Every construction computes in integers: each vector is integer
-numerators over a positive denominator (NonnegFactorization.int_vectors),
-which verify and the JSON writer read; the public Fraction and int
-entries are built from them. One integer core (_fold_factorization_2d)
-feeds both constructions: factorize_2d adds its public Fractions, and the
-tensor construction multiplies its numerators directly. to_json_text
-writes the JSON document; to_json_dict is that text parsed.
+Every construction computes in integers, and a factorization stores
+only those: each vector as integer numerators over a positive
+denominator (NonnegFactorization.int_vectors), which verify, the JSON
+writer and the lifts read. alpha and beta are built from them on first
+read, an integral entry an int and any other a Fraction. One integer
+core (_fold_factorization_2d) feeds both constructions: factorize_2d
+stores it as it is, and the tensor construction multiplies its
+numerators. to_json_text writes the JSON document; to_json_dict is that
+text parsed, and from_json_dict reads it back to the same entries.
 
 Ranks here are the lengths of the constructed vectors, i.e. what the
 construction guarantees, not the (unknown) minimal nonnegative rank.
@@ -117,54 +119,66 @@ class NonnegFactorization:
     column (facet, canonical order); all entries nonnegative rationals.
     Every vector has length rank; any other length is a DomainError.
 
-    int_vectors() is the exact form verify and the JSON writer read: each
-    vector as integer numerators over a positive denominator. The
-    constructions carry it from their integer arithmetic; any other
-    factorization (a read file, a caller's own, dataclasses.replace's
-    copy) derives it with scaled_ints on first use. It is not an init
-    field, so replace never copies it and an edited vector is never read
-    through a stale form."""
+    A factorization is stored once, as int_vectors(): each vector as
+    integer numerators over a positive denominator, which verify, the JSON
+    writer and the lifts read. The constructions and the reader build only
+    that form (_from_ints); their alpha and beta are views, each built on
+    its first read and kept, with an integral entry an int and any other a
+    Fraction, as parse_rational reads them. A factorization built from
+    values (a caller's own, dataclasses.replace's copy) keeps them and
+    derives its integer form once, in __post_init__, so replace never
+    carries a stale form over."""
 
     rank: int
     alpha: tuple
     beta: tuple
     column_labels: tuple | None = None
     target: CyclicPolytope | None = None
-    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for vec in self.alpha + self.beta:
-            if len(vec) != self.rank:
-                raise DomainError(
-                    f"vector of length {len(vec)} does not match rank {self.rank}"
-                )
+        ints = tuple((tuple(nums), den) for nums, den in map(scaled_ints, self.alpha + self.beta))
+        self._store(ints, len(self.alpha))
 
     @classmethod
-    def _carrying(cls, rank, alpha, beta, ints, column_labels, target):
-        """The factorization with its integer form ints given, as
-        int_vectors() returns it; ints must equal alpha and beta in value."""
-        F = cls(rank, alpha, beta, column_labels, target)
-        object.__setattr__(F, "_ints", ints)
+    def _from_ints(cls, rank, ints, n_rows, column_labels, target):
+        """The factorization with int_vectors() ints, the first n_rows of
+        them alpha's, and no vector of values built."""
+        F = object.__new__(cls)
+        F.__dict__.update(rank=rank, column_labels=column_labels, target=target)
+        F._store(ints, n_rows)
         return F
+
+    def _store(self, ints, n_rows):
+        for nums, _ in ints:
+            if len(nums) != self.rank:
+                raise DomainError(f"vector of length {len(nums)} does not match rank {self.rank}")
+        self.__dict__.update(_ints=ints, _n_rows=n_rows)
+
+    def __getattr__(self, name):
+        # reached only for what the instance does not hold: alpha or beta
+        # of a factorization built from integers, before its first read
+        if name == "alpha":
+            ints = self._ints[: self._n_rows]
+        elif name == "beta":
+            ints = self._ints[self._n_rows :]
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = self.__dict__[name] = _per_entry(ints, _entry_value)
+        return view
 
     def int_vectors(self) -> tuple:
         """((numerators, den), ...): alpha's vectors, then beta's, each equal
-        to numerators / den, den > 0. Derived by scaled_ints on first use
-        when no construction carried it."""
-        if self._ints is None:
-            ints = tuple(
-                (tuple(nums), den) for nums, den in map(scaled_ints, self.alpha + self.beta)
-            )
-            object.__setattr__(self, "_ints", ints)
+        to numerators / den, den > 0."""
         return self._ints
 
     @property
     def n_rows(self) -> int:
-        return len(self.alpha)
+        return self._n_rows
 
     @property
     def n_cols(self) -> int:
-        return len(self.beta)
+        return len(self._ints) - self._n_rows
 
     def entry(self, row_pos: int, col_pos: int):
         a, b = self.alpha[row_pos], self.beta[col_pos]
@@ -194,7 +208,7 @@ class NonnegFactorization:
             columns = _json_list(
                 [_json_list(list(map(str, S.members)), 3) for S in self.column_labels], 2
             )
-        texts = _entry_texts(self.int_vectors())
+        texts = _per_entry(self._ints, _entry_text)
         return (
             f'{{\n  "target": {target},\n  "rank": {self.rank},'
             f'\n  "alpha": {_json_vectors(texts[: self.n_rows])},'
@@ -216,8 +230,8 @@ class NonnegFactorization:
         try:
             rank = _json_int(data["rank"])
             entries = _ParsedEntries()
-            alpha = tuple(_parse_vector(vec, entries) for vec in _json_array(data["alpha"]))
-            beta = tuple(_parse_vector(vec, entries) for vec in _json_array(data["beta"]))
+            alpha = [_parse_vector(vec, entries) for vec in _json_array(data["alpha"])]
+            beta = [_parse_vector(vec, entries) for vec in _json_array(data["beta"])]
             raw_target = data.get("target")
             target = None
             if raw_target is not None:
@@ -236,7 +250,7 @@ class NonnegFactorization:
             raise DomainError(
                 f"malformed factorization JSON ({type(exc).__name__}: {exc})"
             ) from exc
-        return cls(rank, alpha, beta, columns, target)
+        return cls._from_ints(rank, tuple(alpha + beta), len(alpha), columns, target)
 
 
 def _json_list(items: list, depth: int) -> str:
@@ -256,33 +270,45 @@ def _json_vectors(texts) -> str:
     )
 
 
-class _EntryTexts(dict):
-    """format_rational(num / den) per numerator num, for one denominator
-    den > 0, each formatted on its first lookup."""
+def _entry_value(num: int, den: int):
+    """num / den as parse_rational reads it: an int when integral, else a
+    Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
-    def __init__(self, den: int):
+
+def _entry_text(num: int, den: int) -> str:
+    """format_rational(num / den)."""
+    g = gcd(num, den)
+    p, q = num // g, den // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+class _PerNumerator(dict):
+    """f(num, den) per numerator num, for one denominator den > 0, each
+    computed on its first lookup."""
+
+    def __init__(self, f, den: int):
         super().__init__()
-        self.den = den
+        self.f, self.den = f, den
 
     def __missing__(self, num):
-        g = gcd(num, self.den)
-        p, q = num // g, self.den // g
-        text = self[num] = str(p) if q == 1 else f"{p}/{q}"
-        return text
+        value = self[num] = self.f(num, self.den)
+        return value
 
 
-def _entry_texts(ints) -> list:
-    """Each (numerators, den) vector as a list of its entries'
-    format_rational strings: a factorization repeats a few hundred values
-    across thousands of entries, so each distinct one is formatted once."""
+def _per_entry(ints, f) -> tuple:
+    """Each (numerators, den) vector as a tuple of f(num, den) per entry: a
+    factorization repeats a few hundred values across thousands of entries,
+    so each distinct one is computed once."""
     by_den = {}
     out = []
     for nums, den in ints:
-        texts = by_den.get(den)
-        if texts is None:
-            texts = by_den[den] = _EntryTexts(den)
-        out.append(list(map(texts.__getitem__, nums)))
-    return out
+        cache = by_den.get(den)
+        if cache is None:
+            cache = by_den[den] = _PerNumerator(f, den)
+        out.append(tuple(map(cache.__getitem__, nums)))
+    return tuple(out)
 
 
 class _ParsedEntries(dict):
@@ -294,8 +320,8 @@ class _ParsedEntries(dict):
 
 
 def _parse_vector(vec, entries: _ParsedEntries) -> tuple:
-    """tuple(map(parse_rational, vec)) for a JSON list vec, parsing each
-    distinct string once.
+    """(numerators, den) of the values tuple(map(parse_rational, vec)) for
+    a JSON list vec, by scaled_ints, parsing each distinct string once.
 
     parse_rational refuses anything but a string, so nothing else is ever
     cached. An unhashable entry raises TypeError in the lookup; parsing
@@ -304,9 +330,11 @@ def _parse_vector(vec, entries: _ParsedEntries) -> tuple:
     """
     _json_array(vec)
     try:
-        return tuple(map(entries.__getitem__, vec))
+        values = list(map(entries.__getitem__, vec))
     except TypeError:
-        return tuple(map(parse_rational, vec))
+        values = list(map(parse_rational, vec))
+    nums, den = scaled_ints(values)
+    return tuple(nums), den
 
 
 def _json_array(x) -> list:
@@ -460,9 +488,8 @@ def hadamard_combine(
     factors, via per-row and per-column tensor products; rank multiplies.
 
     Each product vector is the Kronecker product of the factors' numerators
-    (int_vectors) over the product of their dens, carried as the result's
-    integer form. Over den 1 its entries are those ints; over any other den
-    each is a Fraction, every zero the shared Fraction(0)."""
+    (int_vectors) over the product of their dens: the result's one stored
+    form."""
     if fa.n_rows != fb.n_rows:
         raise DomainError(f"row counts differ: {fa.n_rows} vs {fb.n_rows}")
     if fa.n_cols != fb.n_cols:
@@ -473,20 +500,11 @@ def hadamard_combine(
             raise DomainError("column labels disagree")
     elif labels is None:
         labels = fb.column_labels
-    ints, vectors, values = [], [], {}
-    for (na, da), (nb, db) in zip(fa.int_vectors(), fb.int_vectors()):
-        nums, den = _kron((na, nb)), da * db
-        ints.append((nums, den))
-        if den != 1:
-            if den not in values:
-                values[den] = _Values(den)
-            nums = tuple(map(values[den].__getitem__, nums))
-        vectors.append(nums)
-    k = fa.n_rows
-    alpha, beta = tuple(vectors[:k]), tuple(vectors[k:])
-    return NonnegFactorization._carrying(
-        fa.rank * fb.rank, alpha, beta, tuple(ints), labels, None
+    ints = tuple(
+        (_kron((na, nb)), da * db)
+        for (na, da), (nb, db) in zip(fa.int_vectors(), fb.int_vectors())
     )
+    return NonnegFactorization._from_ints(fa.rank * fb.rank, ints, fa.n_rows, labels, None)
 
 
 def _units(r: int) -> tuple:
@@ -503,7 +521,7 @@ def trivial_factorization(M: SlackMatrix) -> NonnegFactorization:
     else:
         alpha, beta, rank = _units(n), tuple(zip(*M.entries)), n
     ints = tuple(zip(alpha + beta, repeat(1)))
-    return NonnegFactorization._carrying(rank, alpha, beta, ints, M.columns, M.polytope)
+    return NonnegFactorization._from_ints(rank, ints, n, M.columns, M.polytope)
 
 
 def _fold_alphas(folds, base_polynomials, base_points) -> tuple:
@@ -538,28 +556,12 @@ def _fold_alphas(folds, base_polynomials, base_points) -> tuple:
     return tuple(slacks.values())
 
 
-_ZERO = Fraction(0)  # shared by every zero multiplier
-
-
-class _Values(dict):
-    """The public entry num / den per numerator num, for one denominator
-    den > 0, each built on its first lookup: a Fraction, with every zero
-    the shared _ZERO."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, num):
-        value = self[num] = Fraction(num, self.den) if num else _ZERO
-        return value
-
-
 def _dual_denominator(folds, base_facets, base_points) -> int:
-    """A common denominator of every multiplier _fold_duals can reach: 2
-    when some fold is a shear (its cuts take halves), and from the facet
-    system at the bottom, each normal's content and the determinant of the
-    two normals at each point (_base_duals).
+    """A common multiple of the denominators of every multiplier
+    _fold_duals can reach, not always the least (_fold_factorization_2d
+    reduces it): 2 when some fold is a shear (its cuts take halves), and
+    from the facet system at the bottom, each normal's content and the
+    determinant of the two normals at each point (_base_duals).
 
     An edge's multiplier l has l*a = (a1, a2) integral, so l times the
     content of a is integral (Bezout); a vertex's two multipliers solve a
@@ -659,7 +661,8 @@ def _exact(x: int, y: int) -> int:
 def _fold_factorization_2d(n: int) -> tuple:
     """The degree-2 construction in integers: (P, alphas, beta numerators,
     their one shared denominator, facets). alphas are ints; each facet's
-    beta is its numerators over that denominator (_dual_denominator)."""
+    beta is its numerators over that denominator, the least common
+    denominator of every beta entry."""
     P = CyclicPolytope.standard(2, n)
     folds, (b1, b2) = fold_chain(1, n)
     base = slack_matrix(CyclicPolytope(2, Interval(b1, b2)))
@@ -675,6 +678,10 @@ def _fold_factorization_2d(n: int) -> tuple:
         (a + b, -1) if b == a + 1 else (-a - b, 1) for a, b in (S.members for S in facets)
     ]
     nums = _fold_duals(folds, base_facets, points, objectives, den)
+    g = gcd(den, *chain.from_iterable(nums))
+    if g != 1:
+        den //= g
+        nums = [tuple(map(g.__rfloordiv__, vec)) for vec in nums]
     return P, alphas, nums, den, facets
 
 
@@ -693,16 +700,13 @@ def factorize_2d(n: int) -> NonnegFactorization:
     lifting.factorization_from_ef(P, build_ef_2d(n)), entry for entry.
     Not verified here, like factorization_from_ef.
 
-    alpha is ints. beta is Fractions, every zero the shared Fraction(0),
-    built from the integer core's (_fold_factorization_2d) numerators over
-    one denominator that every beta shares; the factorization carries
-    those as its int_vectors().
+    The factorization stores the integer core's (_fold_factorization_2d)
+    alphas over den 1 and beta numerators over the least denominator every
+    beta shares.
     """
     P, alphas, nums, den, facets = _fold_factorization_2d(n)
-    values = _Values(den)
-    betas = tuple(tuple(map(values.__getitem__, vec)) for vec in nums)
     ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
-    return NonnegFactorization._carrying(_size_2d(n), alphas, betas, ints, facets, P)
+    return NonnegFactorization._from_ints(_size_2d(n), ints, n, facets, P)
 
 
 def factorize_even(n: int, q: int) -> NonnegFactorization:
@@ -749,12 +753,10 @@ def _tensor_alphas(alpha2, n: int, d: int) -> tuple:
 def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     """The tensor construction of P^d_[1,n], d >= 3 (module docstring;
     factorize_even(n, 1) runs it at d = 2), from the degree-2 integer core
-    on [1, n - d % 2] and each facet's pairs from facets_with_pairs: a
-    beta's product block is the Kronecker product of its pairs' numerators over den2**q, den2
-    the denominator the degree-2 betas share, and every alpha entry is an
-    int. The public beta is built from those numerators, every zero of a
-    product block the shared Fraction(0) and an odd degree's empty
-    endpoint block int 0."""
+    on [1, n - d % 2] and each facet's pairs from facets_with_pairs: every
+    alpha entry is an int, and a beta's product block is the Kronecker
+    product of its pairs' numerators over den2**q, den2 the denominator the
+    degree-2 betas share; an odd degree's other endpoint block is zeros."""
     P = CyclicPolytope.standard(d, n)
     q = d // 2
     _, alpha2, beta2, den2, facets2 = _fold_factorization_2d(n - d % 2)
@@ -765,22 +767,17 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     by_pair = dict(zip((S.members for S in facets2), beta2))
     moved = {(a + 1, b + 1): v for (a, b), v in by_pair.items()}
     den = den2**q
-    values = _Values(den)
-    facets, nums, betas = [], [], []
+    facets, nums = [], []
     for members, endpoint, pairs in facets_with_pairs(P):
         facets.append(GaleSet(members))
         block = _kron([(moved if endpoint == 1 else by_pair)[pair] for pair in pairs])
-        public = tuple(map(values.__getitem__, block))
         if endpoint == 1:
-            block, public = block + zero, public + zero
+            block += zero
         elif endpoint is not None:
-            block, public = zero + block, zero + public
+            block = zero + block
         nums.append(block)
-        betas.append(public)
     ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
-    return NonnegFactorization._carrying(
-        len(alphas[0]), alphas, tuple(betas), ints, tuple(facets), P
-    )
+    return NonnegFactorization._from_ints(len(alphas[0]), ints, n, tuple(facets), P)
 
 
 def factorize(n: int, d: int) -> NonnegFactorization:

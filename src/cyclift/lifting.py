@@ -342,7 +342,7 @@ def pair_product_ef(n: int, d: int) -> ExtendedFormulation:
         zero = (0,) * len(products[0][1])
         eqs = [_product_equation(_shifted([0, *p]), b + zero) for p, b in products]
         eqs += [_product_equation(_poly_mul((n, -1), p), zero + b) for p, b in products]
-    return _xy_lift(P, eqs, _tensor_alphas(F2.alpha, n, d))
+    return _xy_lift(P, eqs, _tensor_alphas([a for a, _ in ints[:N]], n, d))
 
 
 def hull_ef(P: CyclicPolytope) -> ExtendedFormulation:

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -810,7 +811,7 @@ def test_constructions_verify_and_serialize_from_their_integer_form(monkeypatch)
 def test_replace_drops_the_carried_form():
     F = factorize_2d(17)
     G = replace(F, beta=((F.beta[0][0] + 1,) + F.beta[0][1:],) + F.beta[1:])
-    assert G._ints is None
+    assert vars(G)["beta"][0][0] == F.beta[0][0] + 1
     assert G.int_vectors()[F.n_rows][0][0] != F.int_vectors()[F.n_rows][0][0]
 
 
@@ -848,7 +849,7 @@ def _read_back(F):
 @pytest.mark.parametrize("case", list(READ_FILES))
 def test_read_file_form_is_scaled_ints_vector_by_vector(case):
     G = _read_back(READ_FILES[case]())
-    assert G._ints is None
+    assert "alpha" not in vars(G) and "beta" not in vars(G)
     for (nums, den), vec in zip(G.int_vectors(), G.alpha + G.beta):
         assert (list(nums), den) == scaled_ints(vec)
     assert max(den for _, den in G.int_vectors()) > 10**6
@@ -865,6 +866,41 @@ def test_read_file_verdict_matches_entry_scan(case):
     report = verify(slack_matrix(P), G)
     assert (report.ok, report.first_mismatch) == (found is None, found)
     assert report.ok == ("1/7" not in case)
+
+
+def test_written_file_reads_back_with_its_entries_and_types():
+    for label, _, F in _constructions():
+        assert repr(NonnegFactorization.from_json_dict(F.to_json_dict())) == repr(F), label
+
+
+def test_verify_and_the_writer_build_no_vector_of_values():
+    F = factorize_2d(513)
+    M = slack_matrix(F.target)
+    assert verify(M, F).ok
+    text = F.to_json_text()
+    G = NonnegFactorization.from_json_dict(json.loads(text))
+    assert verify(M, G).ok
+    for H in (F, G):
+        assert "alpha" not in vars(H) and "beta" not in vars(H)
+    # read, each view is built once and kept
+    assert F.beta is F.beta and "beta" in vars(F)
+
+
+def test_entries_are_ints_exactly_when_integral():
+    built = [F for _, _, F in _constructions()]
+    built += [_read_back(make()) for make in READ_FILES.values()]
+    for F in built:
+        for vec in F.alpha + F.beta:
+            assert all((type(x) is int) == (x.denominator == 1) for x in vec), vec
+
+
+def test_degree_2_beta_denominator_is_the_least():
+    # _dual_denominator's common multiple is 6 at n = 129, 257, 513 and
+    # 1025, where the least common denominator is 3, 1, 3 and 1
+    for n in [*FACTORIZE_2D_SWEEP[0], 257, 513, 1025]:
+        F = factorize_2d(n)
+        dens = {den for _, den in F.int_vectors()[F.n_rows :]}
+        assert dens == {lcm(*(x.denominator for vec in F.beta for x in vec))}, n
 
 
 def test_factorize_2d_leaves_nothing_to_the_cyclic_gc():

@@ -144,6 +144,23 @@ FACTORIZE_2D_SWEEP = (
     "75c69873f786f4e7c11dd6efc04857d2bab1fac0aac5aaaeee3fc9a6b9854332",
 )
 
+# factorize_even(n, d // 2) or factorize_odd(n, d // 2) at (d, n) for
+# d = 3..7 over the sizes below, each as repr((rank, alpha, beta,
+# column_labels, target)) followed by a newline, hashed as one stream. repr
+# tells an int entry from a Fraction of equal value, so the digest pins
+# every entry's type as well as its value: an integral entry, zeros
+# included, is an int, and any other a Fraction, as parse_rational reads
+# them. Every factorize --d >= 3 case of the stdout corpus takes the
+# trivial route, so nothing else pins these.
+FACTORIZE_TENSOR_SWEEP = (
+    {3: range(4, 41), 4: range(5, 21), 5: range(6, 15), 6: range(7, 12), 7: range(8, 11)},
+    "07b5fee87d642111724501cc3c0d26e77ab2fd251085b6d0ccd59bf6db3e64c1",
+)
+
+# the same sweep with every alpha and beta entry rendered by
+# format_rational: the values alone, whatever type holds them
+FACTORIZE_TENSOR_VALUES = "61bde3aa45dabf3b4eac179a2255fd377c857ca57c512546f3d1e3123d8b44a6"
+
 # (d, n, lift, objectives): one warm EfOptimizer per lift maximizes and then
 # minimizes each objective in turn, and every result is hashed in full
 # (status, value, primal point, inequality duals and the duals of every
@@ -151,17 +168,6 @@ FACTORIZE_2D_SWEEP = (
 # depend on which optimal basis Bland's rule reaches. The lifts are the
 # degree-3 lift of the lift_queries benchmark workload under (2 t0, -1, 0)
 # for t0 = 1..65, and the convex-hull lift of minimize-poly's trivial route.
-# factorize_even(n, d // 2) or factorize_odd(n, d // 2) at (d, n) for
-# d = 3..7 over the sizes below, each as repr((rank, alpha, beta,
-# column_labels, target)) followed by a newline, hashed as one stream. repr
-# tells an int entry from a Fraction of equal value, so the digest pins
-# every entry's type as well as its value. Every factorize --d >= 3 case of
-# the stdout corpus takes the trivial route, so nothing else pins these.
-FACTORIZE_TENSOR_SWEEP = (
-    {3: range(4, 41), 4: range(5, 21), 5: range(6, 15), 6: range(7, 12), 7: range(8, 11)},
-    "ae14f4611f5d8bb245bd101a18c3621ad4b16977ed18f188e08fbdbe305873fb",
-)
-
 EF_SOLVE_CASES = (
     (3, 65, "factorization", [(2 * t0, -1, 0) for t0 in range(1, 66)]),
     (4, 37, "hull", [(-9, 5, -8, 1)]),
@@ -259,16 +265,28 @@ def test_factorize_2d_sweep_digest():
     assert h.hexdigest() == digest
 
 
-def test_factorize_tensor_sweep_digest():
-    sizes, digest = FACTORIZE_TENSOR_SWEEP
-    h = hashlib.sha256()
-    for d, ns in sizes.items():
+def _tensor_sweep():
+    for d, ns in FACTORIZE_TENSOR_SWEEP[0].items():
         build = factorize_odd if d % 2 else factorize_even
         for n in ns:
-            F = build(n, d // 2)
-            h.update(repr((F.rank, F.alpha, F.beta, F.column_labels, F.target)).encode())
-            h.update(b"\n")
-    assert h.hexdigest() == digest
+            yield build(n, d // 2)
+
+
+def test_factorize_tensor_sweep_digest():
+    h = hashlib.sha256()
+    for F in _tensor_sweep():
+        h.update(repr((F.rank, F.alpha, F.beta, F.column_labels, F.target)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == FACTORIZE_TENSOR_SWEEP[1]
+
+
+def test_factorize_tensor_sweep_values():
+    h = hashlib.sha256()
+    for F in _tensor_sweep():
+        alpha, beta = ([list(map(format_rational, v)) for v in side] for side in (F.alpha, F.beta))
+        h.update(repr((F.rank, alpha, beta, F.column_labels, F.target)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == FACTORIZE_TENSOR_VALUES
 
 
 def _render_result(res) -> str:
