@@ -107,6 +107,40 @@ def consistent(equations):
     return _rank(coeffs) == _rank(augmented)
 
 
+def dictionary(nvars, equations, inequalities, x0, basic):
+    """The simplex dictionary of a basis, from first definitions: each row
+    basic in a slack as {column id: Fraction}, keyed by that slack, over
+    the columns x_j - x0_j (column j < nvars), the slacks s_k = rhs_k -
+    <g_k, x> (column nvars + k) and the rhs (column nvars +
+    len(inequalities)), its own slack reading 1. Gauss-Jordan elimination
+    in Fractions on the basic columns, in the order given, of the rows of
+    the equations (independent ones) and the inequalities."""
+    rhs = nvars + len(inequalities)
+    x0 = [Fraction(v) for v in x0]
+    rows = []
+    for k, (coeffs, b) in enumerate(list(equations) + list(inequalities)):
+        row = {j: Fraction(c) for j, c in enumerate(coeffs) if c}
+        if k >= len(equations):
+            row[nvars + k - len(equations)] = Fraction(1)
+        row[rhs] = Fraction(b) - sum(Fraction(c) * v for c, v in zip(coeffs, x0))
+        rows.append(row)
+    pivots = {}
+    free = list(range(len(rows)))
+    for col in basic:
+        at = next(i for i in free if rows[i].get(col))
+        free.remove(at)
+        a = rows[at][col]
+        prow = rows[at] = {c: v / a for c, v in rows[at].items()}
+        for i, row in enumerate(rows):
+            f = row.get(col) if i != at else 0
+            if f:
+                for c, v in prow.items():
+                    row[c] = row.get(c, 0) - f * v
+                rows[i] = {c: v for c, v in row.items() if v}
+        pivots[col] = at
+    return {col: {c: v for c, v in rows[at].items() if v} for col, at in pivots.items() if col >= nvars}
+
+
 # ------------------------------------------------- reference simplex layout
 
 _ZERO = Fraction(0)  # shared by every zero dual

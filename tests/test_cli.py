@@ -603,6 +603,29 @@ def test_minimize_poly_rational_coeffs(capsys):
     assert payload["minimum"] == "-3/2" and payload["argmin"] == [1, 2]
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negated"])
+def test_minimize_poly_forty_digit_coefficients(capsys, sign):
+    """Coefficients of 40 digits at d = 3, n = 76: the objective row the
+    lifted LP prices and pivots carries integers of over 130 bits against
+    a tableau of small ones, and the minimum still matches brute force
+    over the 76 points, and so does its argmin (t = 2, and t = 76 for the
+    negation)."""
+    coeffs = [sign * c for c in (
+        7_302_918_446_105_537_219_880_145_362_810_459_337,
+        -9_184_726_355_190_447_682_019_337_545_810_266_771,
+        -1_028_394_756_102_938_475_610_293_847_561_029_384,
+        1_000_000_000_000_000_000_000_000_000_000_000_003,
+    )]
+    values = {t: sum(c * t**k for k, c in enumerate(coeffs)) for t in range(1, 77)}
+    best = min(values.values())
+    rc, out, _ = run(capsys, "minimize-poly", "--coeffs=" + ",".join(map(str, coeffs)), "--n", "76")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["minimum"] == payload["lp_minimum"] == str(best)
+    assert payload["argmin"] == [t for t, v in values.items() if v == best]
+    assert payload["match"] is True
+
+
 def test_minimize_poly_usage_errors(capsys):
     assert run(capsys, "minimize-poly", "--coeffs", "1,2", "--n", "5")[0] == 2
     assert run(capsys, "minimize-poly", "--coeffs", "1,2,3", "--n", "2")[0] == 2

@@ -4,6 +4,7 @@ warm restarts, and randomized cross-checks against vertex enumeration."""
 import copy
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -27,7 +28,8 @@ from cyclift.exact_lp import (
 from cyclift.geometry import CyclicPolytope, Interval, enumerate_facets, facet_inequality, vertex
 from cyclift.lifting import hull_ef, lift_objective
 
-from reference import TrackerSolver, vertex_maximum
+import cyclift.exact_lp as exact_lp
+from reference import TrackerSolver, dictionary, vertex_maximum
 
 
 def facet_system(d, t1, t2):
@@ -261,6 +263,18 @@ def _dot(coeffs, x):
     return sum((c * xi for c, xi in zip(coeffs, x)), Fraction(0))
 
 
+@contextmanager
+def _rows_drawn(data):
+    """A block in which every solver built keeps its rows packed or as
+    lists for the simplex, drawn: a tableau with fewer than _PACKED_MIN
+    slots, or rows with two nonzero positions, keeps lists (_packs), as
+    every small system here would."""
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans(), label="packed rows"):
+            mp.setattr(exact_lp, "_PACKED_MIN", 0)
+        yield mp
+
+
 @st.composite
 def feasible_systems(draw):
     """(nvars, equations, inequalities, x0): rational rows with
@@ -293,7 +307,8 @@ def test_random_rational_lps_certify(system, data):
     objective = tuple(data.draw(st.lists(rationals, min_size=nvars, max_size=nvars)))
     sense = data.draw(st.sampled_from([MAX, MIN]))
     lp = LinearProgram(sense, objective, eqs, ineqs)
-    res = solve(lp, x0)
+    with _rows_drawn(data):
+        res = solve(lp, x0)
     assert res.status in (OPTIMAL, UNBOUNDED)
     if res.status == OPTIMAL:
         assert certify(lp, res)
@@ -306,12 +321,62 @@ def test_random_rational_lps_certify(system, data):
         assert certify(lp, again)
 
 
+def _entries(solver):
+    """Each tableau row's entries, its positions and then the rhs, read
+    from the packed ints or the lists."""
+    if solver._packed:
+        return [solver._decode(row) for row in solver._rows]
+    return [list(row) for row in solver._rows]
+
+
+def _tableau(solver):
+    """Every tableau row basic in a slack as {column id: Fraction}, over
+    its den, in the unscaled slacks (slack k is rhs_k - <g_k, x>, and the
+    solver's column nvars + k is that times _scales[k]), its basic slack
+    reading 1. Keyed by the basic slack; an equation row the set-up has
+    not pivoted yet has none and is left out."""
+    nv, rhs, scales = solver._nv, solver._rhs, solver._scales
+    rows = {}
+    for entries, den, b in zip(_entries(solver), solver._dens, solver._basis):
+        if b is not None:
+            row = dict(zip(solver._cols + [rhs], entries))
+            row[b] = den
+            rows[b] = (row, den)
+    return {
+        b: {
+            c: Fraction(v * (scales[c - nv] if nv <= c < rhs else 1), den * scales[b - nv])
+            for c, v in row.items()
+            if v
+        }
+        for b, (row, den) in rows.items()
+    }
+
+
+def _reference_tableau(reference, nvars):
+    """reference.TrackerSolver's slack-basic rows in the same form: its u
+    columns are the variables, and its w and tracker columns are left out."""
+    ref = reference
+    ineqs = ref._track0 - ref._slack0
+    columns = list(range(nvars)) + [ref._slack0 + k for k in range(ineqs)] + [ref._rhs]
+    ids = list(range(nvars)) + [nvars + k for k in range(ineqs)] + [nvars + ineqs]
+    return {
+        b - nvars: {c: Fraction(row[j], den) for c, j in zip(ids, columns) if row[j]}
+        for row, den, b in zip(ref._rows, ref._dens, ref._basis)
+        if ref._slack0 <= b < ref._track0
+    }
+
+
 def _check_layout(solver):
     """The nonbasic layout: the position list holds exactly the column ids
     that are neither basic in a tableau row nor set aside, each once, and
-    _order lists the positions in column-id order; every tableau row and
-    the objective row holds one int per position plus the rhs, over a
-    positive den and in lowest terms (gcd(den, *row) == 1)."""
+    _order lists the positions in column-id order. Every tableau row and
+    the objective row hold one int per position plus the rhs. Packed, the
+    rows share one common denominator: read over it (times den over the
+    row's own den) every row is integral and within _bound, every slot
+    holds _bound, and every row is the one packing of its entries; as
+    lists (the set-up's rows, a tableau _packs keeps as lists, or one
+    unpacked), each row is in lowest terms over a positive den. So are
+    the objective row and every set-aside row."""
     cols, nvars = solver._cols, solver._nv
     basic = {b for b in solver._basis if b is not None}
     aside = {col for col, _, _ in solver._aside}
@@ -322,10 +387,23 @@ def _check_layout(solver):
     # position are the ones not set aside
     assert sum(c < nvars for c in cols) == nvars - len(aside)
     assert len(solver._rows) == len(solver._dens) == len(solver._basis)
-    for row, den in [*zip(solver._rows, solver._dens), (solver._obj, solver._oden)]:
+    rows = _entries(solver)
+    for row, den in zip(rows, solver._dens):
         assert len(row) == len(cols) + 1
-        assert all(type(x) is int for x in row)
-        assert den > 0 and gcd(den, *row) == 1
+        assert all(type(x) is int for x in row) and type(den) is int and den > 0
+    if solver._packed:
+        common, most = solver._den, solver._bound
+        assert common > 0 and most.bit_length() < solver._w
+        for packed, row, den in zip(solver._rows, rows, solver._dens):
+            assert type(packed) is int and solver._encode(row) == packed
+            assert all(x * common % den == 0 and abs(x) * common // den <= most for x in row)
+    else:
+        assert all(gcd(den, *row) == 1 for row, den in zip(rows, solver._dens))
+    obj, oden = solver._obj, solver._oden
+    assert len(obj) == len(cols) + 1 and all(type(x) is int for x in obj)
+    assert oden > 0 and gcd(oden, *obj) == 1
+    for _, den, support in solver._aside:
+        assert den > 0 and gcd(den, *(v for _, v in support)) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,31 +413,38 @@ def test_solver_matches_tracker_layout(system, data):
     the same basis as the reference layout (reference.TrackerSolver, its
     labels mapped to column ids) after every solve: the same pivots and
     the same equation duals. The tableau rows carry the reference's
-    slack-basic labels in its row order, and the set-aside rows its
-    free-basic ones."""
+    slack-basic labels in its row order, the set-aside rows its free-basic
+    ones, and every tableau row, decoded, is the reference's row."""
     nvars, eqs, ineqs, x0 = system
-    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+    with _rows_drawn(data):
+        solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
     reference = TrackerSolver(nvars, eqs, ineqs, x0)
 
-    def layout():
-        return solver._basis, sorted(col for col, _, _ in solver._aside)
-
-    def reference_layout():
-        ids = [_column(b, nvars)[0] for b in reference._basis]
-        return [c for c in ids if c >= nvars], sorted(c for c in ids if c < nvars)
-
-    assert layout() == reference_layout()
+    assert _layout(solver) == _reference_layout(reference, nvars)
+    assert _tableau(solver) == _reference_tableau(reference, nvars)
     _check_layout(solver)
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
     for objective, sense in data.draw(st.lists(query, min_size=1, max_size=4)):
         _assert_same_result(*_solve_both(solver, reference, objective, sense))
-        assert layout() == reference_layout()
+        assert _layout(solver) == _reference_layout(reference, nvars)
+        assert _tableau(solver) == _reference_tableau(reference, nvars)
         _check_layout(solver)
     # once every variable is set aside, every position holds a slack:
     # `pytest --hypothesis-show-statistics` shows how often
     event("every variable set aside" if len(solver._aside) == nvars else "a variable at a position")
+
+
+def _layout(solver):
+    """(basic slacks of the tableau rows in row order, set-aside variables
+    sorted)."""
+    return solver._basis, sorted(col for col, _, _ in solver._aside)
+
+
+def _reference_layout(reference, nvars):
+    ids = [_column(b, nvars)[0] for b in reference._basis]
+    return [c for c in ids if c >= nvars], sorted(c for c in ids if c < nvars)
 
 
 def _assert_same_result(res, ref):
@@ -394,14 +479,14 @@ def _column(label, nvars):
 class FractionKeySolver(ReoptimizingSolver):
     """The ratio test as the key (Fraction(rhs, entry), basis label) over
     the rows basic in a slack, the reference for the solver's integer
-    cross-multiplication. The entering label is the first negative entry of
-    the objective row written out over every label: u_j, then w_j = -u_j,
-    then the slacks, the reference for _entering; a column at no position
-    (basic or set aside) reads 0 there. The pivot is at the position of
-    the label's column."""
+    cross-multiplication, read from the decoded rows. The entering label is the first negative
+    entry of the objective row written out over every label: u_j, then
+    w_j = -u_j, then the slacks, the reference for _entering; a column at
+    no position (basic or set aside) reads 0 there. The pivot is at the
+    position of the label's column."""
 
     def _simplex(self):
-        rows, basis, rhs, nv = self._rows, self._basis, self._rhs, self._nv
+        basis, rhs, nv = self._basis, self._rhs, self._nv
         while True:
             obj = [0] * rhs
             for c, v in zip(self._cols, self._obj):
@@ -412,6 +497,7 @@ class FractionKeySolver(ReoptimizingSolver):
                 return OPTIMAL
             col, sign = _column(label, nv)
             at = self._cols.index(col)
+            rows = _entries(self)
             keys = [
                 ((Fraction(row[-1], sign * row[at]), basis[i]), i)
                 for i, row in enumerate(rows)
@@ -419,7 +505,7 @@ class FractionKeySolver(ReoptimizingSolver):
             ]
             if not keys:
                 return UNBOUNDED
-            self._pivot(min(keys)[1], at)
+            self._pivot(min(keys)[1], at, [row[at] for row in rows])
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,8 +514,9 @@ def test_ratio_test_matches_fraction_key(system, data):
     """Same leaving row on every pivot, ties included: the systems are
     often degenerate (inequalities tight at the start), so ratios tie."""
     nvars, eqs, ineqs, x0 = system
-    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
-    reference = FractionKeySolver(nvars, eqs, ineqs, x0)
+    with _rows_drawn(data):
+        solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+        reference = FractionKeySolver(nvars, eqs, ineqs, x0)
     vec = st.lists(rationals, min_size=nvars, max_size=nvars)
     for objective in data.draw(st.lists(vec, min_size=1, max_size=4)):
         assert solver.maximize(objective) == reference.maximize(objective)
@@ -441,20 +528,21 @@ def test_ratio_test_matches_fraction_key(system, data):
 def test_free_variables_never_leave_the_basis(system, data):
     """No pivot takes out a row basic in a variable (label < nvars):
     start-basis pivots replace an unlabelled equation row, and simplex
-    pivots a row basic in a slack. Warm maxima and minima still certify."""
+    pivots a row basic in a slack. Warm maxima and minima still
+    certify."""
     nvars, eqs, ineqs, x0 = system
     left = []
     original = ReoptimizingSolver._pivot
 
-    def recording(self, pi, label):
+    def recording(self, pi, ps, column):
         left.append(self._basis[pi])
-        original(self, pi, label)
+        original(self, pi, ps, column)
 
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
     queries = data.draw(st.lists(query, min_size=1, max_size=4))
-    with pytest.MonkeyPatch.context() as mp:
+    with _rows_drawn(data) as mp:
         mp.setattr(ReoptimizingSolver, "_pivot", recording)
         solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
         for objective, sense in queries:
@@ -464,16 +552,10 @@ def test_free_variables_never_leave_the_basis(system, data):
     assert all(b is None or b >= nvars for b in left)
 
 
-def _tableau_support(solver, row, den, basic):
-    """A tableau row as nonzero (column id, value) pairs: its positions,
-    its basic column, which reads its den, and the rhs."""
-    support = [(c, v) for c, v in zip(solver._cols, row) if v] + [(basic, den)]
-    return support + [(solver._rhs, row[-1])]
-
-
-def _row_holds(support, nvars, x0, ineqs, x):
+def _row_holds(support, nvars, x0, ineqs, x, scales=None):
     """A row in column ids, read as sum v * column = rhs over the point x:
-    a variable column holds x_j - x0_j and slack k holds rhs_k - <g_k, x>."""
+    a variable column holds x_j - x0_j and slack k holds rhs_k - <g_k, x>,
+    times scales[k] when the row is in the solver's scaled slacks."""
     rhs_col = nvars + len(ineqs)
     total = Fraction(0)
     for j, v in support:
@@ -481,7 +563,7 @@ def _row_holds(support, nvars, x0, ineqs, x):
             total += v * (x[j] - x0[j])
         elif j < rhs_col:
             coeffs, rhs = ineqs[j - nvars]
-            total += v * (rhs - _dot(coeffs, x))
+            total += v * (rhs - _dot(coeffs, x)) * (scales[j - nvars] if scales else 1)
         else:
             total -= v
     return total == 0
@@ -493,8 +575,8 @@ def test_set_aside_rows_stay_fixed(system, data):
     """After every pivot no tableau row is basic in a variable column, each
     variable is set aside at most once, and every set-aside row stays
     bit-identical to the row that left. Each holds as an equation at every
-    optimum, which is what _value_point back-substitutes, and so does each
-    tableau row read with its basic column at its den. _pivot takes a
+    optimum, which is what _value_point back-substitutes (in the solver's
+    scaled slacks), and so does each tableau row, decoded. _pivot takes a
     position, so the column entering is the one there before the pivot:
     a variable is set aside, and every row keeps the nonbasic layout
     (_check_layout). A start-basis pivot deletes its position, and a
@@ -503,9 +585,9 @@ def test_set_aside_rows_stay_fixed(system, data):
     left = []
     original = ReoptimizingSolver._pivot
 
-    def recording(self, pi, ps):
+    def recording(self, pi, ps, column):
         col, leaving, width = self._cols[ps], self._basis[pi], len(self._cols)
-        original(self, pi, ps)
+        original(self, pi, ps, column)
         assert all(b is None or b >= nvars for b in self._basis)
         if col < nvars:
             left.append(copy.deepcopy(self._aside[-1]))
@@ -519,7 +601,7 @@ def test_set_aside_rows_stay_fixed(system, data):
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
     queries = data.draw(st.lists(query, min_size=1, max_size=4))
-    with pytest.MonkeyPatch.context() as mp:
+    with _rows_drawn(data) as mp:
         mp.setattr(ReoptimizingSolver, "_pivot", recording)
         solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
         for objective, sense in queries:
@@ -529,10 +611,9 @@ def test_set_aside_rows_stay_fixed(system, data):
             assert len(set(cols)) == len(cols)
             if res.status == OPTIMAL:
                 for _, _, support in left:
-                    assert _row_holds(support, nvars, x0, ineqs, res.primal)
-                for row, den, b in zip(solver._rows, solver._dens, solver._basis):
-                    support = _tableau_support(solver, row, den, b)
-                    assert _row_holds(support, nvars, x0, ineqs, res.primal)
+                    assert _row_holds(support, nvars, x0, ineqs, res.primal, solver._scales)
+                for row in _tableau(solver).values():
+                    assert _row_holds(row.items(), nvars, x0, ineqs, res.primal)
 
 
 def test_back_substitution_reads_later_entries():
@@ -591,7 +672,8 @@ def test_start_pivots_keep_the_independent_equations(system, data):
     refuses the system, and the solver raises the DomainError a violated
     equation raises."""
     nvars, eqs, ineqs, x0 = system
-    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+    with _rows_drawn(data):
+        solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
     reference = TrackerSolver(nvars, eqs, ineqs, x0)
     assert solver._kept_eqs == independent_equations(eqs)
     query = st.tuples(
@@ -608,6 +690,89 @@ def test_start_pivots_keep_the_independent_equations(system, data):
         independent_equations(bad)
     with pytest.raises(DomainError, match="^feasible point violates an equation$"):
         ReoptimizingSolver(nvars, bad, ineqs, x0)
+
+
+def _wide_rationals(bits):
+    return st.builds(Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2 ** (bits - 10)))
+
+
+def _wide_positive(bits):
+    low = 2 ** max(bits - 16, 0)
+    return st.builds(Fraction, st.integers(low, 2**bits), st.integers(1, 2 ** (bits - 10)))
+
+
+wide_rationals = _wide_rationals(80)
+
+
+@st.composite
+def wide_systems(draw):
+    """feasible_systems with wide numbers: numerators up to 2^bits and
+    denominators up to 2^(bits - 10), so the slack columns have fractional
+    scales, with slacks from 2^(bits - 16) at x0. At 80 bits the numbers
+    outgrow one machine word, and at 12 or 24 bits packed rows start in
+    narrower slots and outgrow them. Sometimes one more equation is a wide
+    multiple of the first, which the solver drops as dependent, and
+    sometimes the variables are boxed, which gives each one two unit rows
+    with wide rhs."""
+    bits = draw(st.sampled_from([12, 24, 80]), label="bits")
+    wide_rationals, wide_positive = _wide_rationals(bits), _wide_positive(bits)
+    nvars = draw(st.integers(1, 3))
+    vec = st.lists(wide_rationals, min_size=nvars, max_size=nvars).map(tuple)
+    x0 = draw(vec)
+    eqs = [(c, _dot(c, x0)) for c in draw(st.lists(vec, max_size=2))]
+    if eqs and draw(st.booleans()):
+        scale = draw(wide_positive) * draw(st.sampled_from([1, -1]))
+        c = tuple(scale * v for v in eqs[0][0])
+        eqs.insert(draw(st.integers(0, len(eqs))), (c, _dot(c, x0)))
+    slack = st.just(Fraction(0)) | wide_positive
+    ineqs = [(c, _dot(c, x0) + draw(slack)) for c in draw(st.lists(vec, min_size=1, max_size=5))]
+    if draw(st.booleans()):
+        for j in range(nvars):
+            unit = tuple(Fraction(int(k == j)) for k in range(nvars))
+            ineqs.append((unit, x0[j] + draw(wide_positive)))
+            ineqs.append((tuple(-u for u in unit), draw(wide_positive) - x0[j]))
+    return nvars, tuple(eqs), tuple(ineqs), x0
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_systems(), st.data())
+def test_wide_entries_match_tracker(system, data):
+    """Tableau entries that outgrow their slots: after every warm solve the
+    result (entry types included), the basis, the set-aside variables and
+    every decoded tableau row are reference.TrackerSolver's, and the
+    layout holds (_check_layout). Drawn: the rows are packed, so that an
+    entry that could outgrow its slot widens every slot first (_repack),
+    and one that could outgrow the widest makes them lists (_unpack), or
+    kept as lists in lowest terms."""
+    nvars, eqs, ineqs, x0 = system
+    grown = []
+    repack, unpack = ReoptimizingSolver._repack, ReoptimizingSolver._unpack
+
+    def repacking(self):
+        grown.append("slots widened")
+        repack(self)
+
+    def unpacking(self):
+        grown.append("rows unpacked")
+        unpack(self)
+
+    query = st.tuples(
+        st.lists(wide_rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
+    )
+    with _rows_drawn(data) as mp:
+        mp.setattr(ReoptimizingSolver, "_repack", repacking)
+        mp.setattr(ReoptimizingSolver, "_unpack", unpacking)
+        solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+        reference = TrackerSolver(nvars, eqs, ineqs, x0)
+        if exact_lp._PACKED_MIN == 0 and not solver._packed:
+            grown.append("entries too wide to pack from the start")
+        for objective, sense in data.draw(st.lists(query, min_size=1, max_size=4)):
+            _assert_same_result(*_solve_both(solver, reference, objective, sense))
+            assert _layout(solver) == _reference_layout(reference, nvars)
+            assert _tableau(solver) == _reference_tableau(reference, nvars)
+            _check_layout(solver)
+    for kind in sorted(set(grown)) or ["no growth"]:
+        event(kind)
 
 
 class SequentialPricingSolver(ReoptimizingSolver):
@@ -632,8 +797,9 @@ def test_unit_row_pricing_matches_sequential_pricing(system, data):
     for j in range(nvars):
         unit = tuple(Fraction(int(k == j)) for k in range(nvars))
         ineqs += ((unit, x0[j] + 10), (tuple(-u for u in unit), 10 - x0[j]))
-    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
-    reference = SequentialPricingSolver(nvars, eqs, ineqs, x0)
+    with _rows_drawn(data):
+        solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+        reference = SequentialPricingSolver(nvars, eqs, ineqs, x0)
     query = st.tuples(
         st.lists(rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
@@ -673,14 +839,16 @@ def test_hull_lift_read_out_matches_tracker():
         min_size=1,
         max_size=8,
     ),
+    st.booleans(),
 )
-def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
+def test_warm_solves_equal_fresh_solves(t1, length, scales, queries, packed):
     """Over a degree-2 cyclic polytope (every vertex on exactly two facets)
     whose facet rows are scaled by positive rationals, a warm solver and a
     fresh solve agree on every objective. For an objective inside the
     normal cone of a vertex (a positive combination of its two facet
     normals) the optimum and its duals are unique, so the whole LPResult
-    must be equal; for any other objective the values must be."""
+    must be equal; for any other objective the values must be. The warm
+    solver's rows are packed or lists, drawn."""
     t2 = t1 + length
     p = CyclicPolytope(2, Interval(t1, t2))
     facets = enumerate_facets(p)
@@ -688,7 +856,11 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
         (tuple(s * a for a in facet_inequality(p, S).a), s * facet_inequality(p, S).b)
         for S, s in zip(facets, scales)
     )
-    solver = ReoptimizingSolver(2, (), ineqs, vertex(p, t1))
+    with pytest.MonkeyPatch.context() as mp:
+        if packed:  # 13 rows, but 3 slots
+            mp.setattr(exact_lp, "_PACKED_MIN", 0)
+        solver = ReoptimizingSolver(2, (), ineqs, vertex(p, t1))
+    assert solver._packed == packed
     for pick, w1, w2, cone in queries:
         if cone:
             t = t1 + pick % (length + 1)
@@ -709,46 +881,63 @@ def test_warm_solves_equal_fresh_solves(t1, length, scales, queries):
             assert warm == fresh
 
 
-def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
-    """Every pivot of small degenerate programs, with equations and
-    fractional coefficients, leaves each tableau row, the set-aside row and
-    the objective row with a positive denominator and gcd(den, *row) == 1.
-    Each tableau row and the objective row hold one int per nonbasic
-    column plus the rhs (_check_layout): a start-basis pivot deletes its
-    position, and a simplex pivot puts the leaving column at the entering
-    one's position, so the width is nvars - (kept equations) + 1 once the
-    set-up is done. A set-aside row keeps its support in column ids, and
-    its basic column reads 1. The objective row stays priced out: a basic
-    or set-aside column has no position in it. Each system is solved once
-    per objective and then warm, every objective on one solver, so that
-    the checks also run once every variable has been set aside."""
+@pytest.mark.parametrize("rows", ["packed", "lists"])
+def test_tableau_rows_keep_one_common_denominator(monkeypatch, rows):
+    """Every pivot of small degenerate programs, with equations, fractional
+    coefficients and unit rows, leaves the layout _check_layout checks:
+    packed (forced here for the simplex), every row read over the one
+    common denominator is integral and within the proven bound the slots
+    hold; as lists, at every set-up pivot and in the simplex of a tableau
+    kept as lists, every row in lowest terms over a positive den. Every
+    tableau row basic in a slack, decoded, is the row of the simplex
+    dictionary of the current basis (reference.dictionary, from first
+    definitions, over the equations pivoted so far). A set-up pivot
+    deletes its position, and a simplex pivot puts the leaving column at
+    the entering one's position, so the width is nvars - (kept equations)
+    + 1 once the set-up is done. A set-aside row keeps each column once, in
+    lowest terms, and its basic column reads its den. Each system is
+    solved once per objective and then warm, every objective on one
+    solver, so that the checks also run once every variable has been set
+    aside."""
+    monkeypatch.setattr(exact_lp, "_PACKED_MIN", 0 if rows == "packed" else 10**9)
     checked = []
     priced = []
     slacks_only = []
+    set_up = []
     original = ReoptimizingSolver._pivot
-    nvars = nineqs = None
+    system = None
 
-    def checking(self, pi, ps):
+    def checking(self, pi, ps, column):
         aside = len(self._aside)
         col, leaving, width = self._cols[ps], self._basis[pi], len(self._cols)
-        original(self, pi, ps)
+        original(self, pi, ps, column)
         _check_layout(self)
-        assert len(self._cols) == width - (leaving is None)
+        nvars, eqs, ineqs, x0 = system
+        kept = [eqs[k] for k in independent_equations(eqs)]
+        if leaving is None:  # a set-up pivot, on lists
+            set_up.append(col)
+            assert not self._packed and len(self._cols) == width - 1
+            kept = kept[: len(self._aside)]
+        else:
+            assert self._packed == (rows == "packed")
+            assert len(self._cols) == width and self._cols[ps] == leaving
+        basic = [c for c, _, _ in self._aside] + [b for b in self._basis if b is not None]
+        assert _tableau(self) == dictionary(nvars, kept, ineqs, x0, basic)
         if col < self._nv:  # the pivot row was set aside as it stands
             assert aside < nvars  # a variable enters only from a position
             assert len(self._aside) == aside + 1
             entered, den, support = self._aside[-1]
             row = dict(support)
+            assert len(row) == len(support)
             assert entered == col and den > 0 and gcd(den, *row.values()) == 1
             assert all(type(x) is int and x for x in row.values())
-            assert list(row) == sorted(row) and max(row) < nvars + nineqs + 1
+            assert max(row) < nvars + len(ineqs) + 1
             assert row[col] == den  # basic column reads 1
             assert leaving is None or leaving in row
         else:
             assert len(self._aside) == aside
-            assert self._basis[pi] == col and self._cols[ps] == leaving
-            den = self._dens[pi]
-        checked.append(max(self._dens + [den]))
+            assert self._basis[pi] == col
+        checked.append(max(self._dens, default=1))
         priced.append(self._oden)
         if aside == nvars:
             slacks_only.append(col)
@@ -759,19 +948,19 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
         ((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((2, 1), 3), ((1, 2), 3),
         ((3 * h, 3 * h), 3), ((Fraction(2, 3), Fraction(1, 3)), 1),
     )
-    nvars, nineqs = 2, len(degenerate)
+    system = (2, (), degenerate, (0, 0))
     for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (1, 2)):
         lp = LinearProgram(MAX, objective, inequalities=degenerate)
         res = solve(lp, (0, 0))
         assert certify(lp, res)
     # boxed below too, so that objectives pointing down stay bounded
     boxed = degenerate + (((-1, 0), 2), ((0, -1), 2))
-    nineqs = len(boxed)
-    warm = ReoptimizingSolver(nvars, (), boxed, (0, 0))
+    system = (2, (), boxed, (0, 0))
+    warm = ReoptimizingSolver(2, (), boxed, (0, 0))
     for objective in ((1, 1), (3, 1), (1, Fraction(5, 3)), (-1, -2), (2, -1), (-1, 3), (1, 2)):
         res = warm.maximize(objective)
         assert certify(LinearProgram(MAX, objective, inequalities=boxed), res)
-    assert len(warm._aside) == nvars and slacks_only
+    assert len(warm._aside) == 2 and slacks_only
     eqs = (((Fraction(3, 2), -1, Fraction(1, 3)), Fraction(1, 2)), ((3, -2, Fraction(2, 3)), 1))
     ineqs = (
         ((1, 1, 1), 6), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
@@ -779,19 +968,19 @@ def test_tableau_rows_stay_in_lowest_terms(monkeypatch):
     )
     # the second equation is twice the first: its row is dropped when the
     # start pivots reach it
-    nvars, nineqs = 3, len(ineqs)
+    system = (3, eqs, ineqs, (1, 1, 0))
     lp = LinearProgram(MAX, (1, 2, 3), eqs, ineqs)
     res = solve(lp, (1, 1, 0))
     assert res.status == OPTIMAL and certify(lp, res)
     slacks_only.clear()
-    warm = ReoptimizingSolver(nvars, eqs, ineqs, (1, 1, 0))
+    warm = ReoptimizingSolver(3, eqs, ineqs, (1, 1, 0))
     for objective in ((1, 2, 3), (3, 1, 0), (0, -1, 1), (-1, -1, -1), (1, 0, Fraction(1, 2))):
         res = warm.maximize(objective)
         assert res.status == OPTIMAL
         assert certify(LinearProgram(MAX, objective, eqs, ineqs), res)
-    assert len(warm._aside) == nvars and slacks_only
-    assert len(warm._cols) == nvars - 1  # one of the two equations is kept
-    assert checked and max(checked) > 1
+    assert len(warm._aside) == 3 and slacks_only
+    assert len(warm._cols) == 3 - 1  # one of the two equations is kept
+    assert set_up and checked and max(checked) > 1
     assert max(priced) > 1
 
 
@@ -833,7 +1022,7 @@ def test_unbounded_after_the_drop():
     assert res.status == UNBOUNDED
     _check_layout(solver)
     # two slack positions (nvars, no equations) plus the rhs
-    assert all(len(row) == 3 for row in solver._rows)
+    assert all(len(row) == 3 for row in _entries(solver))
     for objective, sense in (((1, 0), MAX), ((1, 1), MAX), ((1, -1), MIN), ((1, 0), MIN)):
         res = _same_and_certified(solver, reference, objective, sense, _WARM_INEQS)
         assert res.status == OPTIMAL
@@ -883,7 +1072,7 @@ def test_unconstrained_variable_keeps_the_columns():
         _check_layout(solver)
     assert sorted(col for col, _, _ in solver._aside) == [0, 1]
     # nvars less the one kept equation: z and a slack, plus the rhs
-    assert all(len(row) == 3 for row in solver._rows + [solver._obj])
+    assert all(len(row) == 3 for row in _entries(solver) + [solver._obj])
 
 
 # the three rows of x = y: one independent equation and two dependent ones

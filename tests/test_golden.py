@@ -179,23 +179,27 @@ EF_SOLVE_DIGEST = "53a69f7693d01275891b63180a7982bcac329b55b2a76dc2ce06c9a79f968
 # further fails here before the benchmark sees it
 EF_SOLVE_PIVOT_CEILING = 2226
 
-# the row updates (exact_lp._eliminate calls: tableau rows, the objective
-# row and the pricing of each new objective) over the same 130 solves: a
-# ceiling, so that a layout that updates rows the simplex never reads
-# again, or pricing that reduces each objective against the set-aside rows
-# again once their unit rows are priced, fails here: 28415 are in pivots
-# and 279 in pricing
+# the row updates over the same 130 solves: exact_lp._update calls (a
+# packed tableau row's update in a pivot) and exact_lp._eliminate calls
+# (the objective row in a pivot, the pricing of each new objective, and a
+# tableau row kept as a list): a ceiling, so that a layout that updates
+# rows the simplex never reads again, or pricing that reduces each
+# objective against the set-aside rows again once their unit rows are
+# priced, fails here: 26189 tableau rows and 2226 objective rows in
+# pivots, and 279 in pricing. A row whose entry at the entering position
+# is 0 keeps its entries and its den, and is no update
 EF_SOLVE_ROW_UPDATE_CEILING = 28694
 
-# the integers those row updates pass through (len(row) summed over the
-# exact_lp._eliminate calls of the same 130 solves): a ceiling, so that a
-# tableau that stores a column it never needs to update (a basic column,
-# or a variable column once the variable has entered) fails here. The
-# nonbasic layout stores 11 positions plus the rhs per row on this lift:
-# 340980 integers in pivots and 14508 in the full-width pricing: 12324
-# against the tableau rows and 2184 against the set-aside rows, the unit
-# rows priced once included
-EF_SOLVE_ROW_CELL_CEILING = 355488
+# the integers those row updates pass through (the row's slots, 11
+# positions plus the rhs on this lift, for an exact_lp._update call, and
+# len(row) for an exact_lp._eliminate call) over the same 130 solves: a
+# ceiling, so that a tableau that stores a column it never needs to update
+# (a basic column, or a variable column once the variable has entered)
+# fails here: 340980 integers in pivots and 5481 in pricing, which maps
+# the priced combination to the positions (plus the basic columns it
+# reads) before the tableau rows clear it: 3297 against the tableau rows
+# and 2184 against the set-aside rows, the unit rows priced once included
+EF_SOLVE_ROW_CELL_CEILING = 346461
 
 
 def _sha256(text: str) -> str:
@@ -340,9 +344,9 @@ def test_ef_solve_pivot_ceiling(monkeypatch):
     pivots = []
     original = ReoptimizingSolver._pivot
 
-    def counting(self, pi, label):
-        pivots.append(label)
-        original(self, pi, label)
+    def counting(self, pi, ps, column):
+        pivots.append(ps)
+        original(self, pi, ps, column)
 
     monkeypatch.setattr(ReoptimizingSolver, "_pivot", counting)
     for objective in objectives:
@@ -351,35 +355,44 @@ def test_ef_solve_pivot_ceiling(monkeypatch):
     assert 0 < len(pivots) <= EF_SOLVE_PIVOT_CEILING
 
 
+def _count_row_updates(monkeypatch, optimizer):
+    """(kind, integers) of every row update of exact_lp: a packed row's
+    (_update: its slots) and a list row's (_eliminate: its length)."""
+    updates = []
+    solver = optimizer._solver
+    update, eliminate = exact_lp._update, exact_lp._eliminate
+
+    def counting_update(row, f, p, prow, den):
+        updates.append(("packed", len(solver._cols) + 1))
+        return update(row, f, p, prow, den)
+
+    def counting_eliminate(row, den, f, p, support):
+        updates.append(("list", len(row)))
+        return eliminate(row, den, f, p, support)
+
+    monkeypatch.setattr(exact_lp, "_update", counting_update)
+    monkeypatch.setattr(exact_lp, "_eliminate", counting_eliminate)
+    return updates
+
+
 def test_ef_solve_row_update_ceiling(monkeypatch):
     d, n, lift, objectives = EF_SOLVE_CASES[0]
     optimizer = EfOptimizer(_ef_solve_lift(d, n, lift))
-    updates = []
-    original = exact_lp._eliminate
-
-    def counting(row, den, f, p, support):
-        updates.append(p)
-        return original(row, den, f, p, support)
-
-    monkeypatch.setattr(exact_lp, "_eliminate", counting)
+    updates = _count_row_updates(monkeypatch, optimizer)
     for objective in objectives:
         for sense in ("max", "min"):
             optimizer.solve(objective, sense)
+    # the tableau rows are updated packed, and not only pricing is counted
+    assert {kind for kind, _ in updates} == {"packed", "list"}
     assert 0 < len(updates) <= EF_SOLVE_ROW_UPDATE_CEILING
 
 
 def test_ef_solve_row_cell_ceiling(monkeypatch):
     d, n, lift, objectives = EF_SOLVE_CASES[0]
     optimizer = EfOptimizer(_ef_solve_lift(d, n, lift))
-    cells = []
-    original = exact_lp._eliminate
-
-    def counting(row, den, f, p, support):
-        cells.append(len(row))
-        return original(row, den, f, p, support)
-
-    monkeypatch.setattr(exact_lp, "_eliminate", counting)
+    updates = _count_row_updates(monkeypatch, optimizer)
     for objective in objectives:
         for sense in ("max", "min"):
             optimizer.solve(objective, sense)
-    assert 0 < sum(cells) <= EF_SOLVE_ROW_CELL_CEILING
+    assert {kind for kind, _ in updates} == {"packed", "list"}
+    assert 0 < sum(cells for _, cells in updates) <= EF_SOLVE_ROW_CELL_CEILING

@@ -228,9 +228,9 @@ def test_value_queries_build_no_dual(monkeypatch):
     refuse_duals(monkeypatch)
     pivot, pivots = ReoptimizingSolver._pivot, []
 
-    def counting(self, pi, ps):
+    def counting(self, pi, ps, column):
         pivots.append(ps)
-        pivot(self, pi, ps)
+        pivot(self, pi, ps, column)
 
     monkeypatch.setattr(ReoptimizingSolver, "_pivot", counting)
     lean = EfOptimizer(ef)
