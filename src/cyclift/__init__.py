@@ -47,7 +47,6 @@ from .geometry import (
     facet_inequality,
     facet_pairs,
     format_linear,
-    is_gale,
     slack_matrix,
     vertex,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "hadamard_combine",
     "hull_ef",
     "independent_equations",
-    "is_gale",
     "lift_objective",
     "pair_product_ef",
     "parse_rational",

@@ -7,9 +7,9 @@ kept by integer pivoting (Edmonds 1967; Bareiss; Avis's lrs): every row is
 integers over one common denominator, |det B| for the basis B, and a pivot
 updates a row as (row * p - f * pivot row) / den, an exact division with
 no gcd pass; each row is one Python int, its entries Kronecker-packed as
-signed digits in base 2^w (so the update is two big-integer products and
-one exact division), with w from a proven bound on the entries, widened
-before any entry could outgrow its slot. The ratio test compares integers
+signed digits in base 2^64, one 8-byte slot each (so the update is two
+big-integer products and one exact division), and a proven bound on the
+entries keeps each within its slot. The ratio test compares integers
 by cross-multiplication and reads only the entering position and the rhs
 of each row. Each entry of a result (primal point, objective value,
 nonzero duals) is built once, as one Fraction of two integers, and the
@@ -58,7 +58,7 @@ delete their positions; they run on lists. Once the set-up is done the
 rows are packed where packing pays (_packs: rows of many slots, many of
 them updated by each pivot), and kept as lists elsewhere (a hull lift's
 tableau, whose pivots each update one row, and a degree-2 lift's short
-rows). A packed slot is at most one 8-byte struct field, and rows whose
+rows). A packed slot is one 8-byte struct field, and rows whose
 entries could outgrow it are lists (ReoptimizingSolver._unpack, which also
 unscales the slacks): integer pivoting keeps every row over |det B|, which
 can outgrow the rows' own dens in lowest terms by hundreds of bits. When a
@@ -137,11 +137,16 @@ MIN = "min"
 
 _ZERO = Fraction(0)  # shared by every zero dual
 
-# bits a slot holds above the bound of the entries it was chosen for
+# a packed slot, one 8-byte struct field: an entry is a signed digit in
+# base 2^_W, and rows whose entries could outgrow it are kept as lists in
+# lowest terms (ReoptimizingSolver._unpack)
+_W = 64
+_HALF = 1 << (_W - 1)
+_HALF2 = (1 << _W) + 1  # twice _HALF, plus the 1 that rounds
+_MASK = (1 << _W) - 1
+# the rows are packed at set-up only where the bound on their entries
+# leaves this many bits of a slot free
 _HEADROOM = 8
-# the widest slot, one 8-byte struct field: rows whose entries could
-# outgrow it are kept as lists in lowest terms (ReoptimizingSolver._unpack)
-_SLOT_BYTES = 8
 # the fewest slots a row has, and the fewest rows with two or more nonzero
 # entries at the positions, of a tableau whose rows are packed (_packs)
 _PACKED_MIN = 10
@@ -216,21 +221,13 @@ def _eliminate(row, den, f, p, support):
 
 
 @lru_cache(maxsize=64)
-def _layout(slots, wb):
-    """(slot bytes, struct, bias) of rows of `slots` entries of at least wb
-    bytes each, wb at most _SLOT_BYTES: a slot is widened to 2, 4 or 8
-    bytes, one field of a struct that reads or writes a row in one call.
-    Adding the bias makes every slot half a slot plus its entry, in [0,
-    2^w): no slot borrows from the next."""
-    wb, code = next((size, code) for size, code in ((2, "H"), (4, "I"), (8, "Q")) if wb <= size)
-    half = 1 << (8 * wb - 1)
-    return wb, Struct(f"<{slots}{code}"), int.from_bytes(half.to_bytes(wb, "little") * slots, "little")
-
-
-def _slot_bytes(bound) -> int:
-    """The bytes a slot needs for entries of absolute value at most bound:
-    a sign bit and _HEADROOM bits above bound's bit length."""
-    return (bound.bit_length() + _HEADROOM + 8) // 8
+def _layout(slots):
+    """(struct, bias) of packed rows of `slots` entries: a slot is one
+    8-byte field of a struct that reads or writes a row in one call.
+    Adding the bias makes every slot _HALF plus its entry, in [0, 2^_W):
+    no slot borrows from the next. A packed row is the sum of entry *
+    2^(_W * slot), so every row update is exact on the packed ints."""
+    return Struct(f"<{slots}Q"), int.from_bytes(_HALF.to_bytes(8, "little") * slots, "little")
 
 
 def _packs(rows) -> bool:
@@ -308,11 +305,11 @@ class ReoptimizingSolver:
     as nvars + k. A tableau row (_rows, labelled by _basis) holds one
     integer per nonbasic column, at the positions of _cols, and then the
     rhs, over its den (_dens). As a list (_packed is False) it is in lowest
-    terms. Packed, it is one int with those integers in slots of _w bits
-    (_fit), its den is the common denominator _den of the last pivot that
-    updated it, and read over _den every row is integral and within _bound,
-    which the slots hold; a pivot that could make an entry outgrow the
-    widest slot makes the rows lists for good (_unpack). _order lists the
+    terms. Packed, it is one int with those integers in slots of _W bits
+    (_layout), its den is the common denominator _den of the last pivot
+    that updated it, and read over _den every row is integral and within
+    _bound, which the slots hold; a pivot that could make an entry outgrow
+    its slot makes the rows lists for good (_unpack). _order lists the
     positions in column-id order, for Bland's rule. A free variable enters
     upward or downward (see _entering), and the direction only signs the
     ratio test. Once entered it never leaves, so its pivot row leaves the
@@ -408,8 +405,7 @@ class ReoptimizingSolver:
         self._coefs = [coefs[k] for k in kept] + coefs[me:]
         if _packs(rows):
             bound = max(max(map(max, rows)), -min(map(min, rows)))
-            wb = _slot_bytes(bound)
-            if wb <= _SLOT_BYTES:
+            if bound.bit_length() + _HEADROOM < _W:
                 # each row's den becomes its basic slack's scale (no
                 # set-aside row reads a slack yet): every row then reads 1
                 # at its basic column, where integer pivoting starts, over
@@ -418,41 +414,28 @@ class ReoptimizingSolver:
                     scales[b - nv] = d
                 dens[:] = [1] * len(rows)
                 self._den, self._bound, self._packed = 1, bound, True
-                self._fit(len(self._cols) + 1, wb)
+                self._struct, self._bias = _layout(len(self._cols) + 1)
                 self._rows = list(map(self._encode, rows))
 
     # -- packed rows ------------------------------------------------------
 
-    def _fit(self, slots, wb):
-        """Set the slot width w for rows of `slots` entries, at least wb
-        bytes (_layout). An entry is stored as a signed digit in base 2^w,
-        so a packed row is the sum of entry * 2^(w * slot), and every row
-        update is exact on the packed ints."""
-        self._wb, self._struct, self._bias = _layout(slots, wb)
-        self._w = w = 8 * self._wb
-        self._half = 1 << (w - 1)
-        self._half2 = (1 << w) + 1  # twice half, plus the 1 that rounds
-        self._mask = (1 << w) - 1
-        self._nbytes = self._wb * slots
-
     def _encode(self, entries) -> int:
-        half = self._half
-        data = self._struct.pack(*[x + half for x in entries])
+        data = self._struct.pack(*[x + _HALF for x in entries])
         return int.from_bytes(data, "little") - self._bias
 
     def _decode(self, row) -> list:
         """A packed row's entries: its positions, then the rhs."""
-        half = self._half
-        data = (row + self._bias).to_bytes(self._nbytes, "little")
-        return [x - half for x in self._struct.unpack(data)]
+        struct = self._struct
+        data = (row + self._bias).to_bytes(struct.size, "little")
+        return [x - _HALF for x in struct.unpack(data)]
 
     def _support(self, row):
         """A row's nonzero (position, entry) pairs, the rhs at position
         len(_cols), and its largest entry's absolute value."""
         if not self._packed:
             return [(j, v) for j, v in enumerate(row) if v], max(max(row), -min(row))
-        half = self._half
-        slots = self._struct.unpack((row + self._bias).to_bytes(self._nbytes, "little"))
+        struct, half = self._struct, _HALF
+        slots = struct.unpack((row + self._bias).to_bytes(struct.size, "little"))
         top = max(max(slots) - half, half - min(slots))
         return [(j, x - half) for j, x in enumerate(slots) if x != half], top
 
@@ -461,17 +444,11 @@ class ReoptimizingSolver:
         slot ps, rounded (the slots below sum to less than half of one),
         read as a signed digit."""
         rows = self._rows
-        half, mask = self._half, self._mask
+        half, mask = _HALF, _MASK
         if ps:
-            shift, half2 = self._w * ps - 1, self._half2
+            shift, half2 = _W * ps - 1, _HALF2
             return [((row >> shift) + half2 >> 1 & mask) - half for row in rows]
         return [(row + half & mask) - half for row in rows]
-
-    def _repack(self) -> None:
-        """Store every row again in the widest slots, _SLOT_BYTES each."""
-        decoded = list(map(self._decode, self._rows))
-        self._fit(len(self._cols) + 1, _SLOT_BYTES)
-        self._rows[:] = map(self._encode, decoded)
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -493,13 +470,13 @@ class ReoptimizingSolver:
         equation row with no basic column, deletes the entering column from
         every row, the objective row and the position list. The position of
         a leaving column moves to its place in _order. A pivot whose
-        entries could outgrow the widest slot (_pivot_packed returns None)
+        entries could outgrow their slots (_pivot_packed returns None)
         makes the rows lists first (_unpack)."""
         rows, dens, basis, cols = self._rows, self._dens, self._basis, self._cols
         col, leaving = cols[ps], basis[pi]
         if self._packed:
             found = self._pivot_packed(pi, ps, column)
-            if found is None:  # an entry could outgrow the widest slot
+            if found is None:  # an entry could outgrow its slot
                 self._unpack()
                 column = [row[ps] for row in rows]
         if self._packed:
@@ -566,12 +543,10 @@ class ReoptimizingSolver:
         entry; its den is then |p|. A row with f == 0 keeps its entries and
         its den. Before any update, the proven bound (bound * |p| + max |f|
         * max |pivot entry|) / den of every entry over the new common
-        denominator is checked against the slot width, and every row is
-        stored again at a wider one (_repack) if an entry could outgrow its
-        slot; if one could outgrow the widest, None is returned, with
-        nothing updated."""
+        denominator is checked against the slot width _W; if an entry could
+        outgrow its slot, None is returned, with nothing updated."""
         rows, dens = self._rows, self._dens
-        den, w = self._den, self._w
+        den = self._den
         # the largest entry at ps over the common denominator
         most = max(max(column), -min(column))
         if dens.count(den) != len(rows):
@@ -584,16 +559,12 @@ class ReoptimizingSolver:
         sign = den
         if p < 0:
             prow, p, sign = -prow, -p, -den
-        prow += (sign - p) << w * ps
+        prow += (sign - p) << _W * ps
         support, top = self._support(prow)
         bound = max((max(self._bound, most) * p + most * top) // den + 1, top)
-        if bound.bit_length() >= w:
-            if _slot_bytes(bound) > _SLOT_BYTES:
-                return None
-            self._repack()
-            w = self._w
-            prow = sum(v << w * j for j, v in support)
-        step = prow + (p << w * ps)
+        if bound.bit_length() >= _W:
+            return None
+        step = prow + (p << _W * ps)
         for i, f in enumerate(column):
             if f and i != pi:
                 rows[i] = _update(rows[i], f, p, step, dens[i])
@@ -676,7 +647,7 @@ class ReoptimizingSolver:
                 return OPTIMAL
             at, direction = entering
             if self._packed:
-                column, top = self._column(at), self._w * len(cols) - 1
+                column, top = self._column(at), _W * len(cols) - 1
             else:
                 column, top = [row[at] for row in rows], None
             # smallest ratio rhs / v over the rows with v = direction *
@@ -847,7 +818,7 @@ class ReoptimizingSolver:
         if not self._packed:
             tops = [row[-1] for row in self._rows]
         elif self._cols:  # the rhs is the top slot
-            top = self._w * len(self._cols) - 1
+            top = _W * len(self._cols) - 1
             tops = [(row >> top) + 1 >> 1 for row in self._rows]
         else:
             tops = self._rows

@@ -168,22 +168,15 @@ def _checked_members(S, P: CyclicPolytope) -> tuple[int, ...]:
     return members
 
 
-def is_gale(S, P: CyclicPolytope) -> bool:
-    """Gale's evenness condition: S is a facet of P.
-
-    The code checks the pair form (_split); the tests check it against the
-    two-point form, where any two non-members enclose an even number of
-    members.
-    """
-    return _split(_checked_members(S, P), P.interval.t1, P.interval.t2) is not None
-
-
 def facet_pairs(S, P: CyclicPolytope) -> tuple:
     """(endpoint, pairs) of the facet S of P: for odd d the endpoint is t1
     if S holds it, else t2, and for even d None. The d // 2 pairs of the
     rest are facets of the degree-2 polytope on the interval the endpoint
     leaves: its two ends first when S's run at its low end is odd, then
-    adjacent pairs (p, p + 1) left to right. A non-facet is a DomainError.
+    adjacent pairs (p, p + 1) left to right. A non-facet is a DomainError:
+    this split is the facet test, Gale's evenness condition in its pair
+    form, which the tests check against the two-point form (any two
+    non-members enclose an even number of members).
     """
     members = _checked_members(S, P)
     split = _split(members, P.interval.t1, P.interval.t2)

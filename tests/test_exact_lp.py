@@ -25,8 +25,16 @@ from cyclift.exact_lp import (
     independent_equations,
     solve,
 )
+from cyclift.factorization import factorize
 from cyclift.geometry import CyclicPolytope, Interval, enumerate_facets, facet_inequality, vertex
-from cyclift.lifting import hull_ef, lift_objective
+from cyclift.lifting import (
+    EfOptimizer,
+    build_ef_2d,
+    ef_from_factorization,
+    hull_ef,
+    lift_objective,
+    pair_product_ef,
+)
 
 import cyclift.exact_lp as exact_lp
 from reference import TrackerSolver, dictionary, vertex_maximum
@@ -393,7 +401,7 @@ def _check_layout(solver):
         assert all(type(x) is int for x in row) and type(den) is int and den > 0
     if solver._packed:
         common, most = solver._den, solver._bound
-        assert common > 0 and most.bit_length() < solver._w
+        assert common > 0 and most.bit_length() < exact_lp._W
         for packed, row, den in zip(solver._rows, rows, solver._dens):
             assert type(packed) is int and solver._encode(row) == packed
             assert all(x * common % den == 0 and abs(x) * common // den <= most for x in row)
@@ -710,10 +718,10 @@ def wide_systems(draw):
     denominators up to 2^(bits - 10), so the slack columns have fractional
     scales, with slacks from 2^(bits - 16) at x0. At 80 bits the numbers
     outgrow one machine word, and at 12 or 24 bits packed rows start in
-    narrower slots and outgrow them. Sometimes one more equation is a wide
-    multiple of the first, which the solver drops as dependent, and
-    sometimes the variables are boxed, which gives each one two unit rows
-    with wide rhs."""
+    their 8-byte slots and may outgrow them. Sometimes one more equation
+    is a wide multiple of the first, which the solver drops as dependent,
+    and sometimes the variables are boxed, which gives each one two unit
+    rows with wide rhs."""
     bits = draw(st.sampled_from([12, 24, 80]), label="bits")
     wide_rationals, wide_positive = _wide_rationals(bits), _wide_positive(bits)
     nvars = draw(st.integers(1, 3))
@@ -741,16 +749,11 @@ def test_wide_entries_match_tracker(system, data):
     result (entry types included), the basis, the set-aside variables and
     every decoded tableau row are reference.TrackerSolver's, and the
     layout holds (_check_layout). Drawn: the rows are packed, so that an
-    entry that could outgrow its slot widens every slot first (_repack),
-    and one that could outgrow the widest makes them lists (_unpack), or
-    kept as lists in lowest terms."""
+    entry that could outgrow its slot makes them lists (_unpack), or kept
+    as lists in lowest terms."""
     nvars, eqs, ineqs, x0 = system
     grown = []
-    repack, unpack = ReoptimizingSolver._repack, ReoptimizingSolver._unpack
-
-    def repacking(self):
-        grown.append("slots widened")
-        repack(self)
+    unpack = ReoptimizingSolver._unpack
 
     def unpacking(self):
         grown.append("rows unpacked")
@@ -760,7 +763,6 @@ def test_wide_entries_match_tracker(system, data):
         st.lists(wide_rationals, min_size=nvars, max_size=nvars), st.sampled_from([MAX, MIN])
     )
     with _rows_drawn(data) as mp:
-        mp.setattr(ReoptimizingSolver, "_repack", repacking)
         mp.setattr(ReoptimizingSolver, "_unpack", unpacking)
         solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
         reference = TrackerSolver(nvars, eqs, ineqs, x0)
@@ -773,6 +775,96 @@ def test_wide_entries_match_tracker(system, data):
             _check_layout(solver)
     for kind in sorted(set(grown)) or ["no growth"]:
         event(kind)
+
+
+def test_entries_past_the_slot_unpack_once(monkeypatch):
+    """A fixed system whose rows pack at the set-up (forced, _PACKED_MIN =
+    0), with slack scales 2, 6, 1, 1 and 3, and whose entries must pass 64
+    bits: the first pivot brings x in at x <= 1, packed, and sets its row
+    aside; the second brings y in at the row of A x + B y <= C, A and B
+    coprime near 2^48, which leaves y <= 2^40 reading B * 2^40 - C + A, 89
+    bits in lowest terms, so the rows turn into lists there (_unpack)
+    with one row set aside, and never again. After every warm solve the
+    result, the basis, the set-aside variables and every tableau row are
+    reference.TrackerSolver's, and the layout holds (_check_layout)."""
+    a, b = 7**17, 11**14
+    c = a + 7 * b
+    ineqs = (
+        ((Fraction(1, 2), 0), Fraction(1, 2)),
+        ((Fraction(a, 6), Fraction(b, 6)), Fraction(c, 6)),
+        ((0, 1), 2**40),
+        ((-1, 0), 1),
+        ((0, Fraction(-1, 3)), Fraction(1, 3)),
+    )
+    monkeypatch.setattr(exact_lp, "_PACKED_MIN", 0)
+    unpacked = []
+    unpack = ReoptimizingSolver._unpack
+
+    def unpacking(self):
+        unpacked.append(len(self._aside))
+        unpack(self)
+
+    monkeypatch.setattr(ReoptimizingSolver, "_unpack", unpacking)
+    solver = ReoptimizingSolver(2, (), ineqs, (0, 0))
+    reference = TrackerSolver(2, (), ineqs, (0, 0))
+    assert solver._packed and solver._scales == [2, 6, 1, 1, 3]
+    queries = (((1, 1), MAX), ((1, 1), MIN), ((1, -1), MAX), ((0, 1), MAX), ((-1, 2), MIN))
+    for objective, sense in queries:
+        _assert_same_result(*_solve_both(solver, reference, objective, sense))
+        assert _layout(solver) == _reference_layout(reference, 2)
+        assert _tableau(solver) == _reference_tableau(reference, 2)
+        _check_layout(solver)
+    assert unpacked == [1] and not solver._packed
+    assert solver._scales == [1] * len(ineqs)
+
+
+def _workload_queries(n):
+    """Eight objectives over the target's coordinates t, t^2, t^3: for four
+    t0 spread over [1, n], the maximum of 2 t0 t - t^2 (peaked at t0) and
+    the minimum of t^3 - 3 t0^2 t (lowest at t0)."""
+    for t0 in (1 + n // 8, 3 * n // 8, 5 * n // 8, n - n // 8):
+        yield MAX, (2 * t0, -1, 0)
+        yield MIN, (-3 * t0 * t0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ef_from_factorization(CyclicPolytope.standard(3, 65), factorize(65, 3)),
+        lambda: pair_product_ef(27, 3),
+        lambda: pair_product_ef(76, 3),
+    ],
+    ids=["lift_queries (3, 65)", "minimize-poly (3, 27)", "minimize-poly (3, 76)"],
+)
+def test_workload_lifts_stay_packed(monkeypatch, build):
+    """The degree-3 lifts the benchmark queries pack at the set-up, and
+    stay packed through eight warm queries, none of whose entries outgrows
+    its slot; every query's value and point equal those of a solver over
+    the same lift kept as lists (_PACKED_MIN past any tableau)."""
+    ef = build()
+    packed = EfOptimizer(ef)
+    monkeypatch.setattr(exact_lp, "_PACKED_MIN", 10**9)
+    lists = EfOptimizer(ef)
+    assert packed._solver._packed and not lists._solver._packed
+    n = len(ef.witnesses)
+    for sense, objective in _workload_queries(n):
+        query = "maximize" if sense == MAX else "minimize"
+        found = getattr(packed, query)(objective)
+        assert found == getattr(lists, query)(objective)
+        assert packed._solver._packed
+    assert not lists._solver._packed
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_ef_2d(52), lambda: hull_ef(CyclicPolytope.standard(4, 37))],
+    ids=["degree-2 (2, 52)", "hull (4, 37)"],
+)
+def test_workload_lifts_keep_lists(build):
+    """The degree-2 and hull lifts minimize-poly builds keep their rows as
+    lists (_packs): a degree-2 lift's rows are too short to pay, and a
+    hull lift's pivots each update one row."""
+    assert not EfOptimizer(build())._solver._packed
 
 
 class SequentialPricingSolver(ReoptimizingSolver):

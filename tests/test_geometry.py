@@ -15,7 +15,6 @@ from cyclift.geometry import (
     facet_pairs,
     facets_with_pairs,
     format_linear,
-    is_gale,
     slack_matrix,
     vertex,
 )
@@ -64,23 +63,38 @@ def test_gale_set_validation():
 
 
 # ------------------------------------------------------------- gale checks
+#
+# Gale's evenness condition is the facet test of facet_pairs: it splits a
+# facet and refuses any other set of the right size as no facet.
+
+
+def _is_facet(S, p) -> bool:
+    """Whether facet_pairs splits S (True) or refuses it as no facet
+    (False); a set it refuses before the split is a DomainError."""
+    try:
+        facet_pairs(S, p)
+    except DomainError as refused:
+        if "is not a facet" not in str(refused):
+            raise
+        return False
+    return True
 
 
 def test_is_gale_known_cases():
     p = P(2, 1, 5)
-    assert is_gale(GaleSet((2, 3)), p)
-    assert not is_gale(GaleSet((1, 3)), p)  # gap [2, 4] holds one member
-    assert is_gale(GaleSet((1, 5)), p)
+    assert _is_facet(GaleSet((2, 3)), p)
+    assert not _is_facet(GaleSet((1, 3)), p)  # gap [2, 4] holds one member
+    assert _is_facet(GaleSet((1, 5)), p)
 
 
 def test_is_gale_rejects_bad_input():
     p = P(3, 1, 6)
-    with pytest.raises(DomainError):
-        is_gale(GaleSet((1, 2)), p)  # wrong cardinality
-    with pytest.raises(DomainError):
-        is_gale((1, 2, 9), p)  # outside the interval
-    with pytest.raises(DomainError):
-        is_gale((1, 2, 2), p)
+    with pytest.raises(DomainError, match="expected 3 members, got 2"):
+        facet_pairs(GaleSet((1, 2)), p)  # wrong cardinality
+    with pytest.raises(DomainError, match="leave the interval"):
+        facet_pairs((1, 2, 9), p)
+    with pytest.raises(DomainError, match="duplicate members"):
+        facet_pairs((1, 2, 2), p)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +106,7 @@ def test_is_gale_matches_definition(d, t1, t2):
 
     p = P(d, t1, t2)
     for S in combinations(range(t1, t2 + 1), d):
-        assert is_gale(S, p) == gale_ok(S, t1, t2), S
+        assert _is_facet(S, p) == gale_ok(S, t1, t2), S
 
 
 # -------------------------------------------------------------- enumeration
@@ -298,7 +312,7 @@ def test_facet_pairs_properties(d, n):
         assert flat == sorted(set(S.members) - {endpoint})
         for a, b in pairs:
             assert (a, b) == (t1, t2) or b == a + 1
-            assert is_gale((a, b), P(2, t1, t2))
+            assert facet_pairs((a, b), P(2, t1, t2)) == (None, ((a, b),))
 
 
 # ------------------------------------------------ random-interval properties
@@ -327,7 +341,7 @@ def test_is_gale_matches_definition_on_random_subsets(p, data):
     S = data.draw(
         st.lists(st.integers(t1, t2), min_size=p.d, max_size=p.d, unique=True)
     )
-    assert is_gale(S, p) == gale_ok(S, t1, t2)
+    assert _is_facet(S, p) == gale_ok(S, t1, t2)
 
 
 def _check_facet_pairs(S, p):
