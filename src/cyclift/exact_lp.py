@@ -85,7 +85,8 @@ Results. maximize and minimize return the full LPResult: the value, the
 point and both sets of duals. maximum and minimum run the same simplex
 from the same basis and return the value and the point only, with no dual
 built; a caller that reads no dual (EfOptimizer's value queries) asks for
-those.
+those. All four enter through one scaling of the objective, and a
+minimization maximizes the negated integers.
 
 Equation reduction. The set-up pivots are the independence check: each
 equation row in turn is pivoted on its first nonzero position, and a row
@@ -98,8 +99,9 @@ point, so a contradictory system is refused.
 
 Conventions. A program holds equations <c, x> = rhs and inequalities
 <c, x> <= rhs over free variables. Each of its numbers is an int or a
-Fraction; anything else is a DomainError, checked once per row when the
-solver is built and once per objective, never per pivot. For a
+Fraction; anything else is a DomainError from rational.scaled_ints, which
+checks each number as it scales it: a row's coefficients and rhs when the
+solver is built, an objective when a solve starts, never per pivot. For a
 maximization the certificate returned with an optimal result is
 
     objective = E^T mu + G^T beta,   beta >= 0,
@@ -174,31 +176,6 @@ class LPResult:
     primal: tuple | None = None
     dual_ineq: tuple | None = None
     dual_eq: tuple | None = None
-
-
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
-def _check_exact(values, what):
-    """Refuse an entry that is not an int or a Fraction, naming it: a
-    float or a str has no exact numerator and denominator. The types are
-    collected in one pass first; only a row with another type (a bool or
-    a subclass passes too) is walked entry by entry."""
-    if set(map(type, values)) <= _EXACT_TYPES:
-        return
-    for x in values:
-        if not isinstance(x, (int, Fraction)):
-            raise DomainError(f"{what} entry {x!r} is not an int or a Fraction")
-
-
-def _check_rows(rows, nvars, what):
-    """Each row's length, and each of its numbers (_check_exact)."""
-    for coeffs, rhs in rows:
-        if len(coeffs) != nvars:
-            raise DomainError(
-                f"{what} row has {len(coeffs)} coefficients, expected {nvars}"
-            )
-        _check_exact(coeffs + (rhs,), what)
 
 
 def _eliminate(row, den, f, p, support):
@@ -334,8 +311,6 @@ class ReoptimizingSolver:
     def __init__(self, nvars, equations, inequalities, feasible_point):
         equations = [(tuple(c), r) for c, r in equations]
         inequalities = [(tuple(c), r) for c, r in inequalities]
-        _check_rows(equations, nvars, "equation")
-        _check_rows(inequalities, nvars, "inequality")
         if len(feasible_point) != nvars:
             raise DomainError("feasible point has the wrong dimension")
         self._nv = nv = nvars
@@ -351,30 +326,31 @@ class ReoptimizingSolver:
         dens: list[int] = []
         basis: list = []  # None: an equation row not pivoted yet
         for r_idx, (coeffs, rhs) in enumerate(equations + inequalities):
-            ints, den = scaled_ints(coeffs)
+            if len(coeffs) != nv:
+                what = "equation" if r_idx < me else "inequality"
+                raise DomainError(f"{what} row has {len(coeffs)} coefficients, expected {nv}")
+            ints, den = scaled_ints(coeffs + (rhs,))  # checks each number
+            # the start residual rhs - <coeffs, shift> is num / (den * sden)
+            num = ints.pop() * sden - sum(map(mul, ints, shift))
             coefs.append((ints, den))
-            # the start residual rhs - <coeffs, shift> is num / q
-            rd = rhs.denominator
-            q = rd * den * sden
-            num = rhs.numerator * den * sden - rd * sum(map(mul, ints, shift))
             if r_idx < me:
                 if num:
                     raise DomainError("feasible point violates an equation")
-                row, label = ints + [0], None
+                label = None
+            elif num < 0:
+                raise DomainError("feasible point violates an inequality")
             else:
-                if num < 0:
-                    raise DomainError("feasible point violates an inequality")
-                # the row is scaled_ints(coeffs + (num / q,)), and its den
-                # is the coefficient of its basic slack; q == 1 leaves den 1
-                if q != 1:
-                    g = gcd(num, q)
-                    num, q = num // g, q // g
-                    row_den = lcm(den, q)
-                    if row_den != den:
-                        ints = [c * (row_den // den) for c in ints]
-                        den = row_den
-                    num *= den // q
-                row, label = ints + [num], nv + r_idx - me
+                label = nv + r_idx - me
+            # the row is (coeffs, residual) in lowest terms; an inequality
+            # row's den is the coefficient of its basic slack
+            if sden == 1:
+                row = ints + [num]
+            else:
+                row, den = [c * sden for c in ints] + [num], den * sden
+            if den != 1:
+                g = gcd(den, *row)
+                if g != 1:
+                    row, den = [x // g for x in row], den // g
             rows.append(row)
             dens.append(den)
             basis.append(label)
@@ -672,48 +648,49 @@ class ReoptimizingSolver:
     def maximize(self, objective) -> LPResult:
         """Maximize from the current basis: the full result, the value and
         the point (_value_point) with the inequality and the equation
-        duals. An objective entry that is not an int or a Fraction is a
-        DomainError."""
-        solved = self._solve(objective)
-        if solved is None:
-            return LPResult(UNBOUNDED)
-        value, x = self._value_point(*solved)
-        return LPResult(
-            OPTIMAL, value, x, self._inequality_duals(), self._equation_duals(*solved)
-        )
+        duals."""
+        return self._result(objective, 1)
 
     def minimize(self, objective) -> LPResult:
-        # refused before the negation, so the error names the entry given
-        # (-"1" is no DomainError); maximize checks the negated entries again
-        _check_exact(objective, "objective")
-        res = self.maximize([-c for c in objective])
-        if res.status != OPTIMAL:
-            return res
-        return LPResult(
-            OPTIMAL,
-            -res.value,
-            res.primal,
-            res.dual_ineq,
-            tuple(-m if m else _ZERO for m in res.dual_eq),
-        )
+        return self._result(objective, -1)
 
     def maximum(self, objective):
         """(value, primal point) of maximize(objective), or None where it
         is unbounded. The same simplex from the same basis, with no dual
         built."""
-        solved = self._solve(objective)
-        return None if solved is None else self._value_point(*solved)
+        return self._optimum(objective, 1)
 
     def minimum(self, objective):
         """(value, primal point) of minimize(objective), or None where it
         is unbounded; no dual built."""
-        _check_exact(objective, "objective")
-        found = self.maximum([-c for c in objective])
-        return None if found is None else (-found[0], found[1])
+        return self._optimum(objective, -1)
 
-    def _solve(self, objective):
-        """Run the simplex for objective from the current basis: (its
+    def _result(self, objective, sign) -> LPResult:
+        """maximize (sign 1) or minimize (sign -1): a minimum is the
+        maximum of -objective, with the value and the equation duals
+        negated back."""
+        solved = self._solve(objective, sign)
+        if solved is None:
+            return LPResult(UNBOUNDED)
+        value, x = self._value_point(*solved)
+        mu = self._equation_duals(*solved)
+        if sign < 0:
+            value, mu = -value, tuple(-m if m else _ZERO for m in mu)
+        return LPResult(OPTIMAL, value, x, self._inequality_duals(), mu)
+
+    def _optimum(self, objective, sign):
+        """maximum (sign 1) or minimum (sign -1)."""
+        solved = self._solve(objective, sign)
+        if solved is None:
+            return None
+        value, x = self._value_point(*solved)
+        return (value if sign > 0 else -value), x
+
+    def _solve(self, objective, sign):
+        """Run the simplex for sign * objective from the current basis: (its
         numerators, their den) at the optimum, None where it is unbounded.
+        Every solve enters here: objective has one entry per variable, and
+        scaled_ints checks each of them as it scales it, once.
 
         The objective row -c is priced out in column ids against the
         set-aside rows (_priced_by_aside, or, once every variable is set
@@ -727,8 +704,9 @@ class ReoptimizingSolver:
             raise DomainError(
                 f"objective has {len(objective)} entries, expected {self._nv}"
             )
-        _check_exact(objective, "objective")
         ints, cden = scaled_ints(objective)
+        if sign < 0:
+            ints = [-c for c in ints]
         nv, rhs, cols = self._nv, self._rhs, self._cols
         if len(self._aside) == nv:
             full, den = self._priced_by_units(ints, cden)

@@ -30,10 +30,13 @@ only those: each vector as integer numerators over a positive
 denominator (NonnegFactorization.int_vectors), which verify, the JSON
 writer and the lifts read. alpha and beta are built from them on first
 read, an integral entry an int and any other a Fraction. One integer
-core (_fold_factorization_2d) feeds both constructions: factorize_2d
-stores it as it is, and the tensor construction multiplies its
-numerators. to_json_text writes the JSON document; to_json_dict is that
-text parsed, and from_json_dict reads it back to the same entries.
+core (_fold_factorization_2d) feeds both constructions: the alphas and a
+table of beta numerators keyed by each degree-2 facet's pair, with no
+polytope built and no facet enumerated. factorize_2d reads the table in
+its own facet order, and the tensor construction multiplies its
+numerators pair by pair. to_json_text writes the JSON document;
+to_json_dict is that text parsed, and from_json_dict reads it back to
+the same entries.
 
 Ranks here are the lengths of the constructed vectors, i.e. what the
 construction guarantees, not the (unknown) minimal nonnegative rank.
@@ -91,11 +94,7 @@ def construction_rank(n: int, d: int) -> int:
     """Exact rank the recursive construction produces for (n, d), without
     building it: the rank of factorize_2d, factorize_even or factorize_odd."""
     CyclicPolytope.standard(d, n)
-    if d == 2:
-        return _size_2d(n)
-    if d % 2 == 0:
-        return _size_2d(n) ** (d // 2)
-    return 2 * _size_2d(n - 1) ** (d // 2)
+    return (1 + d % 2) * _size_2d(n - d % 2) ** (d // 2)
 
 
 def trivial_wins(n: int, d: int) -> bool:
@@ -424,10 +423,11 @@ def verify(M: SlackMatrix, F: NonnegFactorization) -> VerificationReport:
     for nums, _ in ints:
         if nums and min(nums) < 0:
             return VerificationReport(False, F.rank, bound, None)
-    # the slack polynomials have integer coefficients
-    facet_rows = [
+    # the slack polynomials have integer coefficients; each row is built as
+    # the reduction reads it, and a dependent one is dropped at once
+    facet_rows = (
         [*bi, *map(db.__mul__, poly)] for poly, (bi, db) in zip(M.polynomials, ints[F.n_rows :])
-    ]
+    )
     kept, basis = [], []
     for at, (pivot, row) in enumerate(reduce_rows(facet_rows)):
         if pivot is not None:
@@ -659,11 +659,12 @@ def _exact(x: int, y: int) -> int:
 
 
 def _fold_factorization_2d(n: int) -> tuple:
-    """The degree-2 construction in integers: (P, alphas, beta numerators,
-    their one shared denominator, facets). alphas are ints; each facet's
-    beta is its numerators over that denominator, the least common
-    denominator of every beta entry."""
-    P = CyclicPolytope.standard(2, n)
+    """The degree-2 construction on [1, n] in integers: (alphas, {pair:
+    beta numerators}, their one shared denominator). alphas are ints, in
+    interval order; each facet {a, b} of the degree-2 polytope, the
+    adjacent pairs and {1, n}, keys its beta, numerators over the least
+    common denominator of every beta entry. No polytope is built and no
+    facet enumerated."""
     folds, (b1, b2) = fold_chain(1, n)
     base = slack_matrix(CyclicPolytope(2, Interval(b1, b2)))
     points = base.polytope.interval.indices()
@@ -671,18 +672,16 @@ def _fold_factorization_2d(n: int) -> tuple:
     # each facet's normal (-p1, -p2), read off its slack polynomial
     base_facets = [(S.members, (-p[1], -p[2])) for S, p in zip(base.columns, base.polynomials)]
     den = _dual_denominator(folds, base_facets, points)
-    facets = enumerate_facets(P)
     # facet_inequality's normal, read off the pair {a, b}: (t - a)(t - b) is
     # >= 0 at every vertex for an adjacent pair and <= 0 for {1, n}
-    objectives = [
-        (a + b, -1) if b == a + 1 else (-a - b, 1) for a, b in (S.members for S in facets)
-    ]
+    pairs = [(a, a + 1) for a in range(1, n)] + [(1, n)]
+    objectives = [(2 * a + 1, -1) for a in range(1, n)] + [(-1 - n, 1)]
     nums = _fold_duals(folds, base_facets, points, objectives, den)
     g = gcd(den, *chain.from_iterable(nums))
     if g != 1:
         den //= g
         nums = [tuple(map(g.__rfloordiv__, vec)) for vec in nums]
-    return P, alphas, nums, den, facets
+    return alphas, dict(zip(pairs, nums)), den
 
 
 def factorize_2d(n: int) -> NonnegFactorization:
@@ -701,12 +700,15 @@ def factorize_2d(n: int) -> NonnegFactorization:
     Not verified here, like factorization_from_ef.
 
     The factorization stores the integer core's (_fold_factorization_2d)
-    alphas over den 1 and beta numerators over the least denominator every
-    beta shares.
+    alphas over den 1 and, for each facet in canonical order, the beta
+    numerators its pair keys, over the least denominator every beta
+    shares.
     """
-    P, alphas, nums, den, facets = _fold_factorization_2d(n)
-    ints = tuple(zip(alphas, repeat(1))) + tuple(zip(nums, repeat(den)))
-    return NonnegFactorization._from_ints(_size_2d(n), ints, n, facets, P)
+    P = CyclicPolytope.standard(2, n)
+    alphas, by_pair, den = _fold_factorization_2d(n)
+    facets = enumerate_facets(P)
+    ints = tuple(zip(alphas, repeat(1))) + tuple((by_pair[S.members], den) for S in facets)
+    return NonnegFactorization._from_ints(len(alphas[0]), ints, n, facets, P)
 
 
 def factorize_even(n: int, q: int) -> NonnegFactorization:
@@ -759,12 +761,11 @@ def _tensor_factorization(n: int, d: int) -> NonnegFactorization:
     degree-2 betas share; an odd degree's other endpoint block is zeros."""
     P = CyclicPolytope.standard(d, n)
     q = d // 2
-    _, alpha2, beta2, den2, facets2 = _fold_factorization_2d(n - d % 2)
+    alpha2, by_pair, den2 = _fold_factorization_2d(n - d % 2)
     alphas = _tensor_alphas(alpha2, n, d)
-    zero = (0,) * _size_2d(n - d % 2) ** q
+    zero = (0,) * len(alpha2[0]) ** q
     # each degree-2 pair's numerators, and the same under the pair moved up
     # by one: an endpoint-1 facet's pairs lie on [2, n]
-    by_pair = dict(zip((S.members for S in facets2), beta2))
     moved = {(a + 1, b + 1): v for (a, b), v in by_pair.items()}
     den = den2**q
     facets, nums = [], []

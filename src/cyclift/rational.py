@@ -56,11 +56,17 @@ def parse_rational(text: str):
 def scaled_ints(vec):
     """(integer list, positive denominator) with vec == ints / den exactly;
     den is the least common denominator of the ints and Fractions in vec.
-    A vector of ints is returned as the same ints, in one pass."""
+    A vector of ints is returned as the same ints, in one pass.
+
+    The package's one exactness check: an entry that is not an int or a
+    Fraction (a bool or a subclass is one) is a DomainError naming it, as
+    a float or a str has no exact numerator and denominator."""
     den = 1
     plain = True
     for x in vec:
         if type(x) is not int:
+            if type(x) is not Fraction and not isinstance(x, (int, Fraction)):
+                raise DomainError(f"not exact: {x!r} is not an int or a Fraction")
             plain = False
             d = x.denominator
             if d != 1:

@@ -383,9 +383,10 @@ def _count_enumerations(monkeypatch):
 @pytest.mark.parametrize(
     "argv, enumerated",
     [
-        # factorize_2d(32): the 4-point bottom of its fold chain, then its
-        # own facets; verify's matrix takes the tensor build's labels
-        pytest.param(("factorize", "--n", "33", "--d", "3"), [4, 32, 33], id="33 3"),
+        # the degree-2 core on [1, 32]: the 4-point bottom of its fold
+        # chain, and no facets of its own; verify's matrix takes the tensor
+        # build's labels
+        pytest.param(("factorize", "--n", "33", "--d", "3"), [4, 33], id="33 3"),
         # trivial: verify's matrix takes the labels of the one it is read off
         pytest.param(("factorize", "--n", "20", "--d", "4"), [20], id="20 4"),
     ],

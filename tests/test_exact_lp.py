@@ -318,6 +318,14 @@ def test_random_rational_lps_certify(system, data):
     with _rows_drawn(data):
         res = solve(lp, x0)
     assert res.status in (OPTIMAL, UNBOUNDED)
+    # the value query on a second solver runs the same simplex: None
+    # exactly where the program is unbounded, else the same value and point
+    solver = ReoptimizingSolver(nvars, eqs, ineqs, x0)
+    found = (solver.maximum if sense == MAX else solver.minimum)(objective)
+    if res.status == UNBOUNDED:
+        assert found is None
+    else:
+        assert found == (res.value, res.primal)
     if res.status == OPTIMAL:
         assert certify(lp, res)
         assert type(res.value) is Fraction
@@ -622,6 +630,27 @@ def test_set_aside_rows_stay_fixed(system, data):
                     assert _row_holds(support, nvars, x0, ineqs, res.primal, solver._scales)
                 for row in _tableau(solver).values():
                     assert _row_holds(row.items(), nvars, x0, ineqs, res.primal)
+
+
+def test_set_up_rows_start_in_lowest_terms(monkeypatch):
+    """The set-up scales each row's coefficients and rhs together, and a
+    rhs's denominator must not stay in a row whose residual drops it: an
+    equation row with rhs 1/2, and an inequality tight at the start, are
+    each in lowest terms before every set-up pivot (_check_layout)."""
+    checked = []
+    original = ReoptimizingSolver._pivot
+
+    def checking(self, pi, ps, column):
+        _check_layout(self)
+        checked.append(ps)
+        original(self, pi, ps, column)
+
+    monkeypatch.setattr(ReoptimizingSolver, "_pivot", checking)
+    eqs = (((0, 0, 1), 0), ((0, 1, 0), Fraction(1, 2)))
+    ineqs = (((0, 0, 0), 0), ((0, 2, 0), Fraction(1)), ((1, 0, 0), Fraction(7, 3)))
+    solver = ReoptimizingSolver(3, eqs, ineqs, (0, Fraction(1, 2), 0))
+    assert len(checked) == 2
+    _check_layout(solver)
 
 
 def test_back_substitution_reads_later_entries():

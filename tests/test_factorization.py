@@ -1,7 +1,9 @@
 import gc
 import json
 import random
+import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -660,6 +662,20 @@ def test_json_round_trip():
     F = factorize_2d(9)
     back = NonnegFactorization.from_json_dict(F.to_json_dict())
     assert back == F
+
+
+_INEXACT = (1.5, 2.0, "1", None, Decimal(1))
+
+
+@pytest.mark.parametrize("bad", _INEXACT, ids=repr)
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_values_must_be_exact(side, bad):
+    """A factorization built from values refuses an entry that is not an
+    int or a Fraction with a DomainError that names it."""
+    alpha, beta = [[1, 2], [Fraction(1, 2), 0]], [[1, True]]
+    (alpha if side == "alpha" else beta)[-1][0] = bad
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        NonnegFactorization(2, tuple(map(tuple, alpha)), tuple(map(tuple, beta)))
 
 
 def test_json_round_trip_without_target():

@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -64,7 +66,7 @@ def test_parse_rejects(bad):
 def test_scaled_ints():
     """A vector of ints comes back as the same ints in a fresh list; a
     bool or a whole Fraction becomes its int, and Fractions share the
-    least common denominator."""
+    least common denominator. Subclasses of int and Fraction are exact."""
     big = 10**30
     vec = (big, -3, 0)
     ints, den = scaled_ints(vec)
@@ -74,6 +76,23 @@ def test_scaled_ints():
     assert all(type(x) is int for x in ints)
     assert scaled_ints((Fraction(1, 2), -1, Fraction(2, 3))) == ([3, -6, 4], 6)
     assert scaled_ints(()) == ([], 1)
+
+    class Num(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    assert scaled_ints((Num(3), Ratio(1, 4))) == ([12, 1], 4)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, Decimal(1)], ids=repr)
+def test_scaled_ints_refuses_inexact_entries(bad):
+    """Every number scaled is checked: an entry that is not an int or a
+    Fraction is a DomainError naming it, wherever it sits in the vector."""
+    for vec in ((bad,), (1, bad), (Fraction(1, 2), 3, bad, 4)):
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            scaled_ints(vec)
 
 
 _ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
